@@ -22,6 +22,7 @@
 #include <cstdio>
 #include <iostream>
 #include <limits>
+#include <numeric>
 #include <string>
 #include <vector>
 
@@ -30,7 +31,7 @@
 #include "exec/adaptive.hh"
 #include "exec/parallel_runner.hh"
 #include "exec/sweep.hh"
-#include "shard/runner.hh"
+#include "service/sweeprun.hh"
 #include "util/logging.hh"
 #include "util/table.hh"
 
@@ -78,13 +79,12 @@ ebw(int n, int m, int r, ArbitrationPolicy policy, bool buffered,
  * Shared parallel runner for the reproduction benches, sized to the
  * hardware: the grid points behind every figure/table are independent
  * seeded runs, so they fan out across all cores without changing any
- * printed number.
+ * printed number. This is the pool the sweep helpers below run on.
  */
 inline ParallelRunner &
 runner()
 {
-    static ParallelRunner shared(0);
-    return shared;
+    return sharedParallelRunner(0);
 }
 
 /**
@@ -178,98 +178,96 @@ initShardArgs(int *argc, char **argv)
 }
 
 /**
- * Shard-mode backend of the sweep helpers: run this process's shard
- * of @p points through the shard runner (records on disk), then
- * surface the shard's values at their grid cells; cells other shards
- * own read back as NaN and print as nan.
+ * Run one bench sweep over @p points (plain, or adaptive per
+ * @p opt) and pass each record to @p onRecord in flat-index order.
+ * Unsharded, every point runs through runSweepPoints on all hardware
+ * threads. In shard mode only this process's shard runs, through the
+ * same runShardPoints file path `sbn_sweep --shard` uses, and other
+ * shards' cells yield no record.
  */
-inline std::vector<double>
-shardedSweepEbw(const std::vector<SystemConfig> &points)
+inline void
+benchSweep(SweepRunOptions opt, const std::vector<SystemConfig> &points,
+           const PointRecordCallback &onRecord)
 {
     ShardMode &mode = shardMode();
+    if (!mode.active) {
+        opt.threads = ThreadPool::hardwareThreads();
+        std::vector<std::size_t> every(points.size());
+        std::iota(every.begin(), every.end(), std::size_t{0});
+        runSweepPoints(opt, points, every, onRecord);
+        return;
+    }
+
     const std::string path = mode.nextPath();
-    const ShardRunStats stats = runShardSweep(
-        points, mode.shard, mode.layout,
-        [](const SystemConfig &cfg) { return runEbw(cfg); }, path,
-        mode.resume);
+    const ShardPlan plan(points.size(), mode.shard.count, mode.layout);
+    const ShardRunStats stats = runShardPoints(
+        plan.indices(mode.shard.index),
+        sweepRunMergeCheck(opt, points).expectedRunFp, path,
+        mode.resume,
+        [&](const std::vector<std::size_t> &missing,
+            RecordWriter &writer) {
+            runSweepPoints(opt, points, missing,
+                           [&](const PointRecord &record) {
+                               writer.add(record);
+                           });
+        });
     std::printf("shard %s: %zu/%zu point(s) computed, %zu resumed "
                 "-> %s\n",
                 mode.shard.toString().c_str(), stats.computed,
                 stats.owned, stats.skipped, path.c_str());
-    std::vector<double> values(
-        points.size(), std::numeric_limits<double>::quiet_NaN());
     for (const PointRecord &record :
          readRecordFile(path, /*tolerate_partial_tail=*/false))
-        values[record.flatIndex] = record.mean;
-    return values;
-}
-
-/** Evaluate EBW at each materialized point of a sweep, in grid order. */
-inline std::vector<double>
-sweepEbw(const SweepSpec &spec)
-{
-    if (shardMode().active)
-        return shardedSweepEbw(spec.materialize());
-    return runner().sweep(
-        spec, [](const SystemConfig &cfg) { return runEbw(cfg); });
-}
-
-/** Evaluate EBW over an explicit config list, results in input order. */
-inline std::vector<double>
-sweepEbw(const std::vector<SystemConfig> &points)
-{
-    if (shardMode().active)
-        return shardedSweepEbw(points);
-    return runner().mapConfigs(
-        points, [](const SystemConfig &cfg) { return runEbw(cfg); });
+        onRecord(record);
 }
 
 /**
- * Streaming sweepEbw() for table-shaped grids whose printed rows are
- * @p row_width consecutive flat-grid cells (i.e. the row axis is the
- * sweep's outermost axis): onRow(row, cells) fires in row order as
- * soon as a row's cells - and all earlier rows - have finished, so
- * the reproduction prints progressively while later rows are still
- * simulating. Returns the full grid, identical to sweepEbw().
+ * EBW at each of @p points, in input order. In shard mode, cells
+ * other shards own read back as NaN and print as nan.
+ *
+ * With @p onRow, the grid is table-shaped - printed rows are
+ * @p row_width consecutive flat-grid cells (the row axis is the
+ * sweep's outermost axis) - and onRow(row, cells) fires in row order
+ * as soon as a row's cells and all earlier rows have finished, so the
+ * reproduction prints progressively while later rows still simulate.
  */
 inline std::vector<double>
-sweepEbwStreamed(
-    const SweepSpec &spec, std::size_t row_width,
-    const std::function<void(std::size_t,
-                             const std::vector<double> &)> &onRow)
+sweepEbw(const std::vector<SystemConfig> &points,
+         std::size_t row_width = 1,
+         const std::function<void(std::size_t,
+                                  const std::vector<double> &)> &onRow =
+             {})
 {
-    sbn_assert(row_width >= 1 && spec.size() % row_width == 0,
+    sbn_assert(row_width >= 1 && points.size() % row_width == 0,
                "row width must evenly divide the sweep grid");
-    if (shardMode().active) {
-        // Shard mode: rows materialize after the shard finishes
-        // (cells other shards own are nan), so stream them all at
-        // the end instead of progressively.
-        const std::vector<double> values =
-            shardedSweepEbw(spec.materialize());
-        for (std::size_t row = 0; row * row_width < values.size();
-             ++row)
-            onRow(row,
-                  std::vector<double>(
-                      values.begin() +
-                          static_cast<std::ptrdiff_t>(row * row_width),
-                      values.begin() + static_cast<std::ptrdiff_t>(
-                                           (row + 1) * row_width)));
-        return values;
-    }
-    std::vector<double> cells;
-    cells.reserve(row_width);
+    std::vector<double> values(points.size(),
+                               std::numeric_limits<double>::quiet_NaN());
     std::size_t row = 0;
-    return runner().sweepStreamed(
-        spec, [](const SystemConfig &cfg) { return runEbw(cfg); },
-        [&](std::size_t, const SystemConfig &, double value) {
-            // Callbacks arrive in flat-index order, so consecutive
-            // cells fill each row left to right.
-            cells.push_back(value);
-            if (cells.size() == row_width) {
-                onRow(row++, cells);
-                cells.clear();
-            }
-        });
+    const auto emitRowsBelow = [&](std::size_t end) {
+        for (; onRow && (row + 1) * row_width <= end; ++row)
+            onRow(row, std::vector<double>(
+                           values.begin() + static_cast<std::ptrdiff_t>(
+                                                row * row_width),
+                           values.begin() + static_cast<std::ptrdiff_t>(
+                                                (row + 1) * row_width)));
+    };
+    // Records arrive in flat-index order, so every cell below the
+    // current record is final (computed, or owned by another shard).
+    benchSweep({}, points, [&](const PointRecord &record) {
+        values[record.flatIndex] = record.mean;
+        emitRowsBelow(record.flatIndex + 1);
+    });
+    emitRowsBelow(values.size());
+    return values;
+}
+
+/** sweepEbw() over every materialized point of @p spec. */
+inline std::vector<double>
+sweepEbw(const SweepSpec &spec, std::size_t row_width = 1,
+         const std::function<void(std::size_t,
+                                  const std::vector<double> &)> &onRow =
+             {})
+{
+    return sweepEbw(spec.materialize(), row_width, onRow);
 }
 
 /**
@@ -277,54 +275,34 @@ sweepEbwStreamed(
  * derived from its config.seed) until the CI half-width meets
  * @p target or the schedule cap, with each round's extra replications
  * fanned out on the shared pool. Results are bit-identical at any
- * thread count.
+ * thread count. In shard mode, off-shard cells report NaN with zero
+ * samples; the summary and table printers treat them as "not
+ * computed here".
  */
 inline std::vector<AdaptiveEstimate>
 adaptiveSweepEbw(const SweepSpec &spec, const PrecisionTarget &target,
                  const RoundSchedule &schedule,
                  const AdaptiveReplicator::PointCallback &onPoint = {})
 {
-    const auto experiment = [](const SystemConfig &cfg,
-                               std::uint64_t seed) {
-        SystemConfig c = cfg;
-        c.seed = seed;
-        return runEbw(c);
-    };
-
-    if (shardMode().active) {
-        ShardMode &mode = shardMode();
-        const std::vector<SystemConfig> points = spec.materialize();
-        const std::string path = mode.nextPath();
-        const ShardRunStats stats = runShardAdaptive(
-            points, mode.shard, mode.layout, target, schedule,
-            experiment, path, mode.resume);
-        std::printf("shard %s: %zu/%zu point(s) computed, %zu "
-                    "resumed -> %s\n",
-                    mode.shard.toString().c_str(), stats.computed,
-                    stats.owned, stats.skipped, path.c_str());
-
-        // Off-shard cells report NaN with zero samples; the summary
-        // and table printers treat them as "not computed here".
-        std::vector<AdaptiveEstimate> estimates(points.size());
-        for (AdaptiveEstimate &e : estimates)
-            e.estimate.mean = std::numeric_limits<double>::quiet_NaN();
-        for (const PointRecord &record :
-             readRecordFile(path, /*tolerate_partial_tail=*/false)) {
-            AdaptiveEstimate &e = estimates[record.flatIndex];
-            e.estimate.mean = record.mean;
-            e.estimate.halfWidth = record.halfWidth;
-            e.estimate.samples = record.replications;
-            e.rounds = record.rounds;
-            e.converged = record.converged;
-            if (onPoint)
-                onPoint(record.flatIndex, points[record.flatIndex],
-                        e);
-        }
-        return estimates;
-    }
-
-    const AdaptiveReplicator replicator(runner(), target, schedule);
-    return replicator.sweep(spec, experiment, onPoint);
+    SweepRunOptions opt;
+    opt.adaptive = true;
+    opt.target = target;
+    opt.schedule = schedule;
+    const std::vector<SystemConfig> points = spec.materialize();
+    std::vector<AdaptiveEstimate> estimates(points.size());
+    for (AdaptiveEstimate &e : estimates)
+        e.estimate.mean = std::numeric_limits<double>::quiet_NaN();
+    benchSweep(opt, points, [&](const PointRecord &record) {
+        AdaptiveEstimate &e = estimates[record.flatIndex];
+        e.estimate.mean = record.mean;
+        e.estimate.halfWidth = record.halfWidth;
+        e.estimate.samples = record.replications;
+        e.rounds = record.rounds;
+        e.converged = record.converged;
+        if (onPoint)
+            onPoint(record.flatIndex, points[record.flatIndex], e);
+    });
+    return estimates;
 }
 
 /** One-line adaptivity summary for an adaptive sweep's estimates. */

@@ -55,7 +55,7 @@ printReproduction()
         spec.memoryRatios.assign(std::begin(kRs), std::end(kRs));
         spec.policies = {ArbitrationPolicy::ProcessorPriority,
                          ArbitrationPolicy::MemoryPriority};
-        const std::vector<double> grid = sweepEbwStreamed(
+        const std::vector<double> grid = sweepEbw(
             spec, 2,
             [&](std::size_t row, const std::vector<double> &cells) {
                 std::printf("  %4d  %12.3f  %12.3f  %9.3f  %15.1f\n",

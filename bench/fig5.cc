@@ -53,7 +53,7 @@ printReproduction()
                               false);
         spec.memoryRatios.assign(std::begin(kRs), std::end(kRs));
         spec.buffering = {true, false};
-        const std::vector<double> grid = sweepEbwStreamed(
+        const std::vector<double> grid = sweepEbw(
             spec, 2,
             [&](std::size_t row, const std::vector<double> &cells) {
                 std::printf("  %4d  %9.3f  %10.3f  %9.3f  %8.1f\n",

@@ -76,7 +76,7 @@ printReproduction()
                               false);
         spec.modules.assign(std::begin(kMs), std::end(kMs));
         spec.memoryRatios.assign(std::begin(kRs), std::end(kRs));
-        sweepEbwStreamed(
+        sweepEbw(
             spec, 6,
             [&](std::size_t i, const std::vector<double> &cells) {
                 std::printf("  %-6d", kMs[i]);

@@ -51,7 +51,7 @@ printReproduction()
                           ArbitrationPolicy::ProcessorPriority, true);
     spec.modules.assign(std::begin(kMs), std::end(kMs));
     spec.memoryRatios.assign(std::begin(kRs), std::end(kRs));
-    const std::vector<double> grid = sweepEbwStreamed(
+    const std::vector<double> grid = sweepEbw(
         spec, 10,
         [&](std::size_t i, const std::vector<double> &cells) {
             std::printf("  %-6d", kMs[i]);

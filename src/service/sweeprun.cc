@@ -85,6 +85,25 @@ currentTraceContext()
     return ctx;
 }
 
+/** Compute @p subset of @p opt's sweep into the record file @p path. */
+ShardRunStats
+writeSweepPoints(const SweepRunOptions &opt,
+                 const std::vector<SystemConfig> &points,
+                 const std::vector<std::size_t> &subset,
+                 const std::string &path, bool resume)
+{
+    return runShardPoints(
+        subset, sweepRunMergeCheck(opt, points).expectedRunFp, path,
+        resume,
+        [&](const std::vector<std::size_t> &missing,
+            RecordWriter &writer) {
+            runSweepPoints(opt, points, missing,
+                           [&](const PointRecord &record) {
+                               writer.add(record);
+                           });
+        });
+}
+
 } // namespace
 
 const std::map<std::string, std::string> &
@@ -206,9 +225,9 @@ parseSweepRunOptions(const CommandLine &cli)
         opt.threads =
             parseThreadsSpec(cli.getString("threads", "1").c_str());
         // parseThreadsSpec keeps "0 = all hardware threads" symbolic;
-        // resolve it here so 0 never reaches the runShard*/runner
-        // plumbing, where 0 means "defaultExecThreads()" (serial
-        // unless SBN_THREADS is set) instead.
+        // resolve it here so 0 never reaches runSweepPoints, where 0
+        // means "defaultExecThreads()" (serial unless SBN_THREADS is
+        // set) instead.
         if (opt.threads == 0)
             opt.threads = ThreadPool::hardwareThreads();
     }
@@ -368,14 +387,6 @@ evaluateSweepPointSample(const SystemConfig &cfg)
     return runPointSample(cfg);
 }
 
-double
-evaluateSweepReplication(const SystemConfig &cfg, std::uint64_t seed)
-{
-    SystemConfig c = cfg;
-    c.seed = seed;
-    return runEbw(c);
-}
-
 MergeCheck
 sweepRunMergeCheck(const SweepRunOptions &opt,
                    const std::vector<SystemConfig> &points)
@@ -385,6 +396,54 @@ sweepRunMergeCheck(const SweepRunOptions &opt,
                : sweepMergeCheck(points);
 }
 
+void
+runSweepPoints(const SweepRunOptions &opt,
+               const std::vector<SystemConfig> &points,
+               const std::vector<std::size_t> &subset,
+               const PointRecordCallback &emit)
+{
+    for (std::size_t k = 0; k < subset.size(); ++k) {
+        sbn_assert(subset[k] < points.size(),
+                   "sweep subset index out of range");
+        sbn_assert(k == 0 || subset[k - 1] < subset[k],
+                   "sweep subset indices must be strictly increasing");
+    }
+    ParallelRunner &runner = sharedParallelRunner(
+        opt.threads != 0 ? opt.threads : defaultExecThreads());
+
+    if (!opt.adaptive) {
+        runner.stream<PointSample>(
+            subset.size(),
+            [&](std::size_t k) {
+                return evaluateSweepPointSample(points[subset[k]]);
+            },
+            [&](std::size_t k, const PointSample &sample) {
+                emit(makeSweepRecord(subset[k], points[subset[k]],
+                                     sample));
+            });
+        return;
+    }
+
+    std::vector<SystemConfig> selected;
+    selected.reserve(subset.size());
+    for (const std::size_t index : subset)
+        selected.push_back(points[index]);
+    const AdaptiveReplicator replicator(runner, opt.target,
+                                        opt.schedule);
+    replicator.runPoints(
+        selected,
+        [](const SystemConfig &cfg, std::uint64_t seed) {
+            SystemConfig replication = cfg;
+            replication.seed = seed;
+            return runEbw(replication);
+        },
+        [&](std::size_t k, const SystemConfig &cfg,
+            const AdaptiveEstimate &estimate) {
+            emit(makeAdaptiveRecord(subset[k], cfg, estimate,
+                                    opt.target, opt.schedule));
+        });
+}
+
 ShardRunStats
 runSweepShard(const SweepRunOptions &opt, const ShardSpec &shard,
               const std::string &dir, bool resume)
@@ -392,18 +451,10 @@ runSweepShard(const SweepRunOptions &opt, const ShardSpec &shard,
     const std::string path = shardFilePath(dir, shard);
     const TraceContext ctx = currentTraceContext();
     const std::uint64_t startUs = traceNowMicros();
-    ShardRunStats stats;
-    if (opt.adaptive)
-        stats = runShardAdaptive(opt.spec, shard, opt.layout,
-                                 opt.target, opt.schedule,
-                                 evaluateSweepReplication, path,
-                                 resume, opt.threads);
-    else
-        stats = runShardSweep(
-            opt.spec, shard, opt.layout,
-            std::function<PointSample(const SystemConfig &)>(
-                evaluateSweepPointSample),
-            path, resume, opt.threads);
+    const std::vector<SystemConfig> points = opt.spec.materialize();
+    const ShardPlan plan(points.size(), shard.count, opt.layout);
+    const ShardRunStats stats = writeSweepPoints(
+        opt, points, plan.indices(shard.index), path, resume);
     // The worker's own view of the attempt: emitted from inside the
     // (possibly forked) worker process, so a supervised run's merged
     // timeline shows spans from every process of the fleet.
@@ -440,17 +491,11 @@ makeSweepWorkerBody(const SweepRunOptions &opt,
         if (task.steal) {
             const TraceContext ctx = currentTraceContext();
             const std::uint64_t startUs = traceNowMicros();
-            if (worker.adaptive)
-                runStolenPointsAdaptive(
-                    points, task.points, worker.target,
-                    worker.schedule, evaluateSweepReplication,
-                    task.outPath, worker.threads);
-            else
-                runStolenPointsSweep(
-                    points, task.points,
-                    std::function<PointSample(const SystemConfig &)>(
-                        evaluateSweepPointSample),
-                    task.outPath, worker.threads);
+            // A steal file carries only this launch's records; a
+            // predecessor's partial file stays on disk under its own
+            // name, so its flushed records still count for the fleet.
+            writeSweepPoints(worker, points, task.points, task.outPath,
+                             /*resume=*/false);
             traceEmitSpan(ctx, "steal_run", "steal slice run",
                           ctx.spanId, startUs, traceNowMicros(),
                           {{"points",

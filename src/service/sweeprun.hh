@@ -5,8 +5,10 @@
  *
  * Both front ends execute the same thing - an EBW sweep over the
  * paper's parameter grid, optionally under ShardSupervisor - so the
- * option grammar, the worker bodies and the supervised-run core live
- * here once. A daemon job's "spec" is literally an sbn_sweep flag
+ * option grammar, the sweep-point core (runSweepPoints), the worker
+ * bodies and the supervised-run core live here once; the reproduction
+ * benches run their grids through the same core. A daemon job's
+ * "spec" is literally an sbn_sweep flag
  * string (`--n=8 --m=16 --p=0.2,0.6 --spawn=2 ...`), tokenized and
  * parsed by the same code path that parses the CLI, which is what
  * guarantees a submitted job computes byte-for-byte what the
@@ -23,6 +25,7 @@
 #define SBN_SERVICE_SWEEPRUN_HH
 
 #include <cstddef>
+#include <functional>
 #include <map>
 #include <string>
 #include <vector>
@@ -31,6 +34,7 @@
 #include "exec/sweep.hh"
 #include "shard/merge.hh"
 #include "shard/plan.hh"
+#include "shard/result_io.hh"
 #include "shard/runner.hh"
 #include "shard/supervisor.hh"
 
@@ -142,6 +146,35 @@ void armSweepTracing(const SweepRunOptions &opt,
 MergeCheck sweepRunMergeCheck(const SweepRunOptions &opt,
                               const std::vector<SystemConfig> &points);
 
+/** Receives one finished point record. */
+using PointRecordCallback = std::function<void(const PointRecord &)>;
+
+/**
+ * The sweep-point core every sweep path runs: compute the records of
+ * the flat indices in @p subset of @p opt's sweep over @p points and
+ * pass them to @p emit in increasing index order, each as soon as it
+ * and every earlier subset point are done. @p subset must be strictly
+ * increasing with every index < points.size(); anything else is
+ * fatal.
+ *
+ * This is the one place that decides how a point is computed: a
+ * plain sweep runs one seeded evaluateSweepPointSample() per point
+ * (ParallelRunner::stream); an adaptive sweep (opt.adaptive)
+ * replicates the selected points to opt.target under opt.schedule
+ * (AdaptiveReplicator::runPoints). Work runs on
+ * sharedParallelRunner(opt.threads), or defaultExecThreads() workers
+ * when opt.threads is 0.
+ *
+ * A record depends only on its own point, never on which other
+ * points share the subset, so index i yields the same bytes alone,
+ * in a shard, in a steal slice or in the full grid, at any thread
+ * count. Sharded runs and their merge rest on this.
+ */
+void runSweepPoints(const SweepRunOptions &opt,
+                    const std::vector<SystemConfig> &points,
+                    const std::vector<std::size_t> &subset,
+                    const PointRecordCallback &emit);
+
 /** Run one full shard of @p opt's sweep into its canonical file under
  *  @p dir, reporting stats on stderr (the worker body and --shard
  *  mode share this). */
@@ -155,10 +188,6 @@ double evaluateSweepPoint(const SystemConfig &cfg);
 /** evaluateSweepPoint() returning the full PointSample (EBW +
  *  latency summary when cfg.collectLatency). */
 PointSample evaluateSweepPointSample(const SystemConfig &cfg);
-
-/** The per-replication evaluator (adaptive sweeps). */
-double evaluateSweepReplication(const SystemConfig &cfg,
-                                std::uint64_t seed);
 
 /**
  * The WorkerBody a supervised sweep forks per shard: full shards run

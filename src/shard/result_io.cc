@@ -111,7 +111,7 @@ adaptiveRunFingerprint(std::uint64_t config_fp,
 
 PointRecord
 makeSweepRecord(std::size_t flat_index, const SystemConfig &config,
-                double value)
+                const PointSample &sample)
 {
     PointRecord record;
     record.flatIndex = flat_index;
@@ -123,16 +123,8 @@ makeSweepRecord(std::size_t flat_index, const SystemConfig &config,
     record.replications = 1;
     record.rounds = 0;
     record.converged = true;
-    record.mean = value;
+    record.mean = sample.ebw;
     record.halfWidth = 0.0;
-    return record;
-}
-
-PointRecord
-makeSweepRecord(std::size_t flat_index, const SystemConfig &config,
-                const PointSample &sample)
-{
-    PointRecord record = makeSweepRecord(flat_index, config, sample.ebw);
     record.hasLatency = sample.hasLatency;
     if (sample.hasLatency)
         record.latency = sample.latency;

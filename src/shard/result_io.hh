@@ -96,12 +96,8 @@ std::uint64_t adaptiveRunFingerprint(std::uint64_t config_fp,
                                      const PrecisionTarget &target,
                                      const RoundSchedule &schedule);
 
-/** The record of one plain-sweep point (reps 1, half-width 0). */
-PointRecord makeSweepRecord(std::size_t flat_index,
-                            const SystemConfig &config, double value);
-
-/** The record of one plain-sweep point evaluated to a PointSample:
- *  carries the latency summary when the sample collected one. */
+/** The record of one plain-sweep point (reps 1, half-width 0): the
+ *  sample's EBW, plus its latency summary when it collected one. */
 PointRecord makeSweepRecord(std::size_t flat_index,
                             const SystemConfig &config,
                             const PointSample &sample);

@@ -1,11 +1,14 @@
 /**
  * @file
- * Execution of one shard of a sweep, with resume.
+ * Writing a subset of a sweep's points to a record file, with resume.
  *
- * runShardSweep()/runShardAdaptive() compute the grid points a
- * ShardSpec owns under a ShardPlan and append one PointRecord per
- * finished point to the shard's JSONL file, flushing per record so a
- * killed worker loses at most the line it was writing.
+ * runShardPoints() drives one record file - an owned shard's
+ * canonical file or a steal slice's own file - through the points a
+ * caller-supplied compute step produces, flushing one PointRecord per
+ * finished point so a killed worker loses at most the line it was
+ * writing. What a point computes (plain or adaptive) is the compute
+ * step's business (service/sweeprun's runSweepPoints); this layer only
+ * owns the file.
  *
  * Resume (@p resume = true) first reads the existing file leniently
  * (a truncated final line - the kill artifact - is dropped), keeps
@@ -14,136 +17,57 @@
  * Records from a different grid, seed or precision setup never match
  * and are discarded with a warning, so a stale file cannot poison a
  * resumed run. A clean file (exactly the kept records, canonical
- * order - the common case) is appended to in place; when cleanup is
- * needed (dropped records, a truncated tail, or out-of-order resume
- * interleaving) the file is replaced via an atomic temp+rename
- * rewrite, so the durability bound above survives crashes at any
- * point and a finished resumed shard file is byte-identical to an
- * uninterrupted run's.
- *
- * Determinism: the values computed here are bit-identical to the
- * single-process streamed run's values for the same points (see the
- * exec-layer subset entry points), so merging shard files reproduces
- * the serial result stream exactly.
+ * order - the common case) is appended to in place; otherwise -
+ * including every fresh start - the file is first replaced via an
+ * atomic temp+rename rewrite, so the durability bound above survives
+ * crashes at any point and a finished resumed file is byte-identical
+ * to an uninterrupted run's.
  */
 
 #ifndef SBN_SHARD_RUNNER_HH
 #define SBN_SHARD_RUNNER_HH
 
+#include <cstdint>
 #include <functional>
 #include <string>
 #include <vector>
 
-#include "exec/adaptive.hh"
-#include "exec/sweep.hh"
-#include "shard/plan.hh"
 #include "shard/result_io.hh"
 
 namespace sbn {
 
-/** What one shard run did. */
+/** What one record-file run did. */
 struct ShardRunStats
 {
-    std::size_t owned = 0;    //!< points the shard is responsible for
+    std::size_t owned = 0;    //!< points the run is responsible for
     std::size_t skipped = 0;  //!< satisfied by resumed records
     std::size_t computed = 0; //!< freshly simulated this run
 };
 
 /**
- * Run shard @p shard of a plain sweep over @p points (one seeded
- * evaluation per point), writing records to @p out_path.
+ * Computes the records of @p missing (strictly increasing flat
+ * indices) and appends them to @p writer in increasing-index order.
+ */
+using ShardCompute = std::function<void(
+    const std::vector<std::size_t> &missing, RecordWriter &writer)>;
+
+/**
+ * Make @p path hold exactly one record per flat index of @p subset
+ * (strictly increasing), in flat-index order.
  *
- * @param evaluate point evaluator (e.g. runEbw); must be safe to
- *                 call concurrently when threads > 1
- * @param threads  worker count; 0 = defaultExecThreads()
+ * @param expectedRunFp per-point run fingerprints of the whole grid
+ *                      (MergeCheck::expectedRunFp), indexed by flat
+ *                      index; a resumed record survives only if it
+ *                      addresses a subset point and carries exactly
+ *                      that point's fingerprint
+ * @param resume        keep matching records already in @p path;
+ *                      false starts the file empty
+ * @param compute       produces the points resume did not satisfy
  */
-ShardRunStats runShardSweep(
-    const std::vector<SystemConfig> &points, const ShardSpec &shard,
-    ShardLayout layout,
-    const std::function<double(const SystemConfig &)> &evaluate,
-    const std::string &out_path, bool resume = false,
-    unsigned threads = 0);
-
-/** runShardSweep() over a SweepSpec (materializes, then runs). */
-ShardRunStats runShardSweep(
-    const SweepSpec &spec, const ShardSpec &shard, ShardLayout layout,
-    const std::function<double(const SystemConfig &)> &evaluate,
-    const std::string &out_path, bool resume = false,
-    unsigned threads = 0);
-
-/**
- * PointSample-typed plain sweep shard: identical planning, resume
- * and record order, but records carry the sample's latency summary
- * when present (e.g. evaluate = runPointSample under
- * config.collectLatency). EBW values are bit-identical to the
- * double-typed path for the same points.
- */
-ShardRunStats runShardSweep(
-    const std::vector<SystemConfig> &points, const ShardSpec &shard,
-    ShardLayout layout,
-    const std::function<PointSample(const SystemConfig &)> &evaluate,
-    const std::string &out_path, bool resume = false,
-    unsigned threads = 0);
-
-/** PointSample-typed runShardSweep() over a SweepSpec. */
-ShardRunStats runShardSweep(
-    const SweepSpec &spec, const ShardSpec &shard, ShardLayout layout,
-    const std::function<PointSample(const SystemConfig &)> &evaluate,
-    const std::string &out_path, bool resume = false,
-    unsigned threads = 0);
-
-/**
- * Run shard @p shard of an adaptive-precision sweep: each owned point
- * replicates (seeds derived from its config.seed) until @p target or
- * the @p schedule cap, exactly as the single-process adaptive sweep
- * would for that point.
- */
-ShardRunStats runShardAdaptive(
-    const std::vector<SystemConfig> &points, const ShardSpec &shard,
-    ShardLayout layout, const PrecisionTarget &target,
-    const RoundSchedule &schedule,
-    const std::function<double(const SystemConfig &, std::uint64_t)>
-        &experiment,
-    const std::string &out_path, bool resume = false,
-    unsigned threads = 0);
-
-/** runShardAdaptive() over a SweepSpec. */
-ShardRunStats runShardAdaptive(
-    const SweepSpec &spec, const ShardSpec &shard, ShardLayout layout,
-    const PrecisionTarget &target, const RoundSchedule &schedule,
-    const std::function<double(const SystemConfig &, std::uint64_t)>
-        &experiment,
-    const std::string &out_path, bool resume = false,
-    unsigned threads = 0);
-
-/**
- * Run an explicit stolen slice of a plain sweep: compute exactly the
- * flat indices in @p stolen (strictly increasing) and truncate-write
- * their records to @p out_path. Used by the shard supervisor's
- * work-stealing path; values are bit-identical to what the owning
- * shard would have produced, so overlap with the victim is safe.
- */
-ShardRunStats runStolenPointsSweep(
-    const std::vector<SystemConfig> &points,
-    const std::vector<std::size_t> &stolen,
-    const std::function<double(const SystemConfig &)> &evaluate,
-    const std::string &out_path, unsigned threads = 0);
-
-/** PointSample-typed stolen slice (see the shard overload above). */
-ShardRunStats runStolenPointsSweep(
-    const std::vector<SystemConfig> &points,
-    const std::vector<std::size_t> &stolen,
-    const std::function<PointSample(const SystemConfig &)> &evaluate,
-    const std::string &out_path, unsigned threads = 0);
-
-/** Stolen-slice variant of runShardAdaptive(). */
-ShardRunStats runStolenPointsAdaptive(
-    const std::vector<SystemConfig> &points,
-    const std::vector<std::size_t> &stolen,
-    const PrecisionTarget &target, const RoundSchedule &schedule,
-    const std::function<double(const SystemConfig &, std::uint64_t)>
-        &experiment,
-    const std::string &out_path, unsigned threads = 0);
+ShardRunStats runShardPoints(const std::vector<std::size_t> &subset,
+                             const std::vector<std::uint64_t> &expectedRunFp,
+                             const std::string &path, bool resume,
+                             const ShardCompute &compute);
 
 } // namespace sbn
 

@@ -280,7 +280,11 @@ TEST(ParallelRunner, SweepResultsMatchSerialEvaluationInGridOrder)
 
     for (unsigned threads : {1u, 2u, 8u}) {
         ParallelRunner runner(threads);
-        EXPECT_EQ(runner.sweep(spec, evaluate), expected)
+        EXPECT_EQ(runner.map<double>(points.size(),
+                                     [&](std::size_t i) {
+                                         return evaluate(points[i]);
+                                     }),
+                  expected)
             << threads << " threads";
     }
 }
@@ -342,52 +346,30 @@ TEST(ParallelRunner, SweepStreamedMatchesSweepAndStreamsInGridOrder)
         return cfg.numProcessors * 100.0 + cfg.memoryRatio;
     };
 
+    const auto points = spec.materialize();
+    const auto evaluatePoint = [&](std::size_t i) {
+        return evaluate(points[i]);
+    };
     ParallelRunner reference(1);
-    const std::vector<double> expected = reference.sweep(spec, evaluate);
+    const std::vector<double> expected =
+        reference.map<double>(points.size(), evaluatePoint);
 
     for (unsigned threads : {1u, 2u, 8u}) {
         ParallelRunner runner(threads);
         std::vector<std::size_t> order;
         std::vector<double> streamed;
-        const std::vector<double> grid = runner.sweepStreamed(
-            spec, evaluate,
-            [&](std::size_t i, const SystemConfig &cfg, double value) {
+        const std::vector<double> grid = runner.stream<double>(
+            points.size(), evaluatePoint,
+            [&](std::size_t i, const double &value) {
                 order.push_back(i);
                 streamed.push_back(value);
-                EXPECT_EQ(evaluate(cfg), value);
+                EXPECT_EQ(evaluate(points[i]), value);
             });
         EXPECT_EQ(grid, expected) << threads << " threads";
         EXPECT_EQ(streamed, expected) << threads << " threads";
         ASSERT_EQ(order.size(), expected.size());
         for (std::size_t i = 0; i < order.size(); ++i)
             EXPECT_EQ(order[i], i);
-    }
-}
-
-TEST(ParallelRunner, StreamedSubsetEmitsGlobalIndicesInOrder)
-{
-    SweepSpec spec;
-    spec.base.seed = 5;
-    spec.processors = {1, 2, 3, 4, 5, 6};
-    const auto points = spec.materialize();
-    const std::vector<std::size_t> subset{1, 2, 5};
-
-    for (const unsigned threads : {1u, 4u}) {
-        ParallelRunner runner(threads);
-        std::vector<std::size_t> emitted;
-        const auto values = runner.mapConfigsStreamedSubset(
-            points, subset,
-            [](const SystemConfig &cfg) {
-                return static_cast<double>(cfg.numProcessors);
-            },
-            [&](std::size_t i, const SystemConfig &cfg,
-                double value) {
-                EXPECT_EQ(static_cast<double>(cfg.numProcessors),
-                          value);
-                emitted.push_back(i);
-            });
-        EXPECT_EQ(emitted, subset);
-        EXPECT_EQ(values, (std::vector<double>{2.0, 3.0, 6.0}));
     }
 }
 
@@ -526,10 +508,11 @@ TEST(AdaptiveReplicator, SweepStreamsFinalizedPointsInFlatOrder)
     schedule.initial = 2;
     schedule.cap = 64;
 
+    const auto points = spec.materialize();
     ParallelRunner serial_runner(1);
     const AdaptiveReplicator serial(serial_runner, target, schedule);
     const std::vector<AdaptiveEstimate> reference =
-        serial.sweep(spec, pointExperiment);
+        serial.runPoints(points, pointExperiment);
     ASSERT_EQ(reference.size(), 12u);
 
     // Wider variances need more rounds - the sweep must be genuinely
@@ -543,8 +526,8 @@ TEST(AdaptiveReplicator, SweepStreamsFinalizedPointsInFlatOrder)
         const AdaptiveReplicator replicator(runner, target, schedule);
         std::vector<std::size_t> order;
         const std::vector<AdaptiveEstimate> results =
-            replicator.sweep(
-                spec, pointExperiment,
+            replicator.runPoints(
+                points, pointExperiment,
                 [&](std::size_t i, const SystemConfig &cfg,
                     const AdaptiveEstimate &estimate) {
                     order.push_back(i);
@@ -585,16 +568,17 @@ TEST(AdaptiveReplicator, SweepStressManyPointsThreadCountInvariant)
     schedule.growth = 3.0;
     schedule.cap = 30;
 
+    const auto points = spec.materialize();
     ParallelRunner serial_runner(1);
     const AdaptiveReplicator serial(serial_runner, target, schedule);
     const std::vector<AdaptiveEstimate> reference =
-        serial.sweep(spec, pointExperiment);
+        serial.runPoints(points, pointExperiment);
     ASSERT_EQ(reference.size(), 32u);
 
     ParallelRunner runner(ThreadPool::hardwareThreads() + 3);
     const AdaptiveReplicator replicator(runner, target, schedule);
     const std::vector<AdaptiveEstimate> results =
-        replicator.sweep(spec, pointExperiment);
+        replicator.runPoints(points, pointExperiment);
     for (std::size_t i = 0; i < results.size(); ++i) {
         EXPECT_EQ(results[i].estimate.mean, reference[i].estimate.mean)
             << "point " << i;

@@ -28,6 +28,7 @@
 #include <vector>
 
 #include "core/experiment.hh"
+#include "service/sweeprun.hh"
 #include "shard/fault.hh"
 #include "shard/merge.hh"
 #include "shard/plan.hh"
@@ -39,11 +40,13 @@
 namespace sbn {
 namespace {
 
+/** Fresh per-process directory, so concurrent test runs never
+ *  collide. */
 std::string
 tempDir(const std::string &name)
 {
-    const std::string dir =
-        ::testing::TempDir() + "sbn_fault_" + name;
+    const std::string dir = ::testing::TempDir() + "sbn_fault_" +
+                            std::to_string(::getpid()) + "_" + name;
     std::string cmd = "rm -rf '" + dir + "'";
     if (std::system(cmd.c_str()) != 0)
         ADD_FAILURE() << "cannot clear " << dir;
@@ -93,8 +96,8 @@ serialBytes(const std::vector<SystemConfig> &points)
 {
     std::ostringstream os;
     for (std::size_t i = 0; i < points.size(); ++i)
-        os << formatRecord(makeSweepRecord(i, points[i],
-                                           ebwOf(points[i])))
+        os << formatRecord(makeSweepRecord(
+                  i, points[i], PointSample{ebwOf(points[i]), false, {}}))
            << '\n';
     return os.str();
 }
@@ -115,18 +118,38 @@ testConfig(const std::string &dir, const MergeCheck &check,
     return config;
 }
 
+/** Compute @p subset of the plain sweep over @p points into the
+ *  record file @p path on one thread, as the shard front ends do. */
+void
+writePoints(const std::vector<SystemConfig> &points,
+            const std::vector<std::size_t> &subset,
+            const std::string &path, bool resume)
+{
+    SweepRunOptions opt;
+    opt.threads = 1;
+    runShardPoints(subset, sweepMergeCheck(points).expectedRunFp, path,
+                   resume,
+                   [&](const std::vector<std::size_t> &missing,
+                       RecordWriter &writer) {
+                       runSweepPoints(opt, points, missing,
+                                      [&](const PointRecord &record) {
+                                          writer.add(record);
+                                      });
+                   });
+}
+
 /** Worker body every supervisor test uses: plain sweep, 1 thread. */
 WorkerBody
 sweepBody(const std::vector<SystemConfig> &points)
 {
     return [&points](const WorkerTask &task) {
         if (task.steal)
-            runStolenPointsSweep(points, task.points, ebwOf,
-                                 task.outPath, 1);
+            writePoints(points, task.points, task.outPath, false);
         else
-            runShardSweep(points, task.shard, ShardLayout::Contiguous,
-                          ebwOf, task.outPath,
-                          /*resume=*/task.attempt > 0, 1);
+            writePoints(points,
+                        ShardPlan(points.size(), task.shard.count)
+                            .indices(task.shard.index),
+                        task.outPath, /*resume=*/task.attempt > 0);
     };
 }
 
@@ -545,8 +568,8 @@ TEST(FaultDeathTest, AbortInMergeCrashesTheMergeStage)
 {
     const std::vector<SystemConfig> points = testSpec().materialize();
     const std::string dir = tempDir("abortmerge");
-    runShardSweep(points, {0, 1}, ShardLayout::Contiguous, ebwOf,
-                  shardFilePath(dir, {0, 1}), false, 1);
+    writePoints(points, ShardPlan(points.size(), 1).indices(0),
+                shardFilePath(dir, {0, 1}), false);
 
     const MergeCheck check = sweepMergeCheck(points);
     EXPECT_DEATH(
@@ -565,9 +588,7 @@ TEST(FaultDeathTest, MalformedFaultSpecIsFatalNotIgnored)
         {
             ::setenv(kFaultEnvVar, "kill_after_records=banana", 1);
             std::vector<SystemConfig> one{cfg};
-            runShardSweep(one, {0, 1}, ShardLayout::Contiguous,
-                          ebwOf, shardFilePath(dir, {0, 1}), false,
-                          1);
+            writePoints(one, {0}, shardFilePath(dir, {0, 1}), false);
         },
         "must not silently run fault-free");
 }

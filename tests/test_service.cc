@@ -12,6 +12,8 @@
 
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
 #include <csignal>
 #include <cstdio>
 #include <cstdlib>
@@ -31,11 +33,12 @@
 namespace sbn {
 namespace {
 
+/** Per-process temp path, so concurrent test runs never collide. */
 std::string
 tempPath(const std::string &name)
 {
-    const std::string path =
-        ::testing::TempDir() + "sbn_service_" + name;
+    const std::string path = ::testing::TempDir() + "sbn_service_" +
+                             std::to_string(::getpid()) + "_" + name;
     std::remove(path.c_str());
     return path;
 }

@@ -14,6 +14,7 @@
 
 #include <cstdio>
 #include <fstream>
+#include <numeric>
 #include <set>
 #include <sstream>
 #include <string>
@@ -27,14 +28,17 @@
 #include "shard/plan.hh"
 #include "shard/result_io.hh"
 #include "shard/runner.hh"
+#include "service/sweeprun.hh"
 
 namespace sbn {
 namespace {
 
+/** Per-process temp path, so concurrent test runs never collide. */
 std::string
 tempPath(const std::string &name)
 {
-    return ::testing::TempDir() + "sbn_shard_" + name;
+    return ::testing::TempDir() + "sbn_shard_" +
+           std::to_string(::getpid()) + "_" + name;
 }
 
 std::string
@@ -76,6 +80,54 @@ ebwWithSeed(const SystemConfig &cfg, std::uint64_t seed)
     SystemConfig c = cfg;
     c.seed = seed;
     return runEbw(c);
+}
+
+/** Sweep options for a plain run on @p threads workers. */
+SweepRunOptions
+plainOptions(unsigned threads = 0)
+{
+    SweepRunOptions opt;
+    opt.threads = threads;
+    return opt;
+}
+
+/** Sweep options for an adaptive run on @p threads workers. */
+SweepRunOptions
+adaptiveOptions(const PrecisionTarget &target,
+                const RoundSchedule &schedule, unsigned threads = 0)
+{
+    SweepRunOptions opt = plainOptions(threads);
+    opt.adaptive = true;
+    opt.target = target;
+    opt.schedule = schedule;
+    return opt;
+}
+
+/**
+ * Run shard @p shard of @p opt's sweep over @p points into @p path,
+ * composed the way every shard front end composes it: the plan picks
+ * the subset, runShardPoints owns the file, runSweepPoints computes.
+ * @p computed, when given, accumulates the points handed to compute.
+ */
+ShardRunStats
+runShard(const SweepRunOptions &opt,
+         const std::vector<SystemConfig> &points, const ShardSpec &shard,
+         ShardLayout layout, const std::string &path,
+         bool resume = false, std::size_t *computed = nullptr)
+{
+    const ShardPlan plan(points.size(), shard.count, layout);
+    return runShardPoints(
+        plan.indices(shard.index),
+        sweepRunMergeCheck(opt, points).expectedRunFp, path, resume,
+        [&](const std::vector<std::size_t> &missing,
+            RecordWriter &writer) {
+            if (computed != nullptr)
+                *computed += missing.size();
+            runSweepPoints(opt, points, missing,
+                           [&](const PointRecord &record) {
+                               writer.add(record);
+                           });
+        });
 }
 
 // ---------------------------------------------------------------- plan
@@ -179,7 +231,8 @@ TEST(PointRecordIo, RoundTripsAwkwardDoubles)
     SystemConfig cfg;
     for (const double value :
          {0.0, -0.0, 1.0 / 3.0, 1e-308, 6.3e303, 0.1}) {
-        const PointRecord record = makeSweepRecord(0, cfg, value);
+        const PointRecord record =
+            makeSweepRecord(0, cfg, PointSample{value, false, {}});
         PointRecord parsed;
         std::string error;
         ASSERT_TRUE(parseRecord(formatRecord(record), parsed, error))
@@ -306,10 +359,10 @@ TEST(Merge, AcceptsBitIdenticalDuplicatesAcrossFiles)
     const std::vector<SystemConfig> points = testSpec().materialize();
     const std::string a = tempPath("dup_a.jsonl");
     const std::string b = tempPath("dup_b.jsonl");
-    runShardSweep(points, {0, 2}, ShardLayout::Contiguous, ebwOf, a);
+    runShard(plainOptions(), points, {0, 2}, ShardLayout::Contiguous, a);
     // Shard 1's file recomputes the whole grid: overlap with shard 0
     // is bit-identical, so the merge keeps one copy of each.
-    runShardSweep(points, {0, 1}, ShardLayout::Contiguous, ebwOf, b);
+    runShard(plainOptions(), points, {0, 1}, ShardLayout::Contiguous, b);
     const auto merged =
         mergeRecordFiles({a, b}, sweepMergeCheck(points));
     EXPECT_EQ(merged.size(), points.size());
@@ -321,7 +374,7 @@ TEST(MergeDeathTest, RejectsHolesConflictsAndForeignRecords)
 {
     const std::vector<SystemConfig> points = testSpec().materialize();
     const std::string a = tempPath("bad_a.jsonl");
-    runShardSweep(points, {0, 2}, ShardLayout::Contiguous, ebwOf, a);
+    runShard(plainOptions(), points, {0, 2}, ShardLayout::Contiguous, a);
 
     // Holes: shard 1 of 2 never ran.
     EXPECT_DEATH(
@@ -362,10 +415,11 @@ serialSweepBytes(const std::vector<SystemConfig> &points,
 {
     ParallelRunner runner(threads);
     std::ostringstream os;
-    runner.mapConfigsStreamed(
-        points, ebwOf,
-        [&](std::size_t i, const SystemConfig &cfg, double value) {
-            os << formatRecord(makeSweepRecord(i, cfg, value))
+    runner.stream<double>(
+        points.size(), [&](std::size_t i) { return ebwOf(points[i]); },
+        [&](std::size_t i, const double &value) {
+            const PointSample sample{value, false, {}};
+            os << formatRecord(makeSweepRecord(i, points[i], sample))
                << '\n';
         });
     return os.str();
@@ -416,8 +470,8 @@ TEST(ShardDeterminism, MergedSweepIsByteIdenticalToSerial)
                         "det_" + std::to_string(threads) + "_" +
                         std::to_string(shards) + "_" +
                         std::to_string(s) + ".jsonl"));
-                    runShardSweep(points, {s, shards}, layout, ebwOf,
-                                  paths.back(), false, threads);
+                    runShard(plainOptions(threads), points,
+                             {s, shards}, layout, paths.back());
                 }
                 const auto merged = mergeRecordFiles(
                     paths, sweepMergeCheck(points));
@@ -453,10 +507,9 @@ TEST(ShardDeterminism, MergedAdaptiveSweepIsByteIdenticalToSerial)
                     "adet_" + std::to_string(threads) + "_" +
                     std::to_string(shards) + "_" +
                     std::to_string(s) + ".jsonl"));
-                runShardAdaptive(points, {s, shards},
-                                 ShardLayout::Strided, target,
-                                 schedule, ebwWithSeed, paths.back(),
-                                 false, threads);
+                runShard(adaptiveOptions(target, schedule, threads),
+                         points, {s, shards}, ShardLayout::Strided,
+                         paths.back());
             }
             const auto merged = mergeRecordFiles(
                 paths, adaptiveMergeCheck(points, target, schedule));
@@ -468,6 +521,64 @@ TEST(ShardDeterminism, MergedAdaptiveSweepIsByteIdenticalToSerial)
     }
 }
 
+TEST(SweepPoints, SubsetEmitsGlobalIndicesInOrder)
+{
+    const std::vector<SystemConfig> points = testSpec().materialize();
+    std::vector<std::size_t> every(points.size());
+    std::iota(every.begin(), every.end(), std::size_t{0});
+    const std::vector<std::size_t> subset{1, 2, 5};
+    PrecisionTarget target;
+    target.relative = 0.02;
+    RoundSchedule schedule;
+    schedule.initial = 2;
+    schedule.cap = 8;
+
+    for (const bool adaptive : {false, true}) {
+        SweepRunOptions opt =
+            adaptive ? adaptiveOptions(target, schedule, 1)
+                     : plainOptions(1);
+        std::vector<std::string> full;
+        runSweepPoints(opt, points, every,
+                       [&](const PointRecord &record) {
+                           full.push_back(formatRecord(record));
+                       });
+        ASSERT_EQ(full.size(), points.size());
+
+        for (const unsigned threads : {1u, 4u}) {
+            opt.threads = threads;
+            std::vector<std::size_t> emitted;
+            runSweepPoints(opt, points, subset,
+                           [&](const PointRecord &record) {
+                               emitted.push_back(record.flatIndex);
+                               EXPECT_EQ(formatRecord(record),
+                                         full[record.flatIndex])
+                                   << (adaptive ? "adaptive" : "plain")
+                                   << ", " << threads << " thread(s)";
+                           });
+            EXPECT_EQ(emitted, subset)
+                << (adaptive ? "adaptive" : "plain") << ", " << threads
+                << " thread(s)";
+        }
+    }
+}
+
+TEST(SweepPointsDeathTest, RejectsOutOfRangeAndNonIncreasingSubsets)
+{
+    const std::vector<SystemConfig> points = testSpec().materialize();
+    const PointRecordCallback ignore = [](const PointRecord &) {};
+    for (const bool adaptive : {false, true}) {
+        SweepRunOptions opt = plainOptions(1);
+        opt.adaptive = adaptive;
+        EXPECT_DEATH(runSweepPoints(opt, points, {0, points.size()},
+                                    ignore),
+                     "out of range");
+        EXPECT_DEATH(runSweepPoints(opt, points, {2, 1}, ignore),
+                     "strictly increasing");
+        EXPECT_DEATH(runSweepPoints(opt, points, {3, 3}, ignore),
+                     "strictly increasing");
+    }
+}
+
 // -------------------------------------------------------------- resume
 
 TEST(ShardResume, SkipsFinishedPointsAndReproducesIdenticalRecords)
@@ -475,8 +586,8 @@ TEST(ShardResume, SkipsFinishedPointsAndReproducesIdenticalRecords)
     const std::vector<SystemConfig> points = testSpec().materialize();
     const ShardSpec shard{0, 1};
     const std::string fresh = tempPath("resume_fresh.jsonl");
-    runShardSweep(points, shard, ShardLayout::Contiguous, ebwOf,
-                  fresh);
+    runShard(plainOptions(), points, shard, ShardLayout::Contiguous,
+             fresh);
     const std::string fresh_bytes = fileBytes(fresh);
 
     // Kill after 3 records plus half a line; resume must keep the 3,
@@ -490,13 +601,9 @@ TEST(ShardResume, SkipsFinishedPointsAndReproducesIdenticalRecords)
         out << formatRecord(records[3]).substr(0, 25);
     }
     std::size_t evaluated = 0;
-    const auto counting = [&](const SystemConfig &cfg) {
-        ++evaluated;
-        return runEbw(cfg);
-    };
     const ShardRunStats stats =
-        runShardSweep(points, shard, ShardLayout::Contiguous,
-                      counting, killed, /*resume=*/true);
+        runShard(plainOptions(), points, shard, ShardLayout::Contiguous,
+                 killed, /*resume=*/true, &evaluated);
     EXPECT_EQ(stats.owned, points.size());
     EXPECT_EQ(stats.skipped, 3u);
     EXPECT_EQ(stats.computed, points.size() - 3);
@@ -506,8 +613,8 @@ TEST(ShardResume, SkipsFinishedPointsAndReproducesIdenticalRecords)
 
     // Resuming a complete file computes nothing at all.
     evaluated = 0;
-    runShardSweep(points, shard, ShardLayout::Contiguous, counting,
-                  killed, /*resume=*/true);
+    runShard(plainOptions(), points, shard, ShardLayout::Contiguous,
+             killed, /*resume=*/true, &evaluated);
     EXPECT_EQ(evaluated, 0u);
     EXPECT_EQ(fileBytes(killed), fresh_bytes);
 
@@ -527,17 +634,17 @@ TEST(ShardResume, DiscardsStaleRecordsFromADifferentSetup)
     for (SystemConfig &cfg : other)
         cfg.seed += 17;
     const std::string path = tempPath("resume_stale.jsonl");
-    runShardSweep(other, shard, ShardLayout::Contiguous, ebwOf, path);
+    runShard(plainOptions(), other, shard, ShardLayout::Contiguous, path);
 
-    const ShardRunStats stats = runShardSweep(
-        points, shard, ShardLayout::Contiguous, ebwOf, path,
-        /*resume=*/true);
+    const ShardRunStats stats =
+        runShard(plainOptions(), points, shard, ShardLayout::Contiguous,
+                 path, /*resume=*/true);
     EXPECT_EQ(stats.skipped, 0u);
     EXPECT_EQ(stats.computed, points.size());
 
     const std::string fresh = tempPath("resume_stale_fresh.jsonl");
-    runShardSweep(points, shard, ShardLayout::Contiguous, ebwOf,
-                  fresh);
+    runShard(plainOptions(), points, shard, ShardLayout::Contiguous,
+             fresh);
     EXPECT_EQ(fileBytes(path), fileBytes(fresh));
 
     std::remove(path.c_str());
@@ -552,8 +659,8 @@ TEST(ShardResume, ReadsATailTornMidFloat)
     const std::vector<SystemConfig> points = testSpec().materialize();
     const ShardSpec shard{0, 1};
     const std::string fresh = tempPath("torn_fresh.jsonl");
-    runShardSweep(points, shard, ShardLayout::Contiguous, ebwOf,
-                  fresh);
+    runShard(plainOptions(), points, shard, ShardLayout::Contiguous,
+             fresh);
     const std::string fresh_bytes = fileBytes(fresh);
 
     // Cut the final line a few characters into its last "0x..." bit
@@ -569,9 +676,9 @@ TEST(ShardResume, ReadsATailTornMidFloat)
     const auto parsed = readRecordFile(torn, true);
     EXPECT_EQ(parsed.size(), points.size() - 1);
 
-    const ShardRunStats stats = runShardSweep(
-        points, shard, ShardLayout::Contiguous, ebwOf, torn,
-        /*resume=*/true);
+    const ShardRunStats stats =
+        runShard(plainOptions(), points, shard, ShardLayout::Contiguous,
+                 torn, /*resume=*/true);
     EXPECT_EQ(stats.skipped, points.size() - 1);
     EXPECT_EQ(stats.computed, 1u);
     EXPECT_EQ(fileBytes(torn), fresh_bytes);
@@ -588,8 +695,8 @@ TEST(ShardResume, RemovesStaleRewriteTemps)
     const std::vector<SystemConfig> points = testSpec().materialize();
     const ShardSpec shard{0, 1};
     const std::string path = tempPath("staletmp.jsonl");
-    runShardSweep(points, shard, ShardLayout::Contiguous, ebwOf,
-                  path);
+    runShard(plainOptions(), points, shard, ShardLayout::Contiguous,
+             path);
     const std::string bytes = fileBytes(path);
 
     const std::string stale = path + ".tmp.4242";
@@ -607,8 +714,8 @@ TEST(ShardResume, RemovesStaleRewriteTemps)
         std::ofstream out(stale);
         out << "again\n";
     }
-    runShardSweep(points, shard, ShardLayout::Contiguous, ebwOf,
-                  path, /*resume=*/true);
+    runShard(plainOptions(), points, shard, ShardLayout::Contiguous,
+             path, /*resume=*/true);
     EXPECT_NE(::stat(stale.c_str(), &info), 0);
     EXPECT_EQ(fileBytes(path), bytes);
 
@@ -622,8 +729,8 @@ TEST(MergeDeathTest, MissingPointReportNamesOwnerFilesAndIndices)
     const std::vector<SystemConfig> points = testSpec().materialize();
     const std::string dir = tempPath("missing_report");
     ensureWritableShardDir(dir);
-    runShardSweep(points, {0, 2}, ShardLayout::Contiguous, ebwOf,
-                  shardFilePath(dir, {0, 2}));
+    runShard(plainOptions(), points, {0, 2}, ShardLayout::Contiguous,
+             shardFilePath(dir, {0, 2}));
 
     MergeCheck check = sweepMergeCheck(points);
     check.shardCount = 2;
@@ -647,9 +754,9 @@ TEST(ShardResume, AdaptiveResumeSkipsConvergedPoints)
     schedule.cap = 8;
     const ShardSpec shard{1, 2};
 
+    const SweepRunOptions opt = adaptiveOptions(target, schedule);
     const std::string fresh = tempPath("aresume_fresh.jsonl");
-    runShardAdaptive(points, shard, ShardLayout::Contiguous, target,
-                     schedule, ebwWithSeed, fresh);
+    runShard(opt, points, shard, ShardLayout::Contiguous, fresh);
     const std::string fresh_bytes = fileBytes(fresh);
 
     const std::string killed = tempPath("aresume_killed.jsonl");
@@ -659,13 +766,9 @@ TEST(ShardResume, AdaptiveResumeSkipsConvergedPoints)
         out << formatRecord(records[0]) << '\n';
     }
     std::size_t evaluations = 0;
-    const ShardRunStats stats = runShardAdaptive(
-        points, shard, ShardLayout::Contiguous, target, schedule,
-        [&](const SystemConfig &cfg, std::uint64_t seed) {
-            ++evaluations;
-            return ebwWithSeed(cfg, seed);
-        },
-        killed, /*resume=*/true);
+    const ShardRunStats stats =
+        runShard(opt, points, shard, ShardLayout::Contiguous, killed,
+                 /*resume=*/true, &evaluations);
     EXPECT_EQ(stats.skipped, 1u);
     EXPECT_GT(evaluations, 0u);
     EXPECT_EQ(fileBytes(killed), fresh_bytes);

@@ -69,7 +69,8 @@ TEST(Umbrella, ExposesEndToEndWorkflow)
     // shard/: plan + record layers reachable through the umbrella.
     const ShardPlan plan(4, 2, ShardLayout::Strided);
     EXPECT_EQ(plan.indices(1), (std::vector<std::size_t>{1, 3}));
-    const PointRecord record = makeSweepRecord(0, cfg, metrics.ebw);
+    const PointRecord record =
+        makeSweepRecord(0, cfg, PointSample{metrics.ebw, false, {}});
     EXPECT_EQ(record.configFp, configFingerprint(cfg));
     PointRecord parsed;
     std::string error;

@@ -35,6 +35,7 @@
 #include "shard/merge.hh"
 #include "shard/result_io.hh"
 #include "shard/runner.hh"
+#include "service/sweeprun.hh"
 #include "workload/analytic.hh"
 #include "workload/workload.hh"
 
@@ -45,10 +46,12 @@ using golden::GoldenLine;
 using golden::checkExactGolden;
 using golden::exact;
 
+/** Per-process temp path, so concurrent test runs never collide. */
 std::string
 tempPath(const std::string &name)
 {
-    return ::testing::TempDir() + "sbn_workload_" + name;
+    return ::testing::TempDir() + "sbn_workload_" +
+           std::to_string(::getpid()) + "_" + name;
 }
 
 // ------------------------------------------------------------ sampler
@@ -449,19 +452,21 @@ hotSpotSpec()
 
 TEST(WorkloadDeterminism, IdenticalAcrossThreadCounts)
 {
-    const auto evaluate = [](const SystemConfig &cfg) {
-        return runEbw(cfg);
+    const std::vector<SystemConfig> points =
+        hotSpotSpec().materialize();
+    const auto evaluate = [&](std::size_t i) {
+        return runEbw(points[i]);
     };
     ParallelRunner serial(1);
     const std::vector<double> reference =
-        serial.sweep(hotSpotSpec(), evaluate);
+        serial.map<double>(points.size(), evaluate);
     ASSERT_EQ(reference.size(), 6u);
 
     for (const unsigned threads :
          {4u, ThreadPool::hardwareThreads()}) {
         ParallelRunner runner(threads);
         const std::vector<double> values =
-            runner.sweep(hotSpotSpec(), evaluate);
+            runner.map<double>(points.size(), evaluate);
         ASSERT_EQ(values.size(), reference.size());
         for (std::size_t i = 0; i < values.size(); ++i)
             EXPECT_EQ(values[i], reference[i])
@@ -473,14 +478,27 @@ TEST(WorkloadDeterminism, ShardLayoutsMergeByteIdenticalToSerial)
 {
     const std::vector<SystemConfig> points =
         hotSpotSpec().materialize();
-    const auto evaluate = [](const SystemConfig &cfg) {
-        return runEbw(cfg);
+    const SweepRunOptions opt;
+    const std::vector<std::uint64_t> fps =
+        sweepMergeCheck(points).expectedRunFp;
+    const auto runShard = [&](const ShardSpec &shard, ShardLayout layout,
+                              const std::string &path) {
+        runShardPoints(
+            ShardPlan(points.size(), shard.count, layout)
+                .indices(shard.index),
+            fps, path, /*resume=*/false,
+            [&](const std::vector<std::size_t> &missing,
+                RecordWriter &writer) {
+                runSweepPoints(opt, points, missing,
+                               [&](const PointRecord &record) {
+                                   writer.add(record);
+                               });
+            });
     };
 
     // Serial reference: the whole grid as one shard.
     const std::string serial = tempPath("hotspot_serial.jsonl");
-    runShardSweep(points, {0, 1}, ShardLayout::Contiguous, evaluate,
-                  serial);
+    runShard({0, 1}, ShardLayout::Contiguous, serial);
     std::ifstream in(serial, std::ios::binary);
     std::ostringstream serial_bytes;
     serial_bytes << in.rdbuf();
@@ -493,8 +511,7 @@ TEST(WorkloadDeterminism, ShardLayoutsMergeByteIdenticalToSerial)
                 tempPath("hotspot_" +
                          std::string(shardLayoutName(layout)) + "_" +
                          std::to_string(s) + ".jsonl"));
-            runShardSweep(points, {s, 4}, layout, evaluate,
-                          files.back());
+            runShard({s, 4}, layout, files.back());
         }
         const std::vector<PointRecord> merged =
             mergeRecordFiles(files, sweepMergeCheck(points));

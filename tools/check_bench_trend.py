@@ -8,12 +8,7 @@ the tolerance (default 20%, the ROADMAP's threshold).
 
 CI runners and the machine that committed the baseline differ in raw
 speed, so comparing absolute cycles/s across them would mostly
-measure the hardware. Two normalization modes cancel the machine out:
-
---normalize divides each run's cycle-skip cycles/s by the *same
-run's* classic-kernel cycles/s (the speedup). This only works while
-the bench still measures the Classic kernel; it is retired, so the
-mode survives for historical baselines only.
+measure the hardware. Normalization cancels the machine out:
 
 --normalize-by NAME divides every sample's cycles/s by the named
 reference sample's cycles/s in the same file: all samples run in the
@@ -24,15 +19,15 @@ blind-spot sample: each sample's current/baseline ratio is judged
 against the median ratio across all shared samples, so a regression
 confined to any one regime (the former reference included) fails
 while a uniformly slower runner cancels out. A change slowing every
-sample equally is invisible to either ratio (that needs an absolute
-anchor no longer available without the Classic kernel), which is why
-absolute cycles/s are still printed and checked - in any normalized
-mode an absolute-only regression just warns.
+sample equally is invisible to either ratio (there is no absolute
+anchor on the runner), which is why absolute cycles/s are still
+printed and checked - in a normalized mode an absolute-only
+regression just warns.
 
 Usage:
     check_bench_trend.py --baseline bench/baseline_kernel.json \
         --current BENCH_kernel.json [--tolerance 0.20] \
-        [--normalize | --normalize-by median | --normalize-by NAME] \
+        [--normalize-by median | --normalize-by NAME] \
         [--json SUMMARY]
 
 --json SUMMARY additionally writes a machine-readable summary of the
@@ -46,7 +41,7 @@ The summary schema is "sbn.bench_trend.v1" (one JSON object):
     baseline   path of the --baseline file as given
     current    path of the --current file as given
     tolerance  the judged fractional tolerance
-    normalized "classic", the --normalize-by value, or null
+    normalized the --normalize-by value, or null
     rows       one object per judged (name, kernel) pair: name,
                kernel ("cycleskip"/"faststat"),
                baseline_cycles_per_s, current_cycles_per_s,
@@ -73,8 +68,7 @@ baselined sample missing from the current run fails (its coverage
 silently vanished), a new unbaselined sample warns. Malformed rows
 (no "name", duplicate names) are reported by file and row index, not
 as a traceback. A current file with no overlapping samples is an
-error, as is any sample whose two kernels stopped producing identical
-metrics.
+error.
 """
 
 import argparse
@@ -129,7 +123,7 @@ def load_samples(path, role):
 
 def cycles_per_s(sample, kernel):
     """cycles/s of one kernel's run, or None if the sample does not
-    carry that kernel (e.g. after KernelKind::Classic is retired)."""
+    carry that kernel."""
     data = sample.get(kernel)
     if not isinstance(data, dict) or "cycles_per_s" not in data:
         return None
@@ -143,10 +137,6 @@ def main():
     parser.add_argument("--tolerance", type=float, default=0.20,
                         help="fractional regression that fails "
                              "(default 0.20)")
-    parser.add_argument("--normalize", action="store_true",
-                        help="judge the classic-normalized speedup "
-                             "(machine-independent); absolute "
-                             "cycles/s regressions then only warn")
     parser.add_argument("--normalize-by", metavar="SAMPLE",
                         help="judge cycles/s normalized by this "
                              "reference sample of the same run, or "
@@ -160,9 +150,6 @@ def main():
                              "pass/fail summary to this file "
                              "('-' = stdout)")
     args = parser.parse_args()
-    if args.normalize and args.normalize_by:
-        sys.exit("error: --normalize and --normalize-by are "
-                 "mutually exclusive")
 
     baseline = load_samples(args.baseline, "baseline")
     current = load_samples(args.current, "current")
@@ -223,30 +210,12 @@ def main():
     warnings = new_row_warnings
     rows = []  # --json: one entry per judged (name, kernel) pair
     normalized_note = ""
-    if args.normalize:
-        normalized_note = ", normalized by classic"
-    elif args.normalize_by:
+    if args.normalize_by:
         normalized_note = f", normalized by {args.normalize_by}"
     print(f"kernel-bench trend vs {args.baseline} "
           f"(tolerance {args.tolerance:.0%}{normalized_note}):")
     for name in shared:
         base, cur = baseline[name], current[name]
-
-        # The identical-metrics gate only means something while the
-        # bench still runs both kernels; after Classic's retirement
-        # the field is gone along with the comparison.
-        both_kernels = (cycles_per_s(cur, "classic") is not None
-                        and cycles_per_s(cur, "cycleskip") is not None)
-        if both_kernels and cur.get("identical_metrics") is not True:
-            failures.append(
-                f"{name}: kernels no longer produce identical "
-                "metrics - correctness, not performance")
-            rows.append({"name": name, "kernel": "cycleskip",
-                         "verdict": "error",
-                         "reason": "kernels no longer produce "
-                                   "identical metrics"})
-            continue
-
         abs_base = cycles_per_s(base, "cycleskip")
         abs_cur = cycles_per_s(cur, "cycleskip")
         if abs_base is None or abs_cur is None:
@@ -259,29 +228,16 @@ def main():
             continue
         abs_change = abs_cur / abs_base - 1.0
 
-        # The classic kernel is the on-machine yardstick; once it is
-        # retired from the bench output the normalized comparison is
-        # simply unavailable.
-        classic_base = cycles_per_s(base, "classic")
-        classic_cur = cycles_per_s(cur, "classic")
-        if args.normalize_by:
-            classic_base, classic_cur = ref_base, ref_cur
         norm_change = None
         speedups = ""
-        if classic_base is not None and classic_cur is not None:
-            norm_base = abs_base / classic_base
-            norm_cur = abs_cur / classic_cur
+        if args.normalize_by:
+            norm_base = abs_base / ref_base
+            norm_cur = abs_cur / ref_cur
             norm_change = norm_cur / norm_base - 1.0
             speedups = (f"   speedup {norm_base:5.2f}x -> "
                         f"{norm_cur:5.2f}x ({norm_change:+7.1%})")
-        elif args.normalize:
-            warnings.append(
-                f"{name}: no classic-kernel data to normalize by "
-                "(retired?) - judging absolute cycles/s; refresh the "
-                "baseline on comparable hardware or drop --normalize")
 
-        judge_normalized = ((args.normalize or args.normalize_by)
-                            and norm_change is not None)
+        judge_normalized = norm_change is not None
         judged_change = norm_change if judge_normalized else abs_change
         verdict = "ok"
         if judged_change < -args.tolerance:
@@ -313,7 +269,7 @@ def main():
     # FastStat rows, judged only where both files carry them. The
     # same-run cycleskip kernel is the yardstick: bench_perf measures
     # both kernels interleaved in one process, so the speedup ratio
-    # cancels the machine without needing any --normalize flag.
+    # cancels the machine without needing any --normalize-by flag.
     fs_shared = [
         name for name in shared
         if cycles_per_s(baseline[name], "faststat") is not None
@@ -380,10 +336,7 @@ def main():
             "baseline": args.baseline,
             "current": args.current,
             "tolerance": args.tolerance,
-            "normalized": (
-                "classic" if args.normalize
-                else args.normalize_by if args.normalize_by
-                else None),
+            "normalized": args.normalize_by,
             "rows": rows,
             "failures": failures,
             "warnings": warnings,

@@ -65,10 +65,10 @@
 #include <cstdlib>
 #include <iostream>
 #include <map>
+#include <numeric>
 #include <string>
 #include <vector>
 
-#include "exec/parallel_runner.hh"
 #include "service/client.hh"
 #include "service/journal.hh"
 #include "service/sweeprun.hh"
@@ -76,7 +76,6 @@
 #include "shard/merge.hh"
 #include "shard/plan.hh"
 #include "shard/result_io.hh"
-#include "shard/runner.hh"
 #include "shard/supervisor.hh"
 #include "telemetry/telemetry.hh"
 #include "util/cli.hh"
@@ -189,33 +188,11 @@ runSerial(const Options &opt)
 {
     const std::vector<SystemConfig> points =
         opt.run.spec.materialize();
-    ParallelRunner &runner = sharedParallelRunner(
-        opt.run.threads != 0 ? opt.run.threads : defaultExecThreads());
-
-    if (opt.run.adaptive) {
-        const AdaptiveReplicator replicator(runner, opt.run.target,
-                                            opt.run.schedule);
-        replicator.runPoints(
-            points, evaluateSweepReplication,
-            [&](std::size_t i, const SystemConfig &cfg,
-                const AdaptiveEstimate &estimate) {
-                std::cout << formatRecord(makeAdaptiveRecord(
-                                 i, cfg, estimate, opt.run.target,
-                                 opt.run.schedule))
-                          << '\n';
-            });
-    } else {
-        runner.stream<PointSample>(
-            points.size(),
-            [&](std::size_t i) {
-                return evaluateSweepPointSample(points[i]);
-            },
-            [&](std::size_t i, const PointSample &sample) {
-                std::cout << formatRecord(
-                                 makeSweepRecord(i, points[i], sample))
-                          << '\n';
-            });
-    }
+    std::vector<std::size_t> every(points.size());
+    std::iota(every.begin(), every.end(), std::size_t{0});
+    runSweepPoints(opt.run, points, every, [](const PointRecord &record) {
+        std::cout << formatRecord(record) << '\n';
+    });
     std::fprintf(stderr, "swept %zu point(s)\n", points.size());
 }
 
