@@ -5,6 +5,7 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cerrno>
 #include <cmath>
 #include <cstdio>
@@ -134,29 +135,43 @@ DaemonClient::~DaemonClient()
         ::close(fd_);
 }
 
+bool
+DaemonClient::readMore()
+{
+    char buffer[65536];
+    for (;;) {
+        const ssize_t got = ::read(fd_, buffer, sizeof buffer);
+        if (got > 0) {
+            inbox_.append(buffer, static_cast<std::size_t>(got));
+            return true;
+        }
+        if (got == 0)
+            return false;
+        if (errno != EINTR)
+            sbn_fatal("daemon connection read failed: ",
+                      std::strerror(errno));
+    }
+}
+
 std::string
 DaemonClient::readLine()
 {
-    std::string line;
-    char c;
+    std::size_t scanned = 0;
     for (;;) {
-        const ssize_t got = ::read(fd_, &c, 1);
-        if (got < 0) {
-            if (errno == EINTR)
-                continue;
-            sbn_fatal("daemon connection read failed: ",
-                      std::strerror(errno));
+        const std::size_t newline = inbox_.find('\n', scanned);
+        if (newline != std::string::npos) {
+            std::string line = inbox_.substr(0, newline);
+            inbox_.erase(0, newline + 1);
+            return line;
         }
-        if (got == 0)
+        scanned = inbox_.size();
+        if (scanned > 1 << 20)
+            sbn_fatal("daemon response line exceeds 1 MiB; protocol "
+                      "violation");
+        if (!readMore())
             sbn_fatal("daemon closed the connection mid-response "
                       "(it may have been killed; restart it and "
                       "retry - acknowledged jobs are journaled)");
-        if (c == '\n')
-            return line;
-        line += c;
-        if (line.size() > 1 << 20)
-            sbn_fatal("daemon response line exceeds 1 MiB; protocol "
-                      "violation");
     }
 }
 
@@ -189,26 +204,28 @@ DaemonClient::call(const Request &request)
         if (bytes < 0 || bytes != std::floor(bytes))
             sbn_fatal("results response carries no byte count: ",
                       header);
-        std::size_t remaining = static_cast<std::size_t>(bytes);
-        response.payload.reserve(remaining);
-        char buffer[65536];
-        while (remaining > 0) {
-            const std::size_t want =
-                remaining < sizeof buffer ? remaining : sizeof buffer;
-            const ssize_t got = ::read(fd_, buffer, want);
-            if (got < 0) {
-                if (errno == EINTR)
-                    continue;
-                sbn_fatal("daemon payload read failed: ",
-                          std::strerror(errno));
-            }
-            if (got == 0)
+        // The daemon never queues a reply over kMaxOutbox, so a
+        // larger promise is a broken peer - and the cast below is
+        // only defined once the value is known to fit.
+        if (bytes > static_cast<double>(kMaxOutbox))
+            sbn_fatal("results header '", header,
+                      "' promises more than the protocol's ",
+                      kMaxOutbox >> 20, " MiB reply limit");
+        const std::size_t size = static_cast<std::size_t>(bytes);
+        std::string &payload = response.payload;
+        payload.reserve(size);
+        for (;;) {
+            const std::size_t take =
+                std::min(size - payload.size(), inbox_.size());
+            payload.append(inbox_, 0, take);
+            inbox_.erase(0, take);
+            if (payload.size() == size)
+                break;
+            if (!readMore())
                 sbn_fatal("daemon closed the connection ",
-                          remaining, " byte(s) short of the "
-                          "promised results payload");
-            response.payload.append(buffer,
-                                    static_cast<std::size_t>(got));
-            remaining -= static_cast<std::size_t>(got);
+                          size - payload.size(),
+                          " byte(s) short of the promised results "
+                          "payload");
         }
     }
     return response;

@@ -58,8 +58,11 @@ class DaemonClient
 
   private:
     std::string readLine();
+    /** Append one read() of up to 64 KiB to inbox_; false at EOF. */
+    bool readMore();
 
     int fd_ = -1;
+    std::string inbox_; //!< bytes read from the daemon, not yet consumed
 };
 
 /** Resolve @p endpoint ("PORT", "host:PORT", state dir) to a port,

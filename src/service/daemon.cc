@@ -3,6 +3,7 @@
 #include <arpa/inet.h>
 #include <fcntl.h>
 #include <netinet/in.h>
+#include <netinet/tcp.h>
 #include <poll.h>
 #include <signal.h>
 #include <sys/resource.h>
@@ -432,6 +433,12 @@ Daemon::acceptClients()
         // wedges every other client, runner reap and heartbeat.
         const int flags = ::fcntl(fd, F_GETFL, 0);
         ::fcntl(fd, F_SETFL, flags | O_NONBLOCK);
+        // No Nagle: every reply is queued whole, so there is nothing
+        // to coalesce, and the tail of a reply that drains over
+        // several writes (EAGAIN, then POLLOUT) must not wait for the
+        // client's delayed ACK (~40 ms) of the part before it.
+        const int one = 1;
+        ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof one);
         Client client;
         client.fd = fd;
         clients_.push_back(std::move(client));
@@ -514,7 +521,6 @@ Daemon::queueOutput(Client &client, const std::string &bytes)
     // A peer that keeps sending requests without reading replies
     // (results payloads, typically) gets cut off rather than growing
     // the outbox without bound.
-    constexpr std::size_t kMaxOutbox = std::size_t(256) << 20;
     if (client.outbox.size() - client.outboxSent + bytes.size() >
         kMaxOutbox) {
         sbn_warn("client outbox over ", kMaxOutbox >> 20,
@@ -730,8 +736,10 @@ Daemon::handleResults(Client &client, const Request &request)
         "{\"ok\":true,\"job\":" + std::to_string(request.job) +
         ",\"exit\":" + std::to_string(job->entry.exitCode) +
         ",\"bytes\":" + std::to_string(bytes.size()) + "}\n";
-    queueOutput(client, header);
-    queueOutput(client, bytes);
+    // One buffer, so the whole reply usually leaves in one write().
+    // As two writes, Nagle's algorithm would hold the payload until
+    // the client's delayed ACK (~40 ms) of the header.
+    queueOutput(client, header + bytes);
     // Counted when queued, not when the peer drains it: the metric
     // answers "how much result data has this daemon served", and a
     // peer that hangs up mid-payload still cost us the read+queue.

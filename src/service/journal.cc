@@ -135,8 +135,8 @@ parseJournalEntry(const std::string &line, JobJournalEntry &out,
     double job = 0;
     if (!number("job", job))
         return false;
-    if (job < 0 || job != std::floor(job)) {
-        error = "\"job\" must be a non-negative integer";
+    if (job < 0 || job >= kJobIdLimit || job != std::floor(job)) {
+        error = "\"job\" must be a non-negative integer below 2^53";
         return false;
     }
     entry.job = static_cast<std::uint64_t>(job);

@@ -153,9 +153,9 @@ takeJob(const JsonObject &object, Request &request, std::string &error)
     if (job == nullptr)
         return true;
     if (job->kind != JsonScalar::Kind::Number ||
-        job->number < 0 ||
+        job->number < 0 || job->number >= kJobIdLimit ||
         job->number != std::floor(job->number)) {
-        error = "\"job\" must be a non-negative integer";
+        error = "\"job\" must be a non-negative integer below 2^53";
         return false;
     }
     request.hasJob = true;

@@ -35,11 +35,28 @@
 #ifndef SBN_SERVICE_PROTOCOL_HH
 #define SBN_SERVICE_PROTOCOL_HH
 
+#include <cstddef>
 #include <cstdint>
 #include <map>
 #include <string>
 
 namespace sbn {
+
+/**
+ * Most reply bytes the daemon buffers for one client (256 MiB); a
+ * peer that lets more pile up unread is dropped. It also bounds every
+ * legitimate results payload, so a client refuses a header promising
+ * more instead of trying to allocate it.
+ */
+constexpr std::size_t kMaxOutbox = std::size_t(256) << 20;
+
+/**
+ * Job ids on the wire and in the journal stay below 2^53, the range
+ * in which a double (the parser's number type) holds every integer
+ * exactly. Checking it also keeps the cast to std::uint64_t defined,
+ * which it is not for values >= 2^64.
+ */
+constexpr double kJobIdLimit = 9007199254740992.0;
 
 /** One scalar value of a flat JSON object. */
 struct JsonScalar
@@ -100,7 +117,8 @@ struct Request
 /**
  * Parse one request line. Returns false with a human-readable
  * @p error on anything malformed: unknown cmd, missing/extra keys
- * for that cmd, wrong types, negative or non-integral job ids.
+ * for that cmd, wrong types, negative, non-integral or too large
+ * (>= kJobIdLimit) job ids.
  */
 bool parseRequest(const std::string &line, Request &out,
                   std::string &error);

@@ -1,5 +1,7 @@
 #include "shard/supervisor.hh"
 
+#include <fcntl.h>
+#include <poll.h>
 #include <signal.h>
 #include <sys/stat.h>
 #include <sys/types.h>
@@ -10,12 +12,14 @@
 #endif
 
 #include <algorithm>
+#include <atomic>
+#include <cerrno>
 #include <chrono>
 #include <cmath>
 #include <cstdio>
+#include <cstring>
 #include <fstream>
 #include <set>
-#include <thread>
 
 #include "shard/fault.hh"
 #include "telemetry/telemetry.hh"
@@ -27,6 +31,14 @@ namespace sbn {
 namespace {
 
 using Clock = std::chrono::steady_clock;
+
+/**
+ * Period of the run() loop's tick. Worker exits, interrupts and
+ * backoff deadlines wake the loop between ticks, but only the tick
+ * runs what no event announces - liveness sampling for the hang timer
+ * and steal scans - so an exit never triggers a steal on its own.
+ */
+constexpr auto kSupervisorTick = std::chrono::milliseconds(20);
 
 /** Size of @p path, or -1 when it does not exist (yet). */
 long long
@@ -45,44 +57,108 @@ fileExists(const std::string &path)
     return ::stat(path.c_str(), &info) == 0;
 }
 
-/**
- * Signal caught while a supervisor's run() loop owns the fleet.
- * async-signal-safe: the handler only stores the number; the loop
- * polls it each iteration (the poll sleep is at most pollMillis, and
- * the signal interrupts it anyway).
- */
-volatile sig_atomic_t g_supervisorSignal = 0;
+// Lock-free atomics, so the handler may touch them (a plain volatile
+// would be a data race whenever another thread takes the signal).
+static_assert(std::atomic<int>::is_always_lock_free);
 
+/** SIGINT/SIGTERM caught while a supervisor's run() loop owns the
+ *  fleet; the loop checks it each iteration. */
+std::atomic<int> g_supervisorSignal{0};
+
+/**
+ * Self-pipe that wakes the run() loop, open only while run() owns the
+ * fleet: every handled signal writes one byte to the (non-blocking)
+ * write end, and the loop poll()s the read end.
+ */
+std::atomic<int> g_wakeWriteFd{-1};
+int g_wakeReadFd = -1;
+
+/** Async-signal-safe: an atomic store and one write(), errno kept
+ *  intact for whatever the signal interrupted. A full pipe drops the
+ *  byte, which is fine - a wake is already pending. */
 extern "C" void
 supervisorSignalHandler(int sig)
 {
-    g_supervisorSignal = sig;
+    const int savedErrno = errno;
+    if (sig != SIGCHLD)
+        g_supervisorSignal = sig;
+    if (::write(g_wakeWriteFd, "!", 1) < 0) {
+    }
+    errno = savedErrno;
 }
 
-/** RAII install/restore of the SIGINT/SIGTERM interrupt handlers. */
+/**
+ * RAII for everything run() arms: the wake pipe, the SIGINT/SIGTERM
+ * interrupt handlers and the SIGCHLD handler that reports worker
+ * exits. All restored (and the pipe closed) on destruction.
+ */
 class SignalGuard
 {
   public:
     SignalGuard()
     {
+        int fds[2];
+        if (::pipe(fds) != 0)
+            sbn_fatal("supervisor: cannot create its wake pipe: ",
+                      std::strerror(errno));
+        for (const int fd : fds) {
+            ::fcntl(fd, F_SETFL, ::fcntl(fd, F_GETFL) | O_NONBLOCK);
+            ::fcntl(fd, F_SETFD, FD_CLOEXEC);
+        }
+        g_wakeReadFd = fds[0];
+        g_wakeWriteFd = fds[1];
         g_supervisorSignal = 0;
-        struct sigaction action;
+
+        // SA_RESTART everywhere: the pipe byte, not EINTR, ends the
+        // loop's wait, and the blocking waitpid() calls must not be
+        // cut short by the SIGCHLD of another worker.
+        struct sigaction action{};
         action.sa_handler = supervisorSignalHandler;
         ::sigemptyset(&action.sa_mask);
-        action.sa_flags = 0; // no SA_RESTART: interrupt the poll sleep
+        action.sa_flags = SA_RESTART;
         ::sigaction(SIGINT, &action, &previousInt_);
         ::sigaction(SIGTERM, &action, &previousTerm_);
+        action.sa_flags = SA_RESTART | SA_NOCLDSTOP;
+        ::sigaction(SIGCHLD, &action, &previousChld_);
     }
 
     ~SignalGuard()
     {
         ::sigaction(SIGINT, &previousInt_, nullptr);
         ::sigaction(SIGTERM, &previousTerm_, nullptr);
+        ::sigaction(SIGCHLD, &previousChld_, nullptr);
+        ::close(g_wakeWriteFd.exchange(-1));
+        ::close(g_wakeReadFd);
+        g_wakeReadFd = -1;
+    }
+
+    SignalGuard(const SignalGuard &) = delete;
+    SignalGuard &operator=(const SignalGuard &) = delete;
+
+    /**
+     * Sleep until a signal wakes the loop or @p deadline passes, then
+     * drain the pipe. A wake that lands after the drain leaves its
+     * byte for the next wait, so no worker exit is ever slept through.
+     */
+    void
+    waitUntil(Clock::time_point deadline) const
+    {
+        const auto millis =
+            std::chrono::ceil<std::chrono::milliseconds>(deadline -
+                                                         Clock::now())
+                .count();
+        pollfd fd{g_wakeReadFd, POLLIN, 0};
+        ::poll(&fd, 1,
+               static_cast<int>(std::max<decltype(millis)>(millis, 0)));
+        char drain[64];
+        while (::read(g_wakeReadFd, drain, sizeof drain) > 0) {
+        }
     }
 
   private:
     struct sigaction previousInt_;
     struct sigaction previousTerm_;
+    struct sigaction previousChld_;
 };
 
 } // namespace
@@ -188,13 +264,18 @@ ShardSupervisor::spawn(Task &task)
     if (pid < 0)
         sbn_fatal("supervisor: fork failed for ", what);
     if (pid == 0) {
-        // Child. Shed the supervisor's interrupt handlers first: a
-        // worker inheriting them would swallow the Ctrl-C meant to
-        // stop the fleet. Then declare identity for fault targeting,
-        // run the body, and leave via _exit so no parent-owned stdio
-        // buffer or static destructor runs twice.
+        // Child. Shed the supervisor's handlers first: a worker
+        // inheriting them would swallow the Ctrl-C meant to stop the
+        // fleet, and would write its own children's exits into the
+        // supervisor's wake pipe - whose ends go too. Then declare
+        // identity for fault targeting, run the body, and leave via
+        // _exit so no parent-owned stdio buffer or static destructor
+        // runs twice.
         ::signal(SIGINT, SIG_DFL);
         ::signal(SIGTERM, SIG_DFL);
+        ::signal(SIGCHLD, SIG_DFL);
+        ::close(g_wakeReadFd);
+        ::close(g_wakeWriteFd);
 #ifdef __linux__
         // No-orphan hardening: if the supervisor itself dies by
         // SIGKILL (kill-anywhere testing, OOM), the kernel kills the
@@ -581,6 +662,7 @@ ShardSupervisor::run()
     // Own SIGINT/SIGTERM while the fleet exists: an interrupted
     // supervisor must not orphan its forked workers. Children reset
     // the handlers after fork (spawn()), so only this process defers.
+    // SIGCHLD wakes the loop the moment a worker exits.
     SignalGuard guard;
 
     // Trace: the whole supervised run is one span, parented under
@@ -594,6 +676,7 @@ ShardSupervisor::run()
         runStartUs_ = traceNowMicros();
     }
 
+    Clock::time_point nextTick = Clock::now();
     for (;;) {
         if (g_supervisorSignal != 0) {
             const int sig = static_cast<int>(g_supervisorSignal);
@@ -605,10 +688,21 @@ ShardSupervisor::run()
             break;
         }
 
+        // An event wake reaps and relaunches at once; the sampled
+        // duties wait for the tick, whatever woke the loop. A steal
+        // scan run the instant the first worker exits mostly finds
+        // the other worker a point or two from done, and forks a
+        // thief to duplicate them.
+        const Clock::time_point now = Clock::now();
+        const bool tick = now >= nextTick;
+        if (tick)
+            nextTick = now + kSupervisorTick;
         reapExited();
-        killHungWorkers();
+        if (tick)
+            killHungWorkers();
         launchDueRespawns();
-        maybeSteal();
+        if (tick)
+            maybeSteal();
 
         if (allShardsTerminal() && runningCount() == 0) {
             const std::vector<bool> satisfied = satisfiedPoints();
@@ -630,8 +724,11 @@ ShardSupervisor::run()
             continue;
         }
 
-        std::this_thread::sleep_for(
-            std::chrono::milliseconds(config_.pollMillis));
+        Clock::time_point wakeAt = nextTick;
+        for (const Task &task : shardTasks_)
+            if (task.state == ShardState::Backoff)
+                wakeAt = std::min(wakeAt, task.wakeAt);
+        guard.waitUntil(wakeAt);
     }
 
     // Terminal accounting.

@@ -124,7 +124,6 @@ struct SupervisorConfig
     double hangTimeoutSeconds = 0.0;
 
     bool workStealing = true;
-    unsigned pollMillis = 20; //!< supervision loop period
 
     /** Total steal launches allowed (0 = 4 * shardCount). Bounds the
      *  loop when stolen work itself keeps failing. */
@@ -226,8 +225,9 @@ class ShardSupervisor
      * and no steal worker is in flight - or until the supervisor
      * process catches SIGINT/SIGTERM, in which case every live worker
      * is SIGKILLed and reaped (no orphans) and the report carries the
-     * signal in interruptSignal. Handlers are installed for the
-     * duration of run() and restored on return.
+     * signal in interruptSignal. The SIGINT/SIGTERM handlers, and a
+     * SIGCHLD handler that wakes the loop when a worker exits, are
+     * installed for the duration of run() and restored on return.
      */
     SupervisorReport run();
 

@@ -19,6 +19,7 @@
 #include <unistd.h>
 
 #include <cerrno>
+#include <chrono>
 #include <csignal>
 #include <cstdio>
 #include <cstdlib>
@@ -102,7 +103,7 @@ serialBytes(const std::vector<SystemConfig> &points)
     return os.str();
 }
 
-/** Supervision config tuned for tests: tiny backoff, fast polling. */
+/** Supervision config tuned for tests: tiny backoff. */
 SupervisorConfig
 testConfig(const std::string &dir, const MergeCheck &check,
            std::size_t shard_count)
@@ -114,7 +115,6 @@ testConfig(const std::string &dir, const MergeCheck &check,
     config.expectedRunFp = check.expectedRunFp;
     config.backoffInitialSeconds = 0.02;
     config.backoffCapSeconds = 0.1;
-    config.pollMillis = 5;
     return config;
 }
 
@@ -394,6 +394,43 @@ TEST(Supervisor, InjectedWriteFailureIsRetried)
     ASSERT_TRUE(report.complete);
     EXPECT_EQ(report.shards[0].launches, 2u);
     EXPECT_EQ(mergedBytes(report, check), serialBytes(points));
+}
+
+TEST(Supervisor, WorkerExitWakesTheLoopAtOnce)
+{
+    // Every attempt of the lone shard dies right after its first
+    // record, so the fleet needs one relaunch per point, each
+    // resuming where the last stopped. With zero backoff only the
+    // worker's exit can wake the supervisor: a loop that slept a
+    // 20 ms tick per relaunch would need at least 160 ms here.
+    const std::vector<SystemConfig> points = testSpec().materialize();
+    const std::string dir = tempDir("wake");
+    MergeCheck check = sweepMergeCheck(points);
+    check.shardCount = 1;
+    check.layout = ShardLayout::Contiguous;
+    check.dir = dir;
+
+    const EnvGuard guard(kFaultEnvVar,
+                         "shard=0,attempt=any,kill_after_records=1");
+    SupervisorConfig config = testConfig(dir, check, 1);
+    config.backoffInitialSeconds = 0;
+    config.maxRetries = static_cast<unsigned>(points.size());
+    ShardSupervisor supervisor(config, sweepBody(points));
+    const auto start = std::chrono::steady_clock::now();
+    const SupervisorReport report = supervisor.run();
+    const std::chrono::duration<double> took =
+        std::chrono::steady_clock::now() - start;
+
+    ASSERT_TRUE(report.complete);
+    EXPECT_GE(report.respawns, 6u);
+    EXPECT_EQ(mergedBytes(report, check), serialBytes(points));
+#if !defined(__SANITIZE_ADDRESS__) && !defined(__SANITIZE_THREAD__)
+    // A sanitized fork alone costs about one tick, so the bound only
+    // tells the two loops apart in an uninstrumented build.
+    EXPECT_LT(took.count(), 0.060)
+        << report.respawns << " relaunches took " << took.count()
+        << " s";
+#endif
 }
 
 TEST(Supervisor, HungWorkerIsDetectedKilledAndRetried)

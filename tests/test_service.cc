@@ -3,25 +3,38 @@
  * Service-layer tests: the sbn_sweepd wire protocol (flat JSON
  * parse/format round trips and strictness), the crash-safe job
  * journal (format, fsynced append, last-write-wins replay, torn-tail
- * leniency), spec tokenization, and the exit-code contract both
- * tools and CI scripts branch on. The daemon's end-to-end behavior -
- * kill-anywhere recovery, cancel, drain, backpressure - is exercised
- * with real processes by the tools/ ctest scripts and the CI
- * service-recovery job (docs/service.md).
+ * leniency), spec tokenization, the exit-code contract both tools
+ * and CI scripts branch on, and the results round trip of a forked
+ * daemon. The daemon's end-to-end behavior - kill-anywhere recovery,
+ * cancel, drain, backpressure - is exercised with real processes by
+ * the tools/ ctest scripts and the CI service-recovery job
+ * (docs/service.md).
  */
 
 #include <gtest/gtest.h>
 
+#include <arpa/inet.h>
+#include <netinet/in.h>
+#include <sys/socket.h>
+#include <sys/stat.h>
+#include <sys/wait.h>
 #include <unistd.h>
+#ifdef __linux__
+#include <sys/prctl.h>
+#endif
 
+#include <algorithm>
+#include <chrono>
 #include <csignal>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
 #include <iterator>
 #include <string>
+#include <thread>
 #include <vector>
 
+#include "service/client.hh"
 #include "service/daemon.hh"
 #include "service/journal.hh"
 #include "service/metrics.hh"
@@ -29,6 +42,7 @@
 #include "service/sweeprun.hh"
 #include "shard/fault.hh"
 #include "util/exit_codes.hh"
+#include "util/logging.hh"
 
 namespace sbn {
 namespace {
@@ -150,6 +164,10 @@ TEST(Protocol, RejectsMalformedRequests)
         "{\"cmd\":\"results\",\"job\":-1}",   // negative job
         "{\"cmd\":\"results\",\"job\":1.5}",  // fractional job
         "{\"cmd\":\"status\",\"job\":\"x\"}", // non-numeric job
+        "{\"cmd\":\"results\",\"job\":1e300}", // past 2^64: no uint64
+        // 2^53: the first id a double no longer tells from its
+        // neighbour (2^53 + 1 parses to the same value)
+        "{\"cmd\":\"status\",\"job\":9007199254740992}",
     };
     for (const char *text : bad) {
         EXPECT_FALSE(parseRequest(text, request, error)) << text;
@@ -219,6 +237,10 @@ TEST(JobJournalFormat, RejectsForeignAndPartialLines)
         "\"spec\":\"x\",\"timeout_s\":0,\"exit\":0,\"reason\":\"\"}",
         // unknown state name:
         "{\"type\":\"sbn.job.v1\",\"job\":1,\"state\":\"paused\","
+        "\"spec\":\"x\",\"timeout_s\":0,\"started_unix\":0,"
+        "\"exit\":0,\"reason\":\"\"}",
+        // a job id no uint64 holds:
+        "{\"type\":\"sbn.job.v1\",\"job\":1e300,\"state\":\"done\","
         "\"spec\":\"x\",\"timeout_s\":0,\"started_unix\":0,"
         "\"exit\":0,\"reason\":\"\"}",
     };
@@ -544,6 +566,170 @@ TEST(DaemonMetrics, HeartbeatV2KeepsEveryV1Key)
     EXPECT_TRUE(fields.count("queue_depth"));
     EXPECT_TRUE(fields.count("journal_appends"));
     EXPECT_TRUE(fields.count("active_job"));
+}
+
+// ------------------------------------------------ daemon round trip
+
+/** An sbn_sweepd forked from the test process; SIGKILLed and reaped
+ *  on destruction unless reap() already collected it. */
+class ForkedDaemon
+{
+  public:
+    explicit ForkedDaemon(const std::string &state_dir)
+    {
+        const pid_t parent = ::getpid();
+        pid_ = ::fork();
+        if (pid_ == 0) {
+#ifdef __linux__
+            ::prctl(PR_SET_PDEATHSIG, SIGKILL);
+            if (::getppid() != parent)
+                ::_exit(kExitFatal);
+#else
+            (void)parent;
+#endif
+            DaemonConfig config;
+            config.stateDir = state_dir;
+            ::_exit(runSweepDaemon(config));
+        }
+    }
+
+    ~ForkedDaemon()
+    {
+        if (pid_ > 0) {
+            ::kill(pid_, SIGKILL);
+            ::waitpid(pid_, nullptr, 0);
+        }
+    }
+
+    ForkedDaemon(const ForkedDaemon &) = delete;
+    ForkedDaemon &operator=(const ForkedDaemon &) = delete;
+
+    bool started() const { return pid_ > 0; }
+
+    /** Wait for the (drained) daemon to exit; its exit status. */
+    int reap()
+    {
+        int status = 0;
+        ::waitpid(pid_, &status, 0);
+        pid_ = -1;
+        return status;
+    }
+
+  private:
+    pid_t pid_ = -1;
+};
+
+Request
+jobRequest(RequestKind kind, std::uint64_t job)
+{
+    Request request;
+    request.kind = kind;
+    request.hasJob = true;
+    request.job = job;
+    return request;
+}
+
+TEST(DaemonRoundTrip, ResultsRepliesNeverWaitForADelayedAck)
+{
+    // One small FastStat job (~1 KB of records), then eight status +
+    // results pairs on one connection. A reply sent as two writes on
+    // a Nagle socket (header, then payload) stalls until the client's
+    // delayed ACK of the header, ~40 ms on every call; sent as one
+    // buffer it takes well under a millisecond.
+    const std::string stateDir = tempPath("daemon");
+    ASSERT_EQ(std::system(("rm -rf '" + stateDir + "'").c_str()), 0);
+    ForkedDaemon daemon(stateDir);
+    ASSERT_TRUE(daemon.started());
+
+    using Clock = std::chrono::steady_clock;
+    const auto deadline = Clock::now() + std::chrono::seconds(60);
+    struct stat st{};
+    while (::stat(daemonPortFilePath(stateDir).c_str(), &st) != 0 ||
+           st.st_size == 0) {
+        ASSERT_LT(Clock::now(), deadline) << "daemon never came up";
+        std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+
+    DaemonClient client(stateDir);
+    Request submit;
+    submit.kind = RequestKind::Submit;
+    submit.spec = "--kernel=faststat --n=4 --m=8 --p=0.2,0.4,0.6,0.8 "
+                  "--warmup=500 --measure=5000";
+    const ClientResponse ack = client.call(submit);
+    ASSERT_TRUE(ack.ok()) << ack.errorCode();
+    const auto job = static_cast<std::uint64_t>(ack.number("job"));
+    for (;;) {
+        const ClientResponse status =
+            client.call(jobRequest(RequestKind::Status, job));
+        if (status.text("state") == "done")
+            break;
+        ASSERT_TRUE(status.ok()) << status.errorCode();
+        ASSERT_NE(status.text("state"), "failed");
+        ASSERT_LT(Clock::now(), deadline) << "job never finished";
+        std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+
+    std::string first;
+    std::vector<double> seconds;
+    for (int k = 0; k < 8; ++k) {
+        ASSERT_TRUE(
+            client.call(jobRequest(RequestKind::Status, job)).ok());
+        const auto start = Clock::now();
+        const ClientResponse results =
+            client.call(jobRequest(RequestKind::Results, job));
+        seconds.push_back(
+            std::chrono::duration<double>(Clock::now() - start)
+                .count());
+        ASSERT_TRUE(results.ok()) << results.errorCode();
+        if (k == 0)
+            first = results.payload;
+        EXPECT_EQ(results.payload, first) << "call " << k;
+    }
+    EXPECT_GT(first.size(), 512u);
+
+    Request drain;
+    drain.kind = RequestKind::Drain;
+    ASSERT_TRUE(client.call(drain).ok());
+    const int status = daemon.reap();
+    EXPECT_TRUE(WIFEXITED(status) && WEXITSTATUS(status) == kExitOk)
+        << describeWaitStatus(status);
+
+    std::sort(seconds.begin(), seconds.end());
+    EXPECT_LT((seconds[3] + seconds[4]) / 2, 0.010)
+        << "median results round trip; slowest " << seconds.back()
+        << " s";
+}
+
+TEST(DaemonClientDeathTest, ResultsHeaderPromisingTooMuchIsFatal)
+{
+    // A peer whose results header promises 1e300 bytes: casting that
+    // to size_t is undefined, and 1e19 would make reserve() throw.
+    // The client must refuse it cleanly and name the header.
+    EXPECT_EXIT(
+        {
+            const int listener = ::socket(AF_INET, SOCK_STREAM, 0);
+            sockaddr_in addr{};
+            addr.sin_family = AF_INET;
+            addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+            socklen_t len = sizeof addr;
+            if (::bind(listener, reinterpret_cast<sockaddr *>(&addr),
+                       sizeof addr) != 0 ||
+                ::listen(listener, 1) != 0 ||
+                ::getsockname(listener,
+                              reinterpret_cast<sockaddr *>(&addr),
+                              &len) != 0)
+                std::_Exit(99);
+            DaemonClient client(std::to_string(ntohs(addr.sin_port)));
+            const int peer = ::accept(listener, nullptr, nullptr);
+            const std::string header =
+                "{\"ok\":true,\"job\":0,\"exit\":0,\"bytes\":1e300}\n";
+            if (::write(peer, header.data(), header.size()) !=
+                static_cast<ssize_t>(header.size()))
+                std::_Exit(98);
+            client.call(jobRequest(RequestKind::Results, 0));
+        },
+        ::testing::ExitedWithCode(kExitFatal),
+        "bytes\":1e300.*promises more than");
 }
 
 } // namespace
