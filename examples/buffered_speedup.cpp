@@ -28,7 +28,8 @@ main(int argc, char **argv)
          {"p", "request probability (default 1.0)"},
          {"threads", "worker threads for the sweep (default: all "
                      "hardware threads)"},
-         {"histogram", "also print waiting histograms at the last r"}});
+         {"histogram", "also print residence-time (wait + r+2) "
+                       "histograms at the last r"}});
 
     const int n = static_cast<int>(cli.getInt("n", 8));
     const int m = static_cast<int>(cli.getInt("m", 16));
@@ -96,12 +97,13 @@ main(int argc, char **argv)
             cfg.memoryRatio = r;
             cfg.requestProbability = p;
             cfg.buffered = buffered;
-            cfg.collectWaitHistogram = true;
+            cfg.collectLatency = true;
             cfg.measureCycles = 300000;
             const Metrics metrics = runOnce(cfg);
-            std::printf("\nwaiting-time histogram, r=%d, %s:\n%s", r,
-                        buffered ? "buffered" : "plain",
-                        metrics.waitHistogram->render().c_str());
+            std::printf("\nresidence-time histogram, wait + (r+2) bus "
+                        "cycles, r=%d, %s:\n%s",
+                        r, buffered ? "buffered" : "plain",
+                        metrics.latencyResidence->render().c_str());
         }
     }
 

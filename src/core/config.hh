@@ -124,17 +124,13 @@ struct SystemConfig
     Tick warmupCycles = 20000; //!< cycles discarded before measuring
     Tick measureCycles = 200000; //!< measured window length
 
-    /** Collect a waiting-time histogram (costs a little time). */
-    bool collectWaitHistogram = false;
-
     /**
      * Collect per-module breakdowns (Metrics::perModule*): busy
      * cycles/utilization and queue-depth time-average/max per memory
      * module. Purely passive accounting - it consumes no RNG and
      * changes no trajectory, so enabling it leaves every other metric
-     * (and every golden pin) bit-identical. Like
-     * collectWaitHistogram, it does not fold into the config
-     * fingerprint.
+     * (and every golden pin) bit-identical, and it does not fold
+     * into the config fingerprint.
      */
     bool collectPerModule = false;
 

@@ -30,7 +30,7 @@ FastStatSystem::FastStatSystem(const SystemConfig &config)
       // the workload model builds alias tables from the raw fields.
       workload_((cfg_.validate(), cfg_.workload), cfg_.numProcessors,
                 cfg_.numModules, cfg_.requestProbability),
-      pc_(static_cast<Tick>(cfg_.processorCycle()))
+      pc_(static_cast<Tick>(cfg_.processorCycle())), collector_(cfg_)
 {
     // Stream family keyed by the full config fingerprint (seed
     // included): streams 0..n-1 drive the processors, stream n the
@@ -64,25 +64,6 @@ FastStatSystem::FastStatSystem(const SystemConfig &config)
     waiterSets_.assign(m, IndexSet(n));
     modCanAccept_.assign(m, 1u);
     modHasResponse_.assign(m, 0u);
-
-    windowStart_ = cfg_.warmupCycles;
-    windowEnd_ = cfg_.warmupCycles + cfg_.measureCycles;
-    perProcCompleted_.assign(n, 0);
-    if (cfg_.collectWaitHistogram) {
-        waitHist_.emplace(0.0, 20.0 * static_cast<double>(pc_), 200);
-    }
-    if (cfg_.collectPerModule) {
-        perModBusy_.assign(m, 0);
-        perModDepth_.assign(m, 0);
-        perModDepthArea_.assign(m, 0);
-        perModDepthSince_.assign(m, 0);
-        perModDepthMax_.assign(m, 0);
-    }
-    if (cfg_.collectLatency) {
-        procServiceStart_.assign(n, 0);
-        latWaitHist_.emplace(makeLatencyHistogram());
-        latResidenceHist_.emplace(makeLatencyHistogram());
-    }
 }
 
 bool
@@ -196,7 +177,8 @@ FastStatSystem::processorReady(int proc, Tick now)
     procState_[static_cast<std::size_t>(proc)] = ProcState::Thinking;
     // A wake past the window can never fire (the driver loop stops
     // first); parking it keeps k * pc_ from overflowing for tiny p.
-    if (k > (windowEnd_ - now) / static_cast<std::uint64_t>(pc_))
+    if (k > (collector_.windowEnd() - now) /
+                static_cast<std::uint64_t>(pc_))
         return;
     const Tick due = now + static_cast<Tick>(k) * pc_;
     if (cfg_.trace) {
@@ -220,11 +202,8 @@ FastStatSystem::issue(int proc, Tick now)
                            traceText("proc ", proc,
                                      " issues to module ", target));
     }
-    if (inWindow(now))
-        ++issued_;
+    collector_.issue(target, now);
     procBecomesWaiting(proc, target);
-    if (cfg_.collectPerModule)
-        noteQueueDepth(target, now, +1);
 }
 
 template <bool Buffered>
@@ -246,12 +225,12 @@ FastStatSystem::memoryCompletion(int module, Tick now)
         modState_[idx] = ModState::HoldingResponse;
         modHasResponse_[idx] = 1;
         candModSet_.insert(idx);
-        recordAccessSpan(module, modAccessStart_[idx], now);
+        collector_.accessSpan(module, modAccessStart_[idx], now);
     } else {
         outputQueues_[idx].push_back(Response{modServing_[idx], now});
         modAccessing_[idx] = 0;
         modServing_[idx] = -1;
-        recordAccessSpan(module, modAccessStart_[idx], now);
+        collector_.accessSpan(module, modAccessStart_[idx], now);
         refreshModule(module);
         maybeStartBufferedAccess(module, now);
     }
@@ -272,11 +251,8 @@ FastStatSystem::maybeStartBufferedAccess(int module, Tick now)
     inputQueues_[idx].pop_front();
     modAccessing_[idx] = 1;
     modAccessStart_[idx] = now;
-    if (cfg_.collectLatency)
-        procServiceStart_[static_cast<std::size_t>(modServing_[idx])] =
-            now;
-    if (cfg_.collectPerModule)
-        noteQueueDepth(module, now, -1);
+    collector_.serviceStart(modServing_[idx], now);
+    collector_.dequeue(module, now);
     if (cfg_.trace) {
         cfg_.trace->record(now, "mem",
                            traceText("module ", module,
@@ -350,8 +326,7 @@ FastStatSystem::arbitrate(Tick now)
         grantResponse<Buffered>(chosen, now);
     }
 
-    if (inWindow(now))
-        ++busBusy_;
+    collector_.busGrant(now);
     arbAt_ = now + 1;
 }
 
@@ -378,8 +353,7 @@ FastStatSystem::grantRequest(int proc, Tick now)
                    "request granted to a non-idle module");
         // The request leaves the queue for the (dedicated) server;
         // buffered grants stay queued until the module starts them.
-        if (cfg_.collectPerModule)
-            noteQueueDepth(target, now, -1);
+        collector_.dequeue(target, now);
         // Idle -> Accessing at the arrival tick: acceptance flips
         // off and the module's remaining waiters leave the candidate
         // set; the access completes a fixed stride later.
@@ -389,8 +363,7 @@ FastStatSystem::grantRequest(int proc, Tick now)
             candProcSet_.eraseAll(waiterSets_[tgt]);
         modServing_[tgt] = proc;
         modAccessStart_[tgt] = arrive;
-        if (cfg_.collectLatency)
-            procServiceStart_[idx] = arrive;
+        collector_.serviceStart(proc, arrive);
         if (cfg_.trace) {
             cfg_.trace->record(arrive, "mem",
                                traceText("module ", target,
@@ -453,83 +426,18 @@ FastStatSystem::grantResponse(int module, Tick now)
 void
 FastStatSystem::recordCompletion(int proc, Tick grant_tick)
 {
-    if (!inWindow(grant_tick))
+    const Tick issue = procIssueTick_[static_cast<std::size_t>(proc)];
+    if (!collector_.completion(proc, issue, grant_tick))
         return;
-    ++completed_;
-    ++perProcCompleted_[static_cast<std::size_t>(proc)];
-    const Tick delivery = grant_tick + 1;
     // Wait is an exact tick count; service = wait + pc. Integer
     // moments here, one Accumulator summary at the end of run().
-    const std::uint64_t wait =
-        delivery - procIssueTick_[static_cast<std::size_t>(proc)] -
-        pc_;
+    const std::uint64_t wait = grant_tick + 1 - issue - pc_;
     waitSum_ += wait;
     waitSumSq_ += static_cast<unsigned __int128>(wait) * wait;
     if (wait < waitMin_)
         waitMin_ = wait;
     if (wait > waitMax_)
         waitMax_ = wait;
-    if (waitHist_)
-        waitHist_->add(static_cast<double>(wait));
-    if (latWaitHist_) {
-        latWaitHist_->add(static_cast<double>(
-            procServiceStart_[static_cast<std::size_t>(proc)] -
-            procIssueTick_[static_cast<std::size_t>(proc)]));
-        latResidenceHist_->add(static_cast<double>(
-            delivery - procIssueTick_[static_cast<std::size_t>(proc)]));
-    }
-}
-
-void
-FastStatSystem::recordAccessSpan(int module, Tick start, Tick end)
-{
-    // end is an event tick, so end < windowEnd_ always holds; only
-    // the start needs clamping to the window.
-    const Tick lo = std::max(start, windowStart_);
-    if (end > lo) {
-        accessCycles_ += end - lo;
-        if (cfg_.collectPerModule)
-            perModBusy_[static_cast<std::size_t>(module)] +=
-                static_cast<std::uint64_t>(end - lo);
-    }
-}
-
-void
-FastStatSystem::noteQueueDepth(int module, Tick now, int delta)
-{
-    const auto idx = static_cast<std::size_t>(module);
-    const Tick lo = std::max(perModDepthSince_[idx], windowStart_);
-    const Tick hi = std::min(now, windowEnd_);
-    if (hi > lo) {
-        perModDepthArea_[idx] +=
-            perModDepth_[idx] * static_cast<std::uint64_t>(hi - lo);
-        if (perModDepth_[idx] > perModDepthMax_[idx])
-            perModDepthMax_[idx] = perModDepth_[idx];
-    }
-    const auto next =
-        static_cast<std::int64_t>(perModDepth_[idx]) + delta;
-    sbn_debug_assert(next >= 0, "module queue depth went negative");
-    perModDepth_[idx] = static_cast<std::uint64_t>(next);
-    perModDepthSince_[idx] = now;
-}
-
-void
-FastStatSystem::finishPerModule(Metrics &out)
-{
-    const auto m = static_cast<std::size_t>(cfg_.numModules);
-    const auto cycles = static_cast<double>(out.measuredCycles);
-    out.perModuleBusyCycles = perModBusy_;
-    out.perModuleUtilization.resize(m);
-    out.perModuleQueueDepthAvg.resize(m);
-    for (std::size_t j = 0; j < m; ++j) {
-        // Close the depth integral at the window end (delta 0).
-        noteQueueDepth(static_cast<int>(j), windowEnd_, 0);
-        out.perModuleUtilization[j] =
-            static_cast<double>(perModBusy_[j]) / cycles;
-        out.perModuleQueueDepthAvg[j] =
-            static_cast<double>(perModDepthArea_[j]) / cycles;
-    }
-    out.perModuleQueueDepthMax = perModDepthMax_;
 }
 
 // Flatten: inline the whole per-event helper chain into the driver
@@ -561,7 +469,7 @@ FastStatSystem::runLoop()
             next = compRing_[compHead_].due;
         if (!thinkHeap_.empty() && thinkHeap_.front().first < next)
             next = thinkHeap_.front().first;
-        if (next >= windowEnd_)
+        if (next >= collector_.windowEnd())
             break;
 
         const Tick now = next;
@@ -604,49 +512,28 @@ FastStatSystem::run()
     // flattened driver loop never touches the telemetry registry.
     telemetryAdd(TelemetryCounter::SimRuns, 1);
     telemetryAdd(TelemetryCounter::SimThinkDraws, thinkDraws_);
-    telemetryAdd(TelemetryCounter::SimRequestsIssued, issued_);
-    telemetryAdd(TelemetryCounter::SimRequestsCompleted, completed_);
 
     Metrics out;
-    out.measuredCycles = windowEnd_ - windowStart_;
-    out.completedRequests = completed_;
-    out.issuedRequests = issued_;
-    out.busBusyCycles = busBusy_;
-
-    const auto cycles = static_cast<double>(out.measuredCycles);
-    const auto pc = static_cast<double>(pc_);
-    out.ebw = static_cast<double>(completed_) * pc / cycles;
-    out.busUtilization = static_cast<double>(busBusy_) / cycles;
-    out.ebwFromBusUtilization = out.busUtilization * pc / 2.0;
-    out.meanModuleUtilization =
-        static_cast<double>(accessCycles_) /
-        (cycles * static_cast<double>(cfg_.numModules));
-    out.processorEfficiency =
-        out.ebw / static_cast<double>(cfg_.numProcessors);
+    collector_.finish(out);
 
     // Summarize the integer wait moments: mean = sum/n and
     // m2 = sumsq - sum^2/n (exact sums, so the subtraction is safe).
+    const std::uint64_t completed = out.completedRequests;
     Accumulator waitStats;
-    if (completed_ != 0) {
-        const auto n = static_cast<double>(completed_);
+    if (completed != 0) {
+        const auto n = static_cast<double>(completed);
         const double sum = static_cast<double>(waitSum_);
         const double sumsq = static_cast<double>(waitSumSq_);
         const double mean = sum / n;
         waitStats = Accumulator::fromMoments(
-            completed_, mean, sumsq - sum * mean,
+            completed, mean, sumsq - sum * mean,
             static_cast<double>(waitMin_),
             static_cast<double>(waitMax_));
     }
     out.meanWaitCycles = waitStats.mean();
     out.meanServiceCycles =
-        completed_ != 0 ? waitStats.mean() + pc : 0.0;
+        completed != 0 ? waitStats.mean() + static_cast<double>(pc_) : 0.0;
     out.waitStats = waitStats;
-    out.perProcessorCompletions = perProcCompleted_;
-    out.waitHistogram = waitHist_;
-    out.latencyWait = latWaitHist_;
-    out.latencyResidence = latResidenceHist_;
-    if (cfg_.collectPerModule)
-        finishPerModule(out);
     return out;
 }
 

@@ -4,9 +4,9 @@
  *
  * Simulates the same stochastic process as the exact CycleSkip kernel
  * (core/system.hh) - identical state machines, arbitration rules and
- * metric accounting - but deliberately breaks the shared-RNG
- * draw-order contract that pins CycleSkip to the classic kernel's
- * trajectories. What that buys:
+ * metric accounting (one shared RunCollector, core/collector.hh) - but
+ * deliberately breaks the shared-RNG draw-order contract that pins
+ * CycleSkip to the classic kernel's trajectories. What that buys:
  *
  *  - **O(1) think intervals.** Each processor owns a counter-based
  *    RNG stream (CounterRng, keyed by the config fingerprint and the
@@ -42,9 +42,9 @@
 #include <cstdint>
 #include <deque>
 #include <limits>
-#include <optional>
 #include <vector>
 
+#include "core/collector.hh"
 #include "core/config.hh"
 #include "core/metrics.hh"
 #include "util/index_set.hh"
@@ -134,14 +134,7 @@ class FastStatSystem
     void pushThinkWake(Tick due, int proc);
 
     // --- bookkeeping -------------------------------------------------
-    bool inWindow(Tick t) const
-    {
-        return t >= windowStart_ && t < windowEnd_;
-    }
     void recordCompletion(int proc, Tick grant_tick);
-    void recordAccessSpan(int module, Tick start, Tick end);
-    void noteQueueDepth(int module, Tick now, int delta);
-    void finishPerModule(Metrics &out);
 
     SystemConfig cfg_;
     WorkloadModel workload_;
@@ -200,14 +193,10 @@ class FastStatSystem
     std::vector<std::uint32_t> modCanAccept_;
     std::vector<std::uint32_t> modHasResponse_;
 
-    // Measurement window and counters.
-    Tick windowStart_ = 0;
-    Tick windowEnd_ = 0;
-    std::uint64_t busBusy_ = 0;
-    std::uint64_t completed_ = 0;
-    std::uint64_t issued_ = 0;
+    /** Passive measurement: window, counters, per-module and latency
+     *  collection (core/collector.hh). */
+    RunCollector collector_;
     std::uint64_t thinkDraws_ = 0;
-    std::uint64_t accessCycles_ = 0;
 
     /**
      * Wait-time moments, accumulated as exact integers (waits are
@@ -218,28 +207,6 @@ class FastStatSystem
     unsigned __int128 waitSumSq_ = 0;
     std::uint64_t waitMin_ = std::numeric_limits<std::uint64_t>::max();
     std::uint64_t waitMax_ = 0;
-
-    std::vector<std::uint64_t> perProcCompleted_;
-    std::optional<Histogram> waitHist_;
-
-    /**
-     * Latency distributions (cfg_.collectLatency), mirroring the
-     * exact kernel: procServiceStart_[p] is the tick module service
-     * began for p's outstanding request; recordCompletion feeds wait
-     * and residence histograms. Passive - no RNG, no trajectory
-     * change.
-     */
-    std::vector<Tick> procServiceStart_;
-    std::optional<Histogram> latWaitHist_;
-    std::optional<Histogram> latResidenceHist_;
-
-    /** Per-module accounting (cfg_.collectPerModule), mirroring the
-     *  exact kernel's passive busy/queue-depth integration. */
-    std::vector<std::uint64_t> perModBusy_;
-    std::vector<std::uint64_t> perModDepth_;
-    std::vector<std::uint64_t> perModDepthArea_;
-    std::vector<Tick> perModDepthSince_;
-    std::vector<std::uint64_t> perModDepthMax_;
 
     bool ran_ = false;
 };

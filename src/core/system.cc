@@ -27,7 +27,8 @@ SingleBusSystem::SingleBusSystem(const SystemConfig &config)
       // cfg_ precedes workload_ in declaration order; validate before
       // the workload model builds alias tables from the raw fields.
       workload_((cfg_.validate(), cfg_.workload), cfg_.numProcessors,
-                cfg_.numModules, cfg_.requestProbability)
+                cfg_.numModules, cfg_.requestProbability),
+      collector_(cfg_)
 {
     procs_.resize(cfg_.numProcessors);
 
@@ -43,15 +44,6 @@ SingleBusSystem::SingleBusSystem(const SystemConfig &config)
                            event_priority::kDecide, "bus-arbitrate");
     busCycleEvent_.bind(*this, &SingleBusSystem::onBusCycle, 0,
                         event_priority::kUpdate, "bus-cycle");
-
-    windowStart_ = cfg_.warmupCycles;
-    windowEnd_ = cfg_.warmupCycles + cfg_.measureCycles;
-    perProcCompleted_.assign(cfg_.numProcessors, 0);
-    if (cfg_.collectWaitHistogram) {
-        waitHist_.emplace(0.0,
-                          20.0 * static_cast<double>(cfg_.processorCycle()),
-                          200);
-    }
 
     // Pre-size every container the hot path touches so steady-state
     // simulation performs no allocations (asserted by the perf tests
@@ -72,22 +64,6 @@ SingleBusSystem::SingleBusSystem(const SystemConfig &config)
     modCanAccept_.assign(static_cast<std::size_t>(cfg_.numModules), 1);
     modHasResponse_.assign(static_cast<std::size_t>(cfg_.numModules),
                            0);
-
-    if (cfg_.collectPerModule) {
-        const auto m = static_cast<std::size_t>(cfg_.numModules);
-        perModBusy_.assign(m, 0);
-        perModDepth_.assign(m, 0);
-        perModDepthArea_.assign(m, 0);
-        perModDepthSince_.assign(m, 0);
-        perModDepthMax_.assign(m, 0);
-    }
-
-    if (cfg_.collectLatency) {
-        procServiceStart_.assign(
-            static_cast<std::size_t>(cfg_.numProcessors), 0);
-        latWaitHist_.emplace(makeLatencyHistogram());
-        latResidenceHist_.emplace(makeLatencyHistogram());
-    }
 }
 
 std::vector<std::size_t>
@@ -96,11 +72,7 @@ SingleBusSystem::scratchCapacities() const
     std::vector<std::size_t> caps;
     for (const auto &bucket : thinkBuckets_)
         caps.push_back(bucket.capacity());
-    caps.push_back(perModBusy_.capacity());
-    caps.push_back(perModDepth_.capacity());
-    caps.push_back(perModDepthArea_.capacity());
-    caps.push_back(perModDepthSince_.capacity());
-    caps.push_back(perModDepthMax_.capacity());
+    collector_.appendCapacities(caps);
     return caps;
 }
 
@@ -195,11 +167,8 @@ SingleBusSystem::drawProcessor(int proc, Tick now)
                                traceText("proc ", proc, " issues to module ",
                                          p.target));
         }
-        if (inWindow(now))
-            ++issued_;
+        collector_.issue(p.target, now);
         procBecomesWaiting(proc, p.target);
-        if (cfg_.collectPerModule)
-            noteQueueDepth(p.target, now, +1);
         if (modCanAccept_[p.target])
             requestArbitration(now);
         return true;
@@ -340,7 +309,7 @@ SingleBusSystem::memoryCompletion(int module)
         sbn_assert(mod.state == ModState::Accessing,
                    "completion on non-accessing module");
         mod.state = ModState::HoldingResponse;
-        recordAccessSpan(module, mod.accessStart, now);
+        collector_.accessSpan(module, mod.accessStart, now);
         refreshModule(module);
         requestArbitration(now);
         return;
@@ -349,7 +318,7 @@ SingleBusSystem::memoryCompletion(int module)
     mod.outputQueue.push_back(Response{mod.servingProc, now});
     mod.accessing = false;
     mod.servingProc = -1;
-    recordAccessSpan(module, mod.accessStart, now);
+    collector_.accessSpan(module, mod.accessStart, now);
     refreshModule(module);
     maybeStartBufferedAccess(module);
     requestArbitration(now);
@@ -370,11 +339,8 @@ SingleBusSystem::maybeStartBufferedAccess(int module)
     mod.inputQueue.pop_front();
     mod.accessing = true;
     mod.accessStart = now;
-    if (cfg_.collectLatency)
-        procServiceStart_[static_cast<std::size_t>(mod.servingProc)] =
-            now;
-    if (cfg_.collectPerModule)
-        noteQueueDepth(module, now, -1);
+    collector_.serviceStart(mod.servingProc, now);
+    collector_.dequeue(module, now);
     if (cfg_.trace) {
         cfg_.trace->record(now, "mem",
                            traceText("module ", module,
@@ -403,9 +369,7 @@ SingleBusSystem::transferDone()
             mod.state = ModState::Accessing;
             mod.servingProc = xfer.proc;
             mod.accessStart = now;
-            if (cfg_.collectLatency)
-                procServiceStart_[static_cast<std::size_t>(xfer.proc)] =
-                    now;
+            collector_.serviceStart(xfer.proc, now);
             if (cfg_.trace) {
                 cfg_.trace->record(now, "mem",
                                    traceText("module ", xfer.module,
@@ -542,8 +506,7 @@ SingleBusSystem::arbitrate()
     else
         grantResponse(chosen_mod);
 
-    if (inWindow(now))
-        ++busBusy_;
+    collector_.busGrant(now);
     // One coalesced event replaces the transfer-done/arbitrate pair:
     // the bus stays busy through the next cycle either way.
     sim_.queue().schedule(busCycleEvent_, now + 1);
@@ -566,8 +529,7 @@ SingleBusSystem::grantRequest(int proc)
         mod.state = ModState::RequestInFlight;
         // The request leaves the queue for the (dedicated) server;
         // buffered grants stay queued until the module starts them.
-        if (cfg_.collectPerModule)
-            noteQueueDepth(p.target, sim_.now(), -1);
+        collector_.dequeue(p.target, sim_.now());
     } else {
         ++mod.reservedInput;
     }
@@ -614,77 +576,12 @@ SingleBusSystem::grantResponse(int module)
 void
 SingleBusSystem::recordCompletion(int proc, Tick grant_tick)
 {
-    if (!inWindow(grant_tick))
+    const Tick issue = procs_[proc].issueTick;
+    if (!collector_.completion(proc, issue, grant_tick))
         return;
-    ++completed_;
-    ++perProcCompleted_[proc];
-    const Tick delivery = grant_tick + 1;
-    const double service =
-        static_cast<double>(delivery - procs_[proc].issueTick);
-    const double wait =
-        service - static_cast<double>(cfg_.processorCycle());
+    const double service = static_cast<double>(grant_tick + 1 - issue);
     serviceStats_.add(service);
-    waitStats_.add(wait);
-    if (waitHist_)
-        waitHist_->add(wait);
-    if (latWaitHist_) {
-        latWaitHist_->add(static_cast<double>(
-            procServiceStart_[static_cast<std::size_t>(proc)] -
-            procs_[proc].issueTick));
-        latResidenceHist_->add(
-            static_cast<double>(delivery - procs_[proc].issueTick));
-    }
-}
-
-void
-SingleBusSystem::recordAccessSpan(int module, Tick start, Tick end)
-{
-    const Tick lo = std::max(start, windowStart_);
-    const Tick hi = std::min(end, windowEnd_);
-    if (hi > lo) {
-        accessCycles_ += static_cast<double>(hi - lo);
-        if (cfg_.collectPerModule)
-            perModBusy_[static_cast<std::size_t>(module)] +=
-                static_cast<std::uint64_t>(hi - lo);
-    }
-}
-
-void
-SingleBusSystem::noteQueueDepth(int module, Tick now, int delta)
-{
-    const auto idx = static_cast<std::size_t>(module);
-    const Tick lo = std::max(perModDepthSince_[idx], windowStart_);
-    const Tick hi = std::min(now, windowEnd_);
-    if (hi > lo) {
-        perModDepthArea_[idx] +=
-            perModDepth_[idx] * static_cast<std::uint64_t>(hi - lo);
-        if (perModDepth_[idx] > perModDepthMax_[idx])
-            perModDepthMax_[idx] = perModDepth_[idx];
-    }
-    const auto next =
-        static_cast<std::int64_t>(perModDepth_[idx]) + delta;
-    sbn_debug_assert(next >= 0, "module queue depth went negative");
-    perModDepth_[idx] = static_cast<std::uint64_t>(next);
-    perModDepthSince_[idx] = now;
-}
-
-void
-SingleBusSystem::finishPerModule(Metrics &out)
-{
-    const auto m = static_cast<std::size_t>(cfg_.numModules);
-    const auto cycles = static_cast<double>(out.measuredCycles);
-    out.perModuleBusyCycles = perModBusy_;
-    out.perModuleUtilization.resize(m);
-    out.perModuleQueueDepthAvg.resize(m);
-    for (std::size_t j = 0; j < m; ++j) {
-        // Close the depth integral at the window end (delta 0).
-        noteQueueDepth(static_cast<int>(j), windowEnd_, 0);
-        out.perModuleUtilization[j] =
-            static_cast<double>(perModBusy_[j]) / cycles;
-        out.perModuleQueueDepthAvg[j] =
-            static_cast<double>(perModDepthArea_[j]) / cycles;
-    }
-    out.perModuleQueueDepthMax = perModDepthMax_;
+    waitStats_.add(service - static_cast<double>(cfg_.processorCycle()));
 }
 
 void
@@ -713,7 +610,7 @@ SingleBusSystem::runCycleSkip()
     while (true) {
         const Tick tc = thinkingCount_ > 0 ? thinkNextDue_ : kNever;
         const Tick next = std::min(tc, te);
-        if (next >= windowEnd_)
+        if (next >= collector_.windowEnd())
             break;
         if (tc <= te) {
             const std::uint64_t live = queue.size();
@@ -746,33 +643,12 @@ SingleBusSystem::run()
                  sim_.queue().executed());
     telemetryAdd(TelemetryCounter::SimCalendarDrains, calendarDrains_);
     telemetryAdd(TelemetryCounter::SimThinkDraws, thinkDraws_);
-    telemetryAdd(TelemetryCounter::SimRequestsIssued, issued_);
-    telemetryAdd(TelemetryCounter::SimRequestsCompleted, completed_);
 
     Metrics out;
-    out.measuredCycles = windowEnd_ - windowStart_;
-    out.completedRequests = completed_;
-    out.issuedRequests = issued_;
-    out.busBusyCycles = busBusy_;
-
-    const auto cycles = static_cast<double>(out.measuredCycles);
-    const auto pc = static_cast<double>(cfg_.processorCycle());
-    out.ebw = static_cast<double>(completed_) * pc / cycles;
-    out.busUtilization = static_cast<double>(busBusy_) / cycles;
-    out.ebwFromBusUtilization = out.busUtilization * pc / 2.0;
-    out.meanModuleUtilization =
-        accessCycles_ / (cycles * static_cast<double>(cfg_.numModules));
-    out.processorEfficiency =
-        out.ebw / static_cast<double>(cfg_.numProcessors);
+    collector_.finish(out);
     out.meanWaitCycles = waitStats_.mean();
     out.meanServiceCycles = serviceStats_.mean();
     out.waitStats = waitStats_;
-    out.perProcessorCompletions = perProcCompleted_;
-    out.waitHistogram = waitHist_;
-    out.latencyWait = latWaitHist_;
-    out.latencyResidence = latResidenceHist_;
-    if (cfg_.collectPerModule)
-        finishPerModule(out);
     return out;
 }
 

@@ -43,6 +43,7 @@
 #include <deque>
 #include <vector>
 
+#include "core/collector.hh"
 #include "core/config.hh"
 #include "core/metrics.hh"
 #include "desim/simulation.hh"
@@ -184,14 +185,7 @@ class SingleBusSystem
     void selectIncremental(int &chosen_proc, int &chosen_mod);
 
     // --- bookkeeping --------------------------------------------------
-    bool inWindow(Tick t) const
-    {
-        return t >= windowStart_ && t < windowEnd_;
-    }
     void recordCompletion(int proc, Tick grant_tick);
-    void recordAccessSpan(int module, Tick start, Tick end);
-    void noteQueueDepth(int module, Tick now, int delta);
-    void finishPerModule(Metrics &out);
 
     SystemConfig cfg_;
     Simulation sim_;
@@ -251,43 +245,14 @@ class SingleBusSystem
     std::vector<char> modCanAccept_;   //!< cached acceptance flags
     std::vector<char> modHasResponse_; //!< cached response flags
 
-    // Measurement window and counters.
-    Tick windowStart_ = 0;
-    Tick windowEnd_ = 0;
-    std::uint64_t busBusy_ = 0;
-    std::uint64_t completed_ = 0;
-    std::uint64_t issued_ = 0;
+    /** Passive measurement: window, counters, per-module and latency
+     *  collection (core/collector.hh). */
+    RunCollector collector_;
     std::uint64_t calendarDrains_ = 0;
-    double accessCycles_ = 0.0;
 
-    /**
-     * Per-module accounting (cfg_.collectPerModule; otherwise the
-     * vectors stay empty and untouched). Busy ticks plus
-     * change-driven time-weighted queue-depth integration: every
-     * depth change accrues depth x (window-clipped span since the
-     * last change). Purely passive - no RNG, no trajectory change.
-     */
-    std::vector<std::uint64_t> perModBusy_;
-    std::vector<std::uint64_t> perModDepth_;
-    std::vector<std::uint64_t> perModDepthArea_;
-    std::vector<Tick> perModDepthSince_;
-    std::vector<std::uint64_t> perModDepthMax_;
+    /** Wait-time moments (kept per kernel; see core/collector.hh). */
     Accumulator waitStats_;
     Accumulator serviceStats_;
-    std::vector<std::uint64_t> perProcCompleted_;
-    std::optional<Histogram> waitHist_;
-
-    /**
-     * Latency distributions (cfg_.collectLatency; otherwise the
-     * optionals stay empty and procServiceStart_ is untouched).
-     * procServiceStart_[p] is the tick module service began for p's
-     * outstanding request; recordCompletion folds wait (service start
-     * - issue) and residence (delivery - issue) into the histograms.
-     * Purely passive - no RNG, no trajectory change.
-     */
-    std::vector<Tick> procServiceStart_;
-    std::optional<Histogram> latWaitHist_;
-    std::optional<Histogram> latResidenceHist_;
 
     bool ran_ = false;
 };

@@ -11,28 +11,19 @@
 namespace sbn {
 
 Histogram::Histogram(double lo, double hi, std::size_t bins)
-    : Histogram(HistogramScale::Linear, lo, hi, bins)
-{
-}
-
-Histogram::Histogram(HistogramScale scale, double lo, double hi,
-                     std::size_t bins)
-    : scale_(scale), lo_(lo), hi_(hi),
-      width_((hi - lo) / static_cast<double>(bins)), bins_(bins, 0)
+    : lo_(lo), hi_(hi), bins_(bins, 0)
 {
     sbn_assert(hi > lo, "histogram range must be non-empty");
     sbn_assert(bins >= 1, "histogram needs at least one bin");
-    if (scale_ == HistogramScale::Log) {
-        sbn_assert(lo > 0.0, "log-scale histogram requires lo > 0");
-        logLo_ = std::log(lo_);
-        logStep_ = (std::log(hi_) - logLo_) / static_cast<double>(bins);
-    }
+    sbn_assert(lo > 0.0, "histogram requires lo > 0");
+    logLo_ = std::log(lo_);
+    logStep_ = (std::log(hi_) - logLo_) / static_cast<double>(bins);
 }
 
 Histogram
 Histogram::logScale(double lo, double hi, std::size_t bins)
 {
-    return Histogram(HistogramScale::Log, lo, hi, bins);
+    return Histogram(lo, hi, bins);
 }
 
 void
@@ -46,15 +37,11 @@ Histogram::add(double sample)
         ++underflow_;
     } else if (sample >= hi_) {
         ++overflow_;
-    } else if (scale_ == HistogramScale::Log) {
+    } else {
         // Rounding in log() can push a sample fractionally across a
         // bin edge but never outside [0, bins): clamp both ends.
         const double t = (std::log(sample) - logLo_) / logStep_;
         auto idx = static_cast<std::size_t>(std::max(t, 0.0));
-        idx = std::min(idx, bins_.size() - 1);
-        ++bins_[idx];
-    } else {
-        auto idx = static_cast<std::size_t>((sample - lo_) / width_);
         idx = std::min(idx, bins_.size() - 1);
         ++bins_[idx];
     }
@@ -69,9 +56,7 @@ Histogram::mean() const
 double
 Histogram::binLow(std::size_t i) const
 {
-    if (scale_ == HistogramScale::Log)
-        return std::exp(logLo_ + logStep_ * static_cast<double>(i));
-    return lo_ + width_ * static_cast<double>(i);
+    return std::exp(logLo_ + logStep_ * static_cast<double>(i));
 }
 
 double
@@ -104,8 +89,8 @@ Histogram::quantile(double q) const
 bool
 Histogram::compatibleWith(const Histogram &other) const
 {
-    return scale_ == other.scale_ && lo_ == other.lo_ &&
-           hi_ == other.hi_ && bins_.size() == other.bins_.size();
+    return lo_ == other.lo_ && hi_ == other.hi_ &&
+           bins_.size() == other.bins_.size();
 }
 
 void
@@ -113,12 +98,9 @@ Histogram::merge(const Histogram &other)
 {
     if (!compatibleWith(other)) {
         sbn_fatal("histogram merge with incompatible bin layout: ",
-                  "[", lo_, ", ", hi_, ") x", bins_.size(),
-                  (scale_ == HistogramScale::Log ? " log" : " linear"),
-                  " vs [", other.lo_, ", ", other.hi_, ") x",
-                  other.bins_.size(),
-                  (other.scale_ == HistogramScale::Log ? " log"
-                                                       : " linear"));
+                  "[", lo_, ", ", hi_, ") x", bins_.size(), " vs [",
+                  other.lo_, ", ", other.hi_, ") x",
+                  other.bins_.size());
     }
     for (std::size_t i = 0; i < bins_.size(); ++i)
         bins_[i] += other.bins_[i];
@@ -165,9 +147,8 @@ std::string
 Histogram::renderFlatJson() const
 {
     std::ostringstream os;
-    os << "{\"type\":\"sbn.hist.v1\",\"scale\":\""
-       << (scale_ == HistogramScale::Log ? "log" : "linear")
-       << "\",\"lo\":" << formatExactDouble(lo_)
+    os << "{\"type\":\"sbn.hist.v1\",\"scale\":\"log\",\"lo\":"
+       << formatExactDouble(lo_)
        << ",\"hi\":" << formatExactDouble(hi_)
        << ",\"bins\":" << bins_.size() << ",\"count\":" << count_
        << ",\"underflow\":" << underflow_

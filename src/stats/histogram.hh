@@ -12,17 +12,11 @@
 
 namespace sbn {
 
-/** How a Histogram spaces its bin edges over [lo, hi). */
-enum class HistogramScale
-{
-    Linear, //!< uniform bin width (hi - lo) / bins
-    Log,    //!< geometric bins: edge i = lo * (hi/lo)^(i/bins)
-};
-
 /**
- * Histogram over [lo, hi) with uniform or logarithmic bins plus
- * underflow/overflow counters. Also tracks exact mean via a running
- * sum so the histogram can double as a summary statistic.
+ * Histogram over [lo, hi) with geometrically spaced bins (edge i =
+ * lo * (hi/lo)^(i/bins)) plus underflow/overflow counters. Also
+ * tracks exact mean via a running sum so the histogram can double as
+ * a summary statistic.
  *
  * Bin counts and the sample count are integers, and the running sum
  * of integer-valued samples is exact in a double far past any
@@ -35,14 +29,7 @@ class Histogram
 {
   public:
     /**
-     * @param lo    inclusive lower bound of the tracked range
-     * @param hi    exclusive upper bound
-     * @param bins  number of uniform bins (>= 1)
-     */
-    Histogram(double lo, double hi, std::size_t bins);
-
-    /**
-     * A histogram with @p bins geometrically spaced bins over
+     * A histogram with @p bins (>= 1) geometrically spaced bins over
      * [lo, hi); requires 0 < lo < hi. Samples below lo (e.g. a
      * zero-cycle wait when lo is one cycle) land in underflow.
      */
@@ -66,9 +53,6 @@ class Histogram
     /** Inclusive lower edge of bin i. */
     double binLow(std::size_t i) const;
 
-    /** Bin-edge spacing rule. */
-    HistogramScale scale() const { return scale_; }
-
     /** Tracked range. */
     double lo() const { return lo_; }
     double hi() const { return hi_; }
@@ -88,8 +72,8 @@ class Histogram
      */
     double quantile(double q) const;
 
-    /** True if @p other has the identical bin layout (scale, range,
-     *  bin count), i.e. the two may be merged. */
+    /** True if @p other has the identical bin layout (range and bin
+     *  count), i.e. the two may be merged. */
     bool compatibleWith(const Histogram &other) const;
 
     /**
@@ -115,12 +99,10 @@ class Histogram
     void reset();
 
   private:
-    Histogram(HistogramScale scale, double lo, double hi,
-              std::size_t bins);
+    Histogram(double lo, double hi, std::size_t bins);
 
-    HistogramScale scale_;
-    double lo_, hi_, width_;
-    double logLo_ = 0.0, logStep_ = 0.0; //!< cached for Log scale
+    double lo_, hi_;
+    double logLo_, logStep_; //!< cached bin-lookup terms
     std::vector<std::uint64_t> bins_;
     std::uint64_t underflow_ = 0;
     std::uint64_t overflow_ = 0;

@@ -49,46 +49,107 @@ replicationConfigs(const SystemConfig &base, std::size_t count)
     return configs;
 }
 
+/** Every Metrics field neither collection flag owns, bit for bit. */
+void
+expectSameUncollectedFields(const Metrics &a, const Metrics &b)
+{
+    EXPECT_EQ(a.measuredCycles, b.measuredCycles);
+    EXPECT_EQ(a.completedRequests, b.completedRequests);
+    EXPECT_EQ(a.issuedRequests, b.issuedRequests);
+    EXPECT_EQ(a.busBusyCycles, b.busBusyCycles);
+    EXPECT_EQ(a.ebw, b.ebw);
+    EXPECT_EQ(a.ebwFromBusUtilization, b.ebwFromBusUtilization);
+    EXPECT_EQ(a.busUtilization, b.busUtilization);
+    EXPECT_EQ(a.meanModuleUtilization, b.meanModuleUtilization);
+    EXPECT_EQ(a.processorEfficiency, b.processorEfficiency);
+    EXPECT_EQ(a.meanWaitCycles, b.meanWaitCycles);
+    EXPECT_EQ(a.meanServiceCycles, b.meanServiceCycles);
+    EXPECT_EQ(a.waitStats.count(), b.waitStats.count());
+    EXPECT_EQ(a.waitStats.mean(), b.waitStats.mean());
+    EXPECT_EQ(a.waitStats.variance(), b.waitStats.variance());
+    EXPECT_EQ(a.waitStats.min(), b.waitStats.min());
+    EXPECT_EQ(a.waitStats.max(), b.waitStats.max());
+    EXPECT_EQ(a.perProcessorCompletions, b.perProcessorCompletions);
+}
+
 TEST(Latency, CollectionIsPassive)
 {
-    // Enabling collectLatency must not perturb the simulation: every
-    // other metric is bit-identical with and without it, in both
-    // kernels.
+    // Enabling collectLatency, collectPerModule or both must not
+    // perturb the simulation: every other field is bit-identical to a
+    // collection-off run, in both kernels and both organizations, and
+    // neither flag changes what the other collects.
     for (KernelKind kernel :
          {KernelKind::CycleSkip, KernelKind::FastStat}) {
-        SystemConfig off = saturatedConfig();
-        off.kernel = kernel;
-        off.collectLatency = false;
-        SystemConfig on = off;
-        on.collectLatency = true;
+        for (bool buffered : {false, true}) {
+            SystemConfig off = saturatedConfig();
+            off.kernel = kernel;
+            off.buffered = buffered;
+            off.collectLatency = false;
+            const Metrics base = runOnce(off);
+            EXPECT_FALSE(base.latencyWait.has_value());
+            EXPECT_FALSE(base.latencyResidence.has_value());
+            EXPECT_TRUE(base.perModuleBusyCycles.empty());
 
-        const Metrics a = runOnce(off);
-        const Metrics b = runOnce(on);
-        EXPECT_EQ(a.ebw, b.ebw);
-        EXPECT_EQ(a.completedRequests, b.completedRequests);
-        EXPECT_EQ(a.meanWaitCycles, b.meanWaitCycles);
-        EXPECT_EQ(a.meanServiceCycles, b.meanServiceCycles);
-        EXPECT_FALSE(a.latencyWait.has_value());
-        ASSERT_TRUE(b.latencyWait.has_value());
-        ASSERT_TRUE(b.latencyResidence.has_value());
-        EXPECT_GT(b.latencyWait->count(), 0u);
+            std::vector<Metrics> on;
+            for (int flags : {1, 2, 3}) {
+                SystemConfig cfg = off;
+                cfg.collectLatency = (flags & 1) != 0;
+                cfg.collectPerModule = (flags & 2) != 0;
+                SCOPED_TRACE(::testing::Message()
+                             << "kernel=" << static_cast<int>(kernel)
+                             << " buffered=" << buffered
+                             << " latency=" << cfg.collectLatency
+                             << " perModule=" << cfg.collectPerModule);
+                on.push_back(runOnce(cfg));
+                const Metrics &m = on.back();
+                expectSameUncollectedFields(base, m);
+                ASSERT_EQ(m.latencyWait.has_value(), cfg.collectLatency);
+                ASSERT_EQ(m.latencyResidence.has_value(),
+                          cfg.collectLatency);
+                EXPECT_EQ(m.perModuleBusyCycles.size(),
+                          cfg.collectPerModule ? 4u : 0u);
+                if (cfg.collectLatency) {
+                    EXPECT_GT(m.latencyWait->count(), 0u);
+                }
+            }
+            // Both flags together collect exactly what each collects
+            // alone.
+            const Metrics &latency = on[0];
+            const Metrics &perModule = on[1];
+            const Metrics &both = on[2];
+            EXPECT_EQ(both.latencyWait->renderFlatJson(),
+                      latency.latencyWait->renderFlatJson());
+            EXPECT_EQ(both.latencyResidence->renderFlatJson(),
+                      latency.latencyResidence->renderFlatJson());
+            EXPECT_EQ(both.perModuleBusyCycles,
+                      perModule.perModuleBusyCycles);
+            EXPECT_EQ(both.perModuleQueueDepthAvg,
+                      perModule.perModuleQueueDepthAvg);
+            EXPECT_EQ(both.perModuleQueueDepthMax,
+                      perModule.perModuleQueueDepthMax);
+        }
     }
 }
 
 TEST(Latency, ResidenceHistogramMatchesServiceStats)
 {
     // Residence samples (issue -> delivery) are the same multiset as
-    // the service-time accumulator, so the histogram's exact mean
+    // the service-time statistics, so the histogram's exact mean
     // reproduces meanServiceCycles, and the wait histogram (issue ->
-    // service start) sits strictly inside it.
-    const Metrics m = runOnce(saturatedConfig());
-    ASSERT_TRUE(m.latencyResidence.has_value());
-    ASSERT_TRUE(m.latencyWait.has_value());
-    EXPECT_EQ(m.latencyResidence->count(), m.completedRequests);
-    EXPECT_EQ(m.latencyWait->count(), m.completedRequests);
-    EXPECT_NEAR(m.latencyResidence->mean(), m.meanServiceCycles,
-                1e-9 * m.meanServiceCycles);
-    EXPECT_LT(m.latencyWait->mean(), m.latencyResidence->mean());
+    // service start) sits strictly inside it - in both kernels.
+    for (KernelKind kernel :
+         {KernelKind::CycleSkip, KernelKind::FastStat}) {
+        SystemConfig cfg = saturatedConfig();
+        cfg.kernel = kernel;
+        const Metrics m = runOnce(cfg);
+        ASSERT_TRUE(m.latencyResidence.has_value());
+        ASSERT_TRUE(m.latencyWait.has_value());
+        EXPECT_EQ(m.latencyResidence->count(), m.completedRequests);
+        EXPECT_EQ(m.latencyWait->count(), m.completedRequests);
+        EXPECT_NEAR(m.latencyResidence->mean(), m.meanServiceCycles,
+                    1e-9 * m.meanServiceCycles);
+        EXPECT_LT(m.latencyWait->mean(), m.latencyResidence->mean());
+    }
 }
 
 TEST(Latency, FlatJsonByteIdenticalAcrossThreads)

@@ -92,40 +92,47 @@ TEST(GoldenPerModule, CycleSkipPinnedGrid)
 /**
  * The breakdown is additive: enabling it must not change any other
  * field (same RNG stream, same grant decisions), and with it off the
- * vectors stay empty.
+ * vectors stay empty - in both kernels.
  */
 TEST(PerModule, EnablingChangesNoOtherField)
 {
-    for (const bool buffered : {false, true}) {
-        SystemConfig cfg;
-        cfg.numProcessors = 6;
-        cfg.numModules = 4;
-        cfg.memoryRatio = 4;
-        cfg.requestProbability = 0.7;
-        cfg.buffered = buffered;
-        cfg.warmupCycles = 500;
-        cfg.measureCycles = 20000;
-        cfg.seed = 99;
+    for (const KernelKind kernel :
+         {KernelKind::CycleSkip, KernelKind::FastStat}) {
+        for (const bool buffered : {false, true}) {
+            SCOPED_TRACE(::testing::Message()
+                         << "kernel=" << static_cast<int>(kernel)
+                         << " buffered=" << buffered);
+            SystemConfig cfg;
+            cfg.kernel = kernel;
+            cfg.numProcessors = 6;
+            cfg.numModules = 4;
+            cfg.memoryRatio = 4;
+            cfg.requestProbability = 0.7;
+            cfg.buffered = buffered;
+            cfg.warmupCycles = 500;
+            cfg.measureCycles = 20000;
+            cfg.seed = 99;
 
-        const Metrics off = runOnce(cfg);
-        EXPECT_TRUE(off.perModuleBusyCycles.empty());
-        EXPECT_TRUE(off.perModuleUtilization.empty());
-        EXPECT_TRUE(off.perModuleQueueDepthAvg.empty());
-        EXPECT_TRUE(off.perModuleQueueDepthMax.empty());
+            const Metrics off = runOnce(cfg);
+            EXPECT_TRUE(off.perModuleBusyCycles.empty());
+            EXPECT_TRUE(off.perModuleUtilization.empty());
+            EXPECT_TRUE(off.perModuleQueueDepthAvg.empty());
+            EXPECT_TRUE(off.perModuleQueueDepthMax.empty());
 
-        cfg.collectPerModule = true;
-        const Metrics on = runOnce(cfg);
-        EXPECT_EQ(on.completedRequests, off.completedRequests);
-        EXPECT_EQ(on.issuedRequests, off.issuedRequests);
-        EXPECT_EQ(on.busBusyCycles, off.busBusyCycles);
-        EXPECT_EQ(on.ebw, off.ebw);
-        EXPECT_EQ(on.meanWaitCycles, off.meanWaitCycles);
-        EXPECT_EQ(on.meanServiceCycles, off.meanServiceCycles);
-        EXPECT_EQ(on.meanModuleUtilization, off.meanModuleUtilization);
-        ASSERT_EQ(on.perModuleBusyCycles.size(), 4u);
-        ASSERT_EQ(on.perModuleUtilization.size(), 4u);
-        ASSERT_EQ(on.perModuleQueueDepthAvg.size(), 4u);
-        ASSERT_EQ(on.perModuleQueueDepthMax.size(), 4u);
+            cfg.collectPerModule = true;
+            const Metrics on = runOnce(cfg);
+            EXPECT_EQ(on.completedRequests, off.completedRequests);
+            EXPECT_EQ(on.issuedRequests, off.issuedRequests);
+            EXPECT_EQ(on.busBusyCycles, off.busBusyCycles);
+            EXPECT_EQ(on.ebw, off.ebw);
+            EXPECT_EQ(on.meanWaitCycles, off.meanWaitCycles);
+            EXPECT_EQ(on.meanServiceCycles, off.meanServiceCycles);
+            EXPECT_EQ(on.meanModuleUtilization, off.meanModuleUtilization);
+            ASSERT_EQ(on.perModuleBusyCycles.size(), 4u);
+            ASSERT_EQ(on.perModuleUtilization.size(), 4u);
+            ASSERT_EQ(on.perModuleQueueDepthAvg.size(), 4u);
+            ASSERT_EQ(on.perModuleQueueDepthMax.size(), 4u);
+        }
     }
 }
 

@@ -809,9 +809,15 @@ TEST(Fingerprint, DistinguishesResultDeterminingFields)
     changed.workload.slowProbability = 0.1;
     EXPECT_NE(configFingerprint(changed), fp);
 
-    // Presentation-only fields are excluded.
+    // Passive collection flags are excluded. FastStat keys its RNG
+    // streams on this fingerprint, so folding either flag in would
+    // silently change FastStat's trajectory whenever collection is on.
     changed = base;
-    changed.collectWaitHistogram = true;
+    changed.collectPerModule = true;
+    EXPECT_EQ(configFingerprint(changed), fp);
+
+    changed = base;
+    changed.collectLatency = true;
     EXPECT_EQ(configFingerprint(changed), fp);
 
     EXPECT_TRUE(formatFingerprint(fp).rfind("0x", 0) == 0);

@@ -139,27 +139,11 @@ TEST(BatchMeans, PartialBatchIgnored)
     EXPECT_EQ(bm.batches(), 0u);
 }
 
-TEST(Histogram, BinningAndCounts)
-{
-    Histogram h(0.0, 10.0, 10);
-    for (double v : {0.0, 0.5, 1.0, 5.5, 9.99})
-        h.add(v);
-    h.add(-1.0);  // underflow
-    h.add(10.0);  // overflow (hi is exclusive)
-    h.add(100.0); // overflow
-
-    EXPECT_EQ(h.count(), 8u);
-    EXPECT_EQ(h.binCount(0), 2u);
-    EXPECT_EQ(h.binCount(1), 1u);
-    EXPECT_EQ(h.binCount(5), 1u);
-    EXPECT_EQ(h.binCount(9), 1u);
-    EXPECT_EQ(h.underflow(), 1u);
-    EXPECT_EQ(h.overflow(), 2u);
-}
-
 TEST(Histogram, MeanTracksAllSamples)
 {
-    Histogram h(0.0, 1.0, 4);
+    // Underflow, in-range and overflow samples all count toward the
+    // exact running mean.
+    Histogram h = Histogram::logScale(1.0, 2.0, 4);
     h.add(0.5);
     h.add(1.5);
     h.add(2.5);
@@ -168,25 +152,30 @@ TEST(Histogram, MeanTracksAllSamples)
 
 TEST(Histogram, QuantileMonotone)
 {
-    Histogram h(0.0, 100.0, 100);
+    Histogram h = Histogram::logScale(1.0, 128.0, 140);
     RandomGenerator rng(123);
     for (int i = 0; i < 10000; ++i)
-        h.add(rng.uniformReal() * 100.0);
+        h.add(1.0 + rng.uniformReal() * 100.0);
     const double q25 = h.quantile(0.25);
     const double q50 = h.quantile(0.50);
     const double q90 = h.quantile(0.90);
     EXPECT_LE(q25, q50);
     EXPECT_LE(q50, q90);
-    EXPECT_NEAR(q50, 50.0, 3.0);
+    EXPECT_NEAR(q50, 51.0, 3.0);
 }
 
 TEST(Histogram, ResetClears)
 {
-    Histogram h(0.0, 1.0, 2);
-    h.add(0.3);
+    Histogram h = Histogram::logScale(1.0, 2.0, 2);
+    h.add(0.5);
+    h.add(1.3);
+    h.add(2.0);
     h.reset();
     EXPECT_EQ(h.count(), 0u);
     EXPECT_EQ(h.binCount(0), 0u);
+    EXPECT_EQ(h.underflow(), 0u);
+    EXPECT_EQ(h.overflow(), 0u);
+    EXPECT_TRUE(std::isnan(h.maxSample()));
 }
 
 TEST(Histogram, LogScaleBinsArePowers)
@@ -217,7 +206,7 @@ TEST(Histogram, LogScaleBinsArePowers)
 
 TEST(Histogram, QuantileOfEmptyIsNaN)
 {
-    const Histogram h(0.0, 1.0, 4);
+    const Histogram h = Histogram::logScale(1.0, 2.0, 4);
     EXPECT_TRUE(std::isnan(h.quantile(0.0)));
     EXPECT_TRUE(std::isnan(h.quantile(0.5)));
     EXPECT_TRUE(std::isnan(h.quantile(1.0)));
@@ -229,13 +218,13 @@ TEST(Histogram, QuantileSaturatesAtRangeEnds)
     // All mass in overflow: every quantile resolves to hi (the
     // histogram cannot see past its range). All mass in underflow
     // resolves to lo symmetrically.
-    Histogram over(0.0, 10.0, 10);
+    Histogram over = Histogram::logScale(1.0, 10.0, 10);
     over.add(50.0);
     over.add(99.0);
     EXPECT_DOUBLE_EQ(over.quantile(0.5), 10.0);
     EXPECT_DOUBLE_EQ(over.quantile(1.0), 10.0);
 
-    Histogram under(1.0, 10.0, 10);
+    Histogram under = Histogram::logScale(1.0, 10.0, 10);
     under.add(0.25);
     under.add(0.5);
     EXPECT_DOUBLE_EQ(under.quantile(0.5), 1.0);
@@ -269,17 +258,17 @@ TEST(Histogram, MergeMatchesSequentialFill)
 
 TEST(Histogram, MergeWithEmptyKeepsStats)
 {
-    Histogram h(0.0, 10.0, 5);
+    Histogram h = Histogram::logScale(1.0, 10.0, 5);
     h.add(3.0);
     h.add(7.0);
     const std::string before = h.renderFlatJson();
 
-    const Histogram empty(0.0, 10.0, 5);
+    const Histogram empty = Histogram::logScale(1.0, 10.0, 5);
     h.merge(empty);
     EXPECT_EQ(h.renderFlatJson(), before);
     EXPECT_DOUBLE_EQ(h.maxSample(), 7.0);
 
-    Histogram fresh(0.0, 10.0, 5);
+    Histogram fresh = Histogram::logScale(1.0, 10.0, 5);
     fresh.merge(h);
     EXPECT_EQ(fresh.renderFlatJson(), before);
     EXPECT_DOUBLE_EQ(fresh.maxSample(), 7.0);
@@ -287,13 +276,12 @@ TEST(Histogram, MergeWithEmptyKeepsStats)
 
 TEST(Histogram, MergeIncompatibleLayoutDies)
 {
-    Histogram linear(0.0, 10.0, 10);
-    Histogram shifted(0.0, 20.0, 10);
-    EXPECT_DEATH(linear.merge(shifted), "incompatible bin layout");
+    Histogram base = Histogram::logScale(1.0, 10.0, 10);
+    Histogram widerRange = Histogram::logScale(1.0, 20.0, 10);
+    EXPECT_DEATH(base.merge(widerRange), "incompatible bin layout");
 
-    Histogram log = Histogram::logScale(1.0, 10.0, 10);
-    Histogram sameEdgesLinear(1.0, 10.0, 10);
-    EXPECT_DEATH(sameEdgesLinear.merge(log), "incompatible bin layout");
+    Histogram fewerBins = Histogram::logScale(1.0, 10.0, 5);
+    EXPECT_DEATH(base.merge(fewerBins), "incompatible bin layout");
 }
 
 TEST(Histogram, FlatJsonIsInsertionOrderInvariant)
@@ -312,15 +300,18 @@ TEST(Histogram, FlatJsonIsInsertionOrderInvariant)
 
     // Sparse counts: empty bins are omitted, so a tiny histogram
     // renders a short, predictable line.
-    Histogram tiny(0.0, 4.0, 4);
+    // Bins of logScale(1, 16, 4) are [1,2) [2,4) [4,8) [8,16).
+    Histogram tiny = Histogram::logScale(1.0, 16.0, 4);
     tiny.add(0.5);
-    tiny.add(2.5);
-    tiny.add(2.6);
+    tiny.add(1.5);
+    tiny.add(4.5);
+    tiny.add(4.6);
+    tiny.add(20.0);
     EXPECT_EQ(tiny.renderFlatJson(),
-              "{\"type\":\"sbn.hist.v1\",\"scale\":\"linear\","
-              "\"lo\":0,\"hi\":4,\"bins\":4,\"count\":3,"
-              "\"underflow\":0,\"overflow\":0,\"sum\":5.5999999999999996,"
-              "\"counts\":\"0:1 2:2\"}");
+              "{\"type\":\"sbn.hist.v1\",\"scale\":\"log\","
+              "\"lo\":1,\"hi\":16,\"bins\":4,\"count\":5,"
+              "\"underflow\":1,\"overflow\":1,"
+              "\"sum\":31.100000000000001,\"counts\":\"0:1 2:2\"}");
 }
 
 TEST(Replication, DeterministicSeedDerivation)

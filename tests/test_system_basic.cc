@@ -162,19 +162,6 @@ TEST(SystemBasic, WaitTimesNonNegativeAndConsistent)
     EXPECT_GT(m.meanWaitCycles, 0.0); // 12 procs on 4 modules queue up
 }
 
-TEST(SystemBasic, HistogramCollectsWhenEnabled)
-{
-    SystemConfig cfg = baseConfig();
-    cfg.collectWaitHistogram = true;
-    const Metrics m = runOnce(cfg);
-    ASSERT_TRUE(m.waitHistogram.has_value());
-    EXPECT_EQ(m.waitHistogram->count(), m.completedRequests);
-    EXPECT_NEAR(m.waitHistogram->mean(), m.meanWaitCycles, 1e-9);
-
-    SystemConfig off = baseConfig();
-    EXPECT_FALSE(runOnce(off).waitHistogram.has_value());
-}
-
 TEST(SystemBasic, RoughFairnessAcrossProcessors)
 {
     SystemConfig cfg = baseConfig();
