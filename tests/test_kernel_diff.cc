@@ -11,7 +11,9 @@
  * kernels were still provably identical, so the pinned values *are*
  * the Classic kernel's values for every configuration predating the
  * workload layer). Any RNG-stream reorder or grant-decision change
- * still fails here, per configuration class and counter.
+ * still fails here, per configuration class and counter. Each case
+ * also pins the number of scheduled events the kernel executed, so a
+ * driver that drops or double-runs an event kind fails here too.
  *
  * Regenerate after an intentional behavior change with
  * SBN_REGEN_GOLDEN=1 (see docs/testing.md).
@@ -149,6 +151,41 @@ diffGrid()
         cfg.requestProbability = 0.5;
         grid.push_back({"single_proc_r1", cfg});
     }
+    // r = 1 with contention: a completion and a bus cycle due in the
+    // same tick compete, so their relative order is pinned here.
+    for (double p : {0.3, 1.0}) {
+        for (bool buffered : {false, true}) {
+            for (auto policy : {ArbitrationPolicy::ProcessorPriority,
+                                ArbitrationPolicy::MemoryPriority}) {
+                SystemConfig cfg = diffBase();
+                cfg.numProcessors = 6;
+                cfg.numModules = 3;
+                cfg.memoryRatio = 1;
+                cfg.requestProbability = p;
+                cfg.buffered = buffered;
+                cfg.policy = policy;
+                grid.push_back(
+                    {"r1_p" + std::to_string(p).substr(0, 3) +
+                         (buffered ? "_buf" : "_unbuf") +
+                         (policy == ArbitrationPolicy::ProcessorPriority
+                              ? "_procprio"
+                              : "_memprio"),
+                     cfg});
+            }
+        }
+    }
+    {
+        SystemConfig cfg = diffBase();
+        cfg.numProcessors = 6;
+        cfg.numModules = 3;
+        cfg.memoryRatio = 1;
+        cfg.requestProbability = 0.7;
+        cfg.buffered = true;
+        cfg.inputCapacity = 1;
+        cfg.outputCapacity = 1;
+        cfg.selection = SelectionRule::OldestFirst;
+        grid.push_back({"r1_capacity_limited", cfg});
+    }
     {
         SystemConfig cfg = diffBase();
         cfg.numProcessors = 7;
@@ -185,7 +222,8 @@ TEST(KernelGrid, PinnedClassicEraGrid)
 {
     std::vector<GoldenLine> computed;
     for (const GridCase &c : diffGrid()) {
-        const Metrics metrics = runOnce(c.config);
+        SingleBusSystem system(c.config);
+        const Metrics metrics = system.run();
         computed.push_back(
             {c.name + " completed", exact(metrics.completedRequests)});
         computed.push_back(
@@ -201,6 +239,8 @@ TEST(KernelGrid, PinnedClassicEraGrid)
             computed.push_back(
                 {c.name + " histCount",
                  exact(metrics.latencyResidence->count())});
+        computed.push_back(
+            {c.name + " events", exact(system.heapEventsExecuted())});
     }
     checkExactGolden("kernel_metrics_grid", computed);
 }
