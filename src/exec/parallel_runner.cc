@@ -1,5 +1,7 @@
 #include "exec/parallel_runner.hh"
 
+#include <pthread.h>
+
 #include <atomic>
 #include <cerrno>
 #include <condition_variable>
@@ -183,16 +185,56 @@ ParallelRunner::runReplications(
     return e;
 }
 
+namespace {
+
+/** The shared runners of one process, keyed by thread count. */
+struct RunnerRegistry
+{
+    std::mutex mutex;
+    std::map<unsigned, std::unique_ptr<ParallelRunner>> runners;
+    /** A forked child's inherited registry, kept reachable so leak
+     *  checkers do not report it; never used or destroyed. */
+    RunnerRegistry *inherited = nullptr;
+};
+
+RunnerRegistry *g_registry = nullptr;
+std::once_flag g_registry_once;
+
+/**
+ * pthread_atfork child handler. The inherited runners front pool
+ * threads that do not exist in the child, so posting to them would
+ * wait forever, and another parent thread may have held the inherited
+ * mutex at fork time. The child therefore never locks, uses or
+ * destroys the inherited registry: it sets it aside and starts an
+ * empty one. No prepare/parent handlers are needed, since nothing
+ * inherited is touched. The child is single-threaded here, so the
+ * plain stores are race-free.
+ */
+void
+startChildRegistry()
+{
+    auto *fresh = new RunnerRegistry;
+    fresh->inherited = g_registry;
+    g_registry = fresh;
+}
+
+} // namespace
+
 ParallelRunner &
 sharedParallelRunner(unsigned threads)
 {
-    static std::mutex registry_mutex;
-    static std::map<unsigned, std::unique_ptr<ParallelRunner>> registry;
+    std::call_once(g_registry_once, [] {
+        g_registry = new RunnerRegistry;
+        const int rc =
+            pthread_atfork(nullptr, nullptr, &startChildRegistry);
+        sbn_assert(rc == 0, "pthread_atfork failed: error ", rc);
+    });
 
     const unsigned resolved =
         threads != 0 ? threads : ThreadPool::hardwareThreads();
-    std::lock_guard<std::mutex> lock(registry_mutex);
-    auto &slot = registry[resolved];
+    RunnerRegistry &registry = *g_registry;
+    std::lock_guard<std::mutex> lock(registry.mutex);
+    auto &slot = registry.runners[resolved];
     if (!slot)
         slot = std::make_unique<ParallelRunner>(resolved);
     return *slot;

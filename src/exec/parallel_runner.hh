@@ -162,6 +162,9 @@ class ParallelRunner
  * calls at the same worker count reuse one pool instead of spawning
  * and joining threads per call. Safe for concurrent top-level use
  * (callers share the pool); the no-nesting rule still applies.
+ * Fork-safe: a forked child starts with no shared runners and builds
+ * its own, so a runner obtained before fork() must not be used in
+ * the child.
  */
 ParallelRunner &sharedParallelRunner(unsigned threads);
 

@@ -8,6 +8,9 @@
 
 #include <gtest/gtest.h>
 
+#include <sys/wait.h>
+#include <unistd.h>
+
 #include <atomic>
 #include <cmath>
 #include <stdexcept>
@@ -651,6 +654,33 @@ TEST(ParallelRunner, StaysUsableAfterWorkerException)
             runner.runReplications(noisyExperiment, 5, 11);
         EXPECT_EQ(e.samples, 5u);
     }
+}
+
+/**
+ * A forked child must get working shared runners, not the parent's:
+ * the pool threads behind an inherited runner do not exist in the
+ * child, so posting to them would wait forever. The alarm turns that
+ * hang into a failed child.
+ */
+TEST(ParallelRunner, SharedRunnerWorksInAForkedChild)
+{
+    const auto square = [](std::size_t i) {
+        return static_cast<int>(i * i);
+    };
+    ASSERT_EQ(sharedParallelRunner(4).map<int>(64, square)[63], 63 * 63);
+
+    const pid_t child = fork();
+    ASSERT_GE(child, 0);
+    if (child == 0) {
+        alarm(5);
+        const auto values = sharedParallelRunner(4).map<int>(64, square);
+        _exit(values[63] == 63 * 63 ? 0 : 1);
+    }
+    int status = 0;
+    ASSERT_EQ(waitpid(child, &status, 0), child);
+    ASSERT_TRUE(WIFEXITED(status))
+        << "child killed by signal " << WTERMSIG(status);
+    EXPECT_EQ(WEXITSTATUS(status), 0);
 }
 
 TEST(Exec, DefaultThreadsOverrideRoundTrips)
