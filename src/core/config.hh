@@ -9,7 +9,7 @@
 #include <cstdint>
 #include <vector>
 
-#include "desim/event.hh"
+#include "core/tick.hh"
 #include "workload/workload.hh"
 
 namespace sbn {

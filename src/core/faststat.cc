@@ -458,11 +458,11 @@ FastStatSystem::runLoop()
     arbitrate<Buffered>(0);
 
     // Driver: jump to the earliest pending event tick. Per tick, the
-    // update order matches the exact kernel's kUpdate phase
-    // (completions, think expiries = issues) before the kDecide
-    // arbitration observes the settled state; grants already applied
-    // their delivery effects at the previous tick. Every structure is
-    // O(1)/O(log n) per event and allocation-free in steady state.
+    // state updates (completions, think expiries = issues) run before
+    // the arbitration observes the settled state, as in the exact
+    // kernel (core/system.hh); grants already applied their delivery
+    // effects at the previous tick. Every structure is O(1)/O(log n)
+    // per event and allocation-free in steady state.
     for (;;) {
         Tick next = arbAt_;
         if (compCount_ != 0 && compRing_[compHead_].due < next)

@@ -1,8 +1,6 @@
 #include "core/system.hh"
 
-#include <algorithm>
-#include <limits>
-
+#include "desim/trace.hh"
 #include "telemetry/telemetry.hh"
 #include "util/logging.hh"
 
@@ -18,8 +16,6 @@ traceText(Args &&...args)
     return detail::composeMessage(std::forward<Args>(args)...);
 }
 
-constexpr Tick kNever = std::numeric_limits<Tick>::max();
-
 } // namespace
 
 SingleBusSystem::SingleBusSystem(const SystemConfig &config)
@@ -31,19 +27,7 @@ SingleBusSystem::SingleBusSystem(const SystemConfig &config)
       collector_(cfg_)
 {
     procs_.resize(cfg_.numProcessors);
-
     mods_.resize(cfg_.numModules);
-    for (int m = 0; m < cfg_.numModules; ++m) {
-        mods_[m].completionEvent.bind(*this,
-                                      &SingleBusSystem::memoryCompletion,
-                                      m, event_priority::kUpdate,
-                                      "mem-complete");
-    }
-
-    arbitrationEvent_.bind(*this, &SingleBusSystem::onArbitrate, 0,
-                           event_priority::kDecide, "bus-arbitrate");
-    busCycleEvent_.bind(*this, &SingleBusSystem::onBusCycle, 0,
-                        event_priority::kUpdate, "bus-cycle");
 
     // Pre-size every container the hot path touches so steady-state
     // simulation performs no allocations (asserted by the perf tests
@@ -53,6 +37,7 @@ SingleBusSystem::SingleBusSystem(const SystemConfig &config)
     for (auto &bucket : thinkBuckets_)
         bucket.reserve(static_cast<std::size_t>(cfg_.numProcessors));
     thinkBucketDue_.assign(pc, 0);
+    compRing_.resize(static_cast<std::size_t>(cfg_.numModules));
     thinkMaskUsable_ = pc <= 63;
     thinkMaskAll_ = thinkMaskUsable_ ? (1ull << pc) - 1 : 0;
     candProcSet_.resize(static_cast<std::size_t>(cfg_.numProcessors));
@@ -72,6 +57,7 @@ SingleBusSystem::scratchCapacities() const
     std::vector<std::size_t> caps;
     for (const auto &bucket : thinkBuckets_)
         caps.push_back(bucket.capacity());
+    caps.push_back(compRing_.capacity());
     collector_.appendCapacities(caps);
     return caps;
 }
@@ -134,22 +120,43 @@ SingleBusSystem::refreshModule(int module)
 }
 
 void
+SingleBusSystem::scheduleCompletion(int module)
+{
+    // Every access lasts exactly memoryRatio ticks and starts at the
+    // monotone current tick, so pushes arrive in due order.
+    const Tick due = now_ + static_cast<Tick>(cfg_.memoryRatio);
+    sbn_assert(compCount_ < compRing_.size(), "completion ring overflow");
+    std::size_t tail = compHead_ + compCount_;
+    if (tail >= compRing_.size())
+        tail -= compRing_.size();
+    const std::size_t last = tail == 0 ? compRing_.size() - 1 : tail - 1;
+    sbn_assert(due > now_ && (compCount_ == 0 || compRing_[last].due <= due),
+               "completion due at ", due, " is in the past or out of FIFO "
+               "order (now ", now_, ")");
+    compRing_[tail] = Completion{due, module};
+    ++compCount_;
+}
+
+void
 SingleBusSystem::requestArbitration(Tick at)
 {
     // While arbitrate() itself runs (granting), candidates surfacing
     // from its side effects are covered by the post-grant arbitration
     // at the next cycle; scheduling here would double-grant the bus
     // within one cycle.
-    if (inArbitration_ || arbitrationEvent_.scheduled())
+    if (inArbitration_ || arbitrationAt_ != kNever)
         return;
-    // The coalesced bus cycle already ends in an arbitration.
-    if (inBusCycle_ || busCycleEvent_.scheduled())
+    // A pending bus cycle, or one in its transfer phase, already ends
+    // in an arbitration.
+    if (busCycleAt_ != kNever)
         return;
     // With incrementally maintained candidate sets an empty-handed
     // arbitration is knowable in advance (no RNG, no state change).
     if (candProcSet_.empty() && candModSet_.empty())
         return;
-    sim_.queue().schedule(arbitrationEvent_, at);
+    sbn_assert(at >= now_, "arbitration scheduled in the past: ", at,
+               " < now ", now_);
+    arbitrationAt_ = at;
 }
 
 bool
@@ -190,7 +197,7 @@ SingleBusSystem::drawProcessor(int proc, Tick now)
 void
 SingleBusSystem::processorReady(int proc)
 {
-    const Tick now = sim_.now();
+    const Tick now = now_;
     if (drawProcessor(proc, now))
         return;
     enterThinking(proc, now);
@@ -296,7 +303,7 @@ SingleBusSystem::processThinkTick(Tick now, std::size_t idx)
 void
 SingleBusSystem::memoryCompletion(int module)
 {
-    const Tick now = sim_.now();
+    const Tick now = now_;
     Module &mod = mods_[module];
 
     if (cfg_.trace) {
@@ -334,7 +341,7 @@ SingleBusSystem::maybeStartBufferedAccess(int module)
         static_cast<int>(mod.outputQueue.size()) >= cfg_.outputCapacity)
         return; // blocked until a response drains
 
-    const Tick now = sim_.now();
+    const Tick now = now_;
     mod.servingProc = mod.inputQueue.front();
     mod.inputQueue.pop_front();
     mod.accessing = true;
@@ -347,8 +354,7 @@ SingleBusSystem::maybeStartBufferedAccess(int module)
                                      " starts access for proc ",
                                      mod.servingProc));
     }
-    sim_.queue().schedule(mod.completionEvent,
-                          now + static_cast<Tick>(cfg_.memoryRatio));
+    scheduleCompletion(module);
     refreshModule(module);
     // An input slot freed: a waiting processor may now be eligible.
     requestArbitration(now);
@@ -357,7 +363,7 @@ SingleBusSystem::maybeStartBufferedAccess(int module)
 void
 SingleBusSystem::transferDone()
 {
-    const Tick now = sim_.now();
+    const Tick now = now_;
     const BusTransfer xfer = busTransfer_;
     busTransfer_ = BusTransfer{};
 
@@ -376,9 +382,7 @@ SingleBusSystem::transferDone()
                                              " starts access for proc ",
                                              xfer.proc));
             }
-            sim_.queue().schedule(
-                mod.completionEvent,
-                now + static_cast<Tick>(cfg_.memoryRatio));
+            scheduleCompletion(xfer.module);
             refreshModule(xfer.module);
         } else {
             --mod.reservedInput;
@@ -413,19 +417,6 @@ SingleBusSystem::transferDone()
                                      xfer.module));
     }
     processorReady(xfer.proc);
-}
-
-void
-SingleBusSystem::onBusCycle(int)
-{
-    // Coalesced bus cycle: the transfer completes, then -- all
-    // same-tick state updates having already run, since nothing can
-    // enqueue between the two -- the next arbitration decides,
-    // exactly where a separate kDecide event would have run.
-    inBusCycle_ = true;
-    transferDone();
-    inBusCycle_ = false;
-    arbitrate();
 }
 
 void
@@ -486,7 +477,7 @@ SingleBusSystem::selectIncremental(int &chosen_proc, int &chosen_mod)
 void
 SingleBusSystem::arbitrate()
 {
-    const Tick now = sim_.now();
+    const Tick now = now_;
     sbn_assert(busTransfer_.kind == BusTransfer::Kind::None,
                "arbitrating while the bus is busy");
     inArbitration_ = true;
@@ -507,9 +498,11 @@ SingleBusSystem::arbitrate()
         grantResponse(chosen_mod);
 
     collector_.busGrant(now);
-    // One coalesced event replaces the transfer-done/arbitrate pair:
-    // the bus stays busy through the next cycle either way.
-    sim_.queue().schedule(busCycleEvent_, now + 1);
+    // One coalesced bus cycle replaces the transfer-done/arbitrate
+    // pair: the bus stays busy through the next cycle either way.
+    sbn_assert(busCycleAt_ == kNever,
+               "bus cycle scheduled while one is pending");
+    busCycleAt_ = now + 1;
     inArbitration_ = false;
 }
 
@@ -529,7 +522,7 @@ SingleBusSystem::grantRequest(int proc)
         mod.state = ModState::RequestInFlight;
         // The request leaves the queue for the (dedicated) server;
         // buffered grants stay queued until the module starts them.
-        collector_.dequeue(p.target, sim_.now());
+        collector_.dequeue(p.target, now_);
     } else {
         ++mod.reservedInput;
     }
@@ -537,7 +530,7 @@ SingleBusSystem::grantRequest(int proc)
 
     busTransfer_ = BusTransfer{BusTransfer::Kind::Request, proc, p.target};
     if (cfg_.trace) {
-        cfg_.trace->record(sim_.now(), "bus",
+        cfg_.trace->record(now_, "bus",
                            traceText("grant request proc ", proc,
                                      " -> module ", p.target));
     }
@@ -546,7 +539,7 @@ SingleBusSystem::grantRequest(int proc)
 void
 SingleBusSystem::grantResponse(int module)
 {
-    const Tick now = sim_.now();
+    const Tick now = now_;
     Module &mod = mods_[module];
     int proc = -1;
 
@@ -584,7 +577,11 @@ SingleBusSystem::recordCompletion(int proc, Tick grant_tick)
     waitStats_.add(service - static_cast<double>(cfg_.processorCycle()));
 }
 
-void
+// Flatten: inline the per-event helper chain (think draws and their
+// RNG calls, completions, transfers, arbitration) into the driver
+// loop, as FastStat's runLoop does. The calendar below leaves no
+// indirect call in the way.
+__attribute__((flatten)) void
 SingleBusSystem::runCycleSkip()
 {
     // Seed: every processor draws at tick 0, in index order.
@@ -598,29 +595,76 @@ SingleBusSystem::runCycleSkip()
     thinkNextDue_ = 0;
     thinkNextIdx_ = 0;
 
-    // Hybrid driver: interleave calendar think-ticks with heap events
-    // in global tick order. On a tie the calendar goes first -- its
-    // draws correspond to processor-ready events that were scheduled
-    // a full processor cycle earlier than any same-tick heap event
-    // and therefore carry the smallest sequence numbers. The heap's
-    // next tick is cached and refreshed only when the heap actually
-    // changes (a think pass can only add events, growing size()).
-    EventQueue &queue = sim_.queue();
-    Tick te = kNever;
+    // Driver: each pass jumps to the earliest of four ticks (the think
+    // calendar, the completion ring's head, the bus-cycle slot and the
+    // arbitration slot) and runs that tick's work in four phases:
+    // think draws, due completions in ring order, the bus cycle, the
+    // arbitration. This is exactly the order a (tick, priority,
+    // insertion sequence) event heap ran them in, with completions and
+    // bus cycles at the state-update priority, arbitration at the
+    // decision priority, and the think calendar ahead of any same-tick
+    // event. So trajectories, golden pins and the event count match
+    // the heap-driven kernel this loop replaced:
+    //  - Only three kinds of event are scheduled, and none is ever
+    //    cancelled: one completion per accessing module at now + r,
+    //    one coalesced bus cycle at now + 1, one arbitration at now.
+    //  - Every completion has the same delay r and is scheduled at the
+    //    monotone current tick, so due order is schedule order and a
+    //    FIFO ring of at most m entries is the whole completion
+    //    calendar (as in FastStat, core/faststat.hh).
+    //  - A completion due at t was scheduled at t - r; the bus cycle
+    //    due at t by the last statement of arbitrate() at t - 1. Even
+    //    at r = 1 every same-tick completion is the older event and
+    //    runs first. Running the bus cycle first instead moves golden
+    //    pins.
+    //  - The ring also keeps the heap's order among same-tick
+    //    completions, although no metric depends on it: a completion
+    //    draws no random number and changes only its own module (its
+    //    arbitration request is idempotent), so reversing them moves
+    //    nothing but the trace.
+    //  - An arbitration is requested only at the current tick, and
+    //    never while a bus cycle is pending or in its transfer phase
+    //    (requestArbitration), so the two slots are never due in the
+    //    same tick.
+    //  - Work in a tick schedules nothing into that tick except the
+    //    arbitration: completions land at now + r, bus cycles at
+    //    now + 1, think redraws at now + r + 2.
+    const Tick window_end = collector_.windowEnd();
     while (true) {
-        const Tick tc = thinkingCount_ > 0 ? thinkNextDue_ : kNever;
-        const Tick next = std::min(tc, te);
-        if (next >= collector_.windowEnd())
+        Tick now = thinkingCount_ > 0 ? thinkNextDue_ : kNever;
+        if (compCount_ != 0 && compRing_[compHead_].due < now)
+            now = compRing_[compHead_].due;
+        if (busCycleAt_ < now)
+            now = busCycleAt_;
+        if (arbitrationAt_ < now)
+            now = arbitrationAt_;
+        if (now >= window_end)
             break;
-        if (tc <= te) {
-            const std::uint64_t live = queue.size();
-            queue.advanceTo(tc);
-            processThinkTick(tc, thinkNextIdx_);
-            if (queue.size() != live)
-                te = queue.nextTick();
-        } else {
-            queue.runOne();
-            te = !queue.empty() ? queue.nextTick() : kNever;
+        now_ = now;
+
+        if (thinkingCount_ > 0 && thinkNextDue_ == now)
+            processThinkTick(now, thinkNextIdx_);
+        while (compCount_ != 0 && compRing_[compHead_].due == now) {
+            const int module = compRing_[compHead_].module;
+            if (++compHead_ == compRing_.size())
+                compHead_ = 0;
+            --compCount_;
+            ++eventsExecuted_;
+            memoryCompletion(module);
+        }
+        if (busCycleAt_ == now) {
+            // Coalesced bus cycle: the transfer completes, then the
+            // next arbitration decides, after every same-tick state
+            // update, exactly where a separate arbitration would run.
+            ++eventsExecuted_;
+            transferDone();
+            busCycleAt_ = kNever;
+            arbitrate();
+        }
+        if (arbitrationAt_ == now) {
+            arbitrationAt_ = kNever;
+            ++eventsExecuted_;
+            arbitrate();
         }
     }
 }
@@ -639,8 +683,7 @@ SingleBusSystem::run()
     // Flush the run's locally accumulated counts in one batch; the
     // inner loops never touch the telemetry registry.
     telemetryAdd(TelemetryCounter::SimRuns, 1);
-    telemetryAdd(TelemetryCounter::SimHeapEvents,
-                 sim_.queue().executed());
+    telemetryAdd(TelemetryCounter::SimHeapEvents, eventsExecuted_);
     telemetryAdd(TelemetryCounter::SimCalendarDrains, calendarDrains_);
     telemetryAdd(TelemetryCounter::SimThinkDraws, thinkDraws_);
 

@@ -12,23 +12,29 @@
  * runs only in cycles where a grant could happen, and quiescent spans
  * (all processors thinking / all modules accessing) are skipped.
  *
- * Event schedule within one tick:
- *   priority kUpdate: transfer deliveries, memory completions,
- *                     processor think-expiries -- all state updates;
- *   priority kDecide: bus arbitration, which therefore observes a
- *                     consistent end-of-cycle state.
+ * Order of work within one tick, all state updates before the
+ * arbitration that therefore observes a consistent end-of-cycle state:
+ *   1. think draws of the processors due this tick;
+ *   2. memory completions due this tick, in the order their accesses
+ *      started;
+ *   3. the bus cycle: the transfer granted last tick is delivered,
+ *      then the bus arbitrates again;
+ *   4. the idle-bus arbitration, when a state change above (or an
+ *      earlier one with the bus idle) made a grant possible.
+ * Steps 3 and 4 are never both due in one tick.
  *
  * The kernel is the cycle-skipping implementation introduced in PR 3
  * (the classic one-event-per-think-cycle kernel it was differentially
  * tested against is retired; the golden Metrics pins in
  * tests/golden/kernel_metrics*.txt are the regression net now):
  * thinking processors sit in a calendar of processorCycle()
- * tick-buckets processed by a hybrid driver loop outside the event
- * heap, so a think redraw costs one Bernoulli and O(1) bucket work
- * instead of a heap operation; arbitration candidates are bit-sets
+ * tick-buckets, so a think redraw costs one Bernoulli and O(1) bucket
+ * work; memory completions sit in a FIFO ring and the bus cycle and
+ * arbitration in one slot each, so no event heap is needed (the
+ * argument is at runCycleSkip()); arbitration candidates are bit-sets
  * maintained incrementally at the state transitions that change
  * eligibility; and the post-grant transfer-done/arbitrate pair shares
- * one coalesced event.
+ * one coalesced bus cycle.
  *
  * Which module a request targets and how eagerly each processor
  * issues is owned by the WorkloadModel (workload/workload.hh). The
@@ -41,13 +47,13 @@
 #define SBN_CORE_SYSTEM_HH
 
 #include <deque>
+#include <limits>
 #include <vector>
 
 #include "core/collector.hh"
 #include "core/config.hh"
 #include "core/metrics.hh"
-#include "desim/simulation.hh"
-#include "desim/trace.hh"
+#include "core/tick.hh"
 #include "util/index_set.hh"
 #include "util/random.hh"
 #include "workload/workload.hh"
@@ -70,14 +76,12 @@ class SingleBusSystem
     /** The configuration this system was built with. */
     const SystemConfig &config() const { return cfg_; }
 
-    /** Current simulated bus cycle (exposed for tests). */
-    Tick now() const { return sim_.now(); }
-
-    /** Heap events executed so far (perf accounting). */
-    std::uint64_t heapEventsExecuted() const
-    {
-        return sim_.queue().executed();
-    }
+    /**
+     * Scheduled events executed so far: memory completions, bus
+     * cycles and arbitrations (perf accounting; think draws are
+     * counted by thinkDraws()).
+     */
+    std::uint64_t heapEventsExecuted() const { return eventsExecuted_; }
 
     /** Bernoulli think/issue draws performed (perf accounting). */
     std::uint64_t thinkDraws() const { return thinkDraws_; }
@@ -90,6 +94,8 @@ class SingleBusSystem
     std::vector<std::size_t> scratchCapacities() const;
 
   private:
+    static constexpr Tick kNever = std::numeric_limits<Tick>::max();
+
     /** What a processor is doing. */
     enum class ProcState
     {
@@ -97,10 +103,6 @@ class SingleBusSystem
         WaitingGrant,    //!< request issued, waiting for the bus
         WaitingResponse, //!< request in the memory subsystem
     };
-
-    /** Event type: no allocation, no type-erased callback, just
-     *  (system, member function, index). */
-    using SysEvent = MemberEvent<SingleBusSystem>;
 
     struct Processor
     {
@@ -138,7 +140,13 @@ class SingleBusSystem
         int reservedInput = 0; //!< granted requests still on the bus
 
         Tick accessStart = 0;
-        SysEvent completionEvent;
+    };
+
+    /** Completion calendar entry: module's access is done at due. */
+    struct Completion
+    {
+        Tick due;
+        int module;
     };
 
     /** The transfer currently occupying the bus. */
@@ -155,10 +163,7 @@ class SingleBusSystem
     void transferDone();
     void arbitrate();
 
-    // MemberEvent adapters for the no-index handlers.
-    void onArbitrate(int) { arbitrate(); }
-    void onBusCycle(int);
-
+    void scheduleCompletion(int module);
     void requestArbitration(Tick at);
     bool moduleCanAcceptRequest(const Module &mod) const;
     bool moduleHasResponse(const Module &mod) const;
@@ -188,7 +193,7 @@ class SingleBusSystem
     void recordCompletion(int proc, Tick grant_tick);
 
     SystemConfig cfg_;
-    Simulation sim_;
+    Tick now_ = 0;
     RandomGenerator rng_;
     WorkloadModel workload_;
 
@@ -196,10 +201,22 @@ class SingleBusSystem
     std::vector<Module> mods_;
 
     BusTransfer busTransfer_;
-    SysEvent arbitrationEvent_;  //!< idle-bus wakeups
-    SysEvent busCycleEvent_;     //!< coalesced transfer+arbitrate
+
+    /**
+     * The scheduled-event calendar: a FIFO ring of pending memory
+     * completions, at most one per module, pre-sized to numModules;
+     * and one slot per single-instance event, holding its due tick or
+     * kNever. busCycleAt_ (the coalesced transfer-done + arbitrate)
+     * stays set through its transfer phase, so requestArbitration()
+     * sees the arbitration that ends it.
+     */
+    std::vector<Completion> compRing_;
+    std::size_t compHead_ = 0;
+    std::size_t compCount_ = 0;
+    Tick busCycleAt_ = kNever;
+    Tick arbitrationAt_ = kNever; //!< idle-bus wakeup
+    std::uint64_t eventsExecuted_ = 0;
     bool inArbitration_ = false; //!< guards re-entrant rescheduling
-    bool inBusCycle_ = false;    //!< transfer phase of busCycleEvent_
 
     /**
      * Think calendar: bucket b holds, in event order, the thinking

@@ -18,7 +18,7 @@
 #include <string>
 #include <vector>
 
-#include "desim/event.hh"
+#include "core/tick.hh"
 
 namespace sbn {
 

@@ -55,6 +55,20 @@ void warnImpl(const std::string &msg, const char *file, int line);
 /** Report plain status. */
 void informImpl(const std::string &msg);
 
+namespace detail {
+
+/** sbn_assert's failure path (see there). */
+template <typename... Args>
+[[noreturn]] __attribute__((noinline, cold)) void
+assertFailed(const char *cond, const char *file, int line, Args... args)
+{
+    panicImpl(composeMessage("assertion '", cond, "' failed: ",
+                             composeMessage(args...)),
+              file, line);
+}
+
+} // namespace detail
+
 /**
  * Render a waitpid() status word for diagnostics: "exit 0",
  * "exit 1", "signal 9 (killed)", "signal 6 (aborted) with core", or
@@ -82,17 +96,17 @@ std::string describeWaitStatus(int status);
 
 /**
  * Invariant check that is active in all build types (unlike assert).
- * Use for conditions that must hold regardless of NDEBUG.
+ * Use for conditions that must hold regardless of NDEBUG. The failure
+ * path is a cold, never-inlined call taking the message parts by
+ * value, so a check costs a hot loop one compare and branch even
+ * under __attribute__((flatten)), which would otherwise inline every
+ * message's stream formatting into it.
  */
 #define sbn_assert(cond, ...)                                               \
     do {                                                                    \
-        if (!(cond)) {                                                      \
-            ::sbn::panicImpl(                                               \
-                ::sbn::detail::composeMessage(                              \
-                    "assertion '", #cond, "' failed: ",                     \
-                    ::sbn::detail::composeMessage(__VA_ARGS__)),            \
-                __FILE__, __LINE__);                                        \
-        }                                                                   \
+        if (!(cond))                                                        \
+            ::sbn::detail::assertFailed(#cond, __FILE__, __LINE__,          \
+                                        __VA_ARGS__);                       \
     } while (0)
 
 /**

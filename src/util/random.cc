@@ -19,12 +19,6 @@ splitMix64(std::uint64_t &x)
     return z ^ (z >> 31);
 }
 
-std::uint64_t
-rotl(std::uint64_t x, int k)
-{
-    return (x << k) | (x >> (64 - k));
-}
-
 } // namespace
 
 RandomGenerator::RandomGenerator(std::uint64_t seed_value)
@@ -40,64 +34,12 @@ RandomGenerator::seed(std::uint64_t seed_value)
         word = splitMix64(x);
 }
 
-std::uint64_t
-RandomGenerator::next()
-{
-    const std::uint64_t result = rotl(s_[1] * 5, 7) * 9;
-    const std::uint64_t t = s_[1] << 17;
-
-    s_[2] ^= s_[0];
-    s_[3] ^= s_[1];
-    s_[1] ^= s_[2];
-    s_[0] ^= s_[3];
-    s_[2] ^= t;
-    s_[3] = rotl(s_[3], 45);
-
-    return result;
-}
-
-std::uint64_t
-RandomGenerator::uniformInt(std::uint64_t bound)
-{
-    sbn_assert(bound > 0, "uniformInt bound must be positive");
-
-    // Lemire's nearly-divisionless method with rejection.
-    std::uint64_t x = next();
-    __uint128_t m = static_cast<__uint128_t>(x) * bound;
-    auto low = static_cast<std::uint64_t>(m);
-    if (low < bound) {
-        const std::uint64_t threshold = -bound % bound;
-        while (low < threshold) {
-            x = next();
-            m = static_cast<__uint128_t>(x) * bound;
-            low = static_cast<std::uint64_t>(m);
-        }
-    }
-    return static_cast<std::uint64_t>(m >> 64);
-}
-
 std::int64_t
 RandomGenerator::uniformRange(std::int64_t lo, std::int64_t hi)
 {
     sbn_assert(lo <= hi, "uniformRange requires lo <= hi");
     const auto span = static_cast<std::uint64_t>(hi - lo) + 1;
     return lo + static_cast<std::int64_t>(uniformInt(span));
-}
-
-double
-RandomGenerator::uniformReal()
-{
-    return static_cast<double>(next() >> 11) * 0x1.0p-53;
-}
-
-bool
-RandomGenerator::bernoulli(double p)
-{
-    if (p <= 0.0)
-        return false;
-    if (p >= 1.0)
-        return true;
-    return uniformReal() < p;
 }
 
 double
@@ -121,12 +63,6 @@ RandomGenerator::geometric(double p)
     while (!bernoulli(p))
         ++failures;
     return failures;
-}
-
-std::size_t
-RandomGenerator::pickIndex(std::size_t size)
-{
-    return static_cast<std::size_t>(uniformInt(size));
 }
 
 void

@@ -21,13 +21,16 @@
 #include <cstdint>
 #include <vector>
 
+#include "util/logging.hh"
+
 namespace sbn {
 
 /**
  * xoshiro256** pseudo-random generator with convenience draws used by
  * the simulators (uniform integers for arbitration, Bernoulli for the
  * re-request probability p, exponential for queueing-model
- * cross-checks).
+ * cross-checks). The per-draw members are inline so the CycleSkip
+ * kernel's flattened driver loop inlines them.
  */
 class RandomGenerator
 {
@@ -39,7 +42,21 @@ class RandomGenerator
     void seed(std::uint64_t seed);
 
     /** Next raw 64-bit output. */
-    std::uint64_t next();
+    std::uint64_t
+    next()
+    {
+        const std::uint64_t result = rotl(s_[1] * 5, 7) * 9;
+        const std::uint64_t t = s_[1] << 17;
+
+        s_[2] ^= s_[0];
+        s_[3] ^= s_[1];
+        s_[1] ^= s_[2];
+        s_[0] ^= s_[3];
+        s_[2] ^= t;
+        s_[3] = rotl(s_[3], 45);
+
+        return result;
+    }
 
     /**
      * Uniform integer in [0, bound).
@@ -49,16 +66,46 @@ class RandomGenerator
      *
      * @pre bound > 0
      */
-    std::uint64_t uniformInt(std::uint64_t bound);
+    std::uint64_t
+    uniformInt(std::uint64_t bound)
+    {
+        sbn_assert(bound > 0, "uniformInt bound must be positive");
+
+        // Lemire's nearly-divisionless method with rejection.
+        std::uint64_t x = next();
+        __uint128_t m = static_cast<__uint128_t>(x) * bound;
+        auto low = static_cast<std::uint64_t>(m);
+        if (low < bound) {
+            const std::uint64_t threshold = -bound % bound;
+            while (low < threshold) {
+                x = next();
+                m = static_cast<__uint128_t>(x) * bound;
+                low = static_cast<std::uint64_t>(m);
+            }
+        }
+        return static_cast<std::uint64_t>(m >> 64);
+    }
 
     /** Uniform integer in [lo, hi] inclusive. @pre lo <= hi */
     std::int64_t uniformRange(std::int64_t lo, std::int64_t hi);
 
     /** Uniform double in [0, 1) with 53 random bits. */
-    double uniformReal();
+    double
+    uniformReal()
+    {
+        return static_cast<double>(next() >> 11) * 0x1.0p-53;
+    }
 
     /** Bernoulli draw: true with probability p (clamped to [0,1]). */
-    bool bernoulli(double p);
+    bool
+    bernoulli(double p)
+    {
+        if (p <= 0.0)
+            return false;
+        if (p >= 1.0)
+            return true;
+        return uniformReal() < p;
+    }
 
     /** Exponential draw with the given mean. @pre mean > 0 */
     double exponential(double mean);
@@ -73,7 +120,11 @@ class RandomGenerator
      * Pick an index uniformly from [0, size). Convenience alias for
      * uniformInt used by the random-arbitration policies.
      */
-    std::size_t pickIndex(std::size_t size);
+    std::size_t
+    pickIndex(std::size_t size)
+    {
+        return static_cast<std::size_t>(uniformInt(size));
+    }
 
     /** In-place Fisher-Yates shuffle of an index vector. */
     void shuffle(std::vector<std::size_t> &values);
@@ -86,6 +137,12 @@ class RandomGenerator
     std::uint64_t deriveSeed();
 
   private:
+    static std::uint64_t
+    rotl(std::uint64_t x, int k)
+    {
+        return (x << k) | (x >> (64 - k));
+    }
+
     std::uint64_t s_[4];
 };
 

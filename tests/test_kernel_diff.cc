@@ -262,7 +262,7 @@ TEST(KernelGrid, RunsAreDeterministic)
 
 /**
  * The cycle-skipping calendar's reason to exist: in the low-p regime
- * thinking must not cost heap events. The bound (0.5 events/cycle)
+ * thinking must not cost scheduled events. The bound (0.5 events/cycle)
  * is ~40% above the measured 0.36 for this shape; the Classic kernel
  * sat at ~2 events/cycle.
  */
