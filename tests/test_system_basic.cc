@@ -27,17 +27,63 @@ baseConfig()
 
 TEST(SystemBasic, SingleProcessorIsUncontended)
 {
-    // n = 1: every request takes exactly r+2 cycles -> EBW = 1.
+    // n = 1 at p = 1 runs one processor cycle after another, each
+    // exactly: issue and request grant at t, access t+1 .. t+r+1,
+    // response grant at t+r+1, delivery and the next issue at t+r+2.
+    // Both kernels must reproduce that timing tick for tick.
     for (int r : {1, 4, 9}) {
         for (bool buffered : {false, true}) {
-            SystemConfig cfg = baseConfig();
-            cfg.numProcessors = 1;
-            cfg.memoryRatio = r;
-            cfg.buffered = buffered;
-            const Metrics m = runOnce(cfg);
-            EXPECT_NEAR(m.ebw, 1.0, 1e-2)
-                << "r=" << r << " buffered=" << buffered;
-            EXPECT_NEAR(m.meanWaitCycles, 0.0, 1e-9);
+            for (int m : {1, 8}) {
+                SystemConfig cfg = baseConfig();
+                cfg.numProcessors = 1;
+                cfg.numModules = m;
+                cfg.memoryRatio = r;
+                cfg.buffered = buffered;
+                cfg.collectLatency = true;
+                std::uint64_t completed[2] = {};
+                std::uint64_t busy[2] = {};
+                for (KernelKind kernel :
+                     {KernelKind::CycleSkip, KernelKind::FastStat}) {
+                    cfg.kernel = kernel;
+                    const Metrics out = runOnce(cfg);
+                    const auto k = static_cast<std::size_t>(kernel);
+                    completed[k] = out.completedRequests;
+                    busy[k] = out.busBusyCycles;
+                    SCOPED_TRACE(testing::Message()
+                                 << "r=" << r << " buffered=" << buffered
+                                 << " m=" << m << " kernel=" << k);
+
+                    // No request ever waits: service is exactly r + 2.
+                    EXPECT_EQ(out.waitStats.min(), 0.0);
+                    EXPECT_EQ(out.waitStats.max(), 0.0);
+                    EXPECT_EQ(out.meanServiceCycles, r + 2.0);
+
+                    // One completion per r + 2 cycles, two bus cycles
+                    // (request, response) per completion.
+                    const double cycles =
+                        static_cast<double>(cfg.measureCycles) / (r + 2);
+                    EXPECT_NEAR(static_cast<double>(out.completedRequests),
+                                cycles, 1.0);
+                    EXPECT_NEAR(static_cast<double>(out.busBusyCycles),
+                                2.0 * static_cast<double>(
+                                          out.completedRequests),
+                                1.0);
+
+                    // Service starts one tick after issue and the
+                    // response arrives r + 2 ticks after it.
+                    ASSERT_TRUE(out.latencyWait.has_value());
+                    EXPECT_EQ(out.latencyWait->quantile(0), 1.0);
+                    EXPECT_LT(out.latencyWait->quantile(1), 2.0);
+                    EXPECT_EQ(out.latencyWait->underflow(), 0u);
+                    EXPECT_EQ(out.latencyWait->maxSample(), 1.0);
+                    ASSERT_TRUE(out.latencyResidence.has_value());
+                    EXPECT_EQ(out.latencyResidence->maxSample(), r + 2.0);
+                }
+                EXPECT_EQ(completed[0], completed[1])
+                    << "r=" << r << " buffered=" << buffered << " m=" << m;
+                EXPECT_EQ(busy[0], busy[1])
+                    << "r=" << r << " buffered=" << buffered << " m=" << m;
+            }
         }
     }
 }
