@@ -1,5 +1,7 @@
 #include "core/config.hh"
 
+#include <limits>
+
 #include "util/logging.hh"
 
 namespace sbn {
@@ -23,6 +25,9 @@ SystemConfig::validate() const
     workload.validate(numProcessors, numModules);
     if (measureCycles < 1)
         sbn_fatal("measureCycles must be >= 1");
+    if (warmupCycles > std::numeric_limits<Tick>::max() - measureCycles)
+        sbn_fatal("warmupCycles + measureCycles (", warmupCycles, " + ",
+                  measureCycles, ") overflows the tick range");
 }
 
 } // namespace sbn

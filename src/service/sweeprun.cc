@@ -6,6 +6,7 @@
 #include <cerrno>
 #include <cstdio>
 #include <cstdlib>
+#include <limits>
 
 #include "core/experiment.hh"
 #include "exec/parallel_runner.hh"
@@ -168,21 +169,40 @@ parseSweepRunOptions(const CommandLine &cli)
     SweepSpec &spec = opt.spec;
     spec.base.seed =
         static_cast<std::uint64_t>(cli.getInt("seed", 20260611));
-    spec.base.warmupCycles = cli.getInt("warmup", 20000);
-    spec.base.measureCycles = cli.getInt("measure", 200000);
 
-    for (std::int64_t n : cli.getIntList("n", {}))
-        spec.processors.push_back(static_cast<int>(n));
-    for (std::int64_t m : cli.getIntList("m", {}))
-        spec.modules.push_back(static_cast<int>(m));
-    for (std::int64_t r : cli.getIntList("r", {}))
-        spec.memoryRatios.push_back(static_cast<int>(r));
+    // getInt reads an int64. Range-check before narrowing, naming the
+    // flag: a negative window would wrap the unsigned Tick, and an
+    // axis value past int would truncate to a different system.
+    const std::int64_t warmup = cli.getInt("warmup", 20000);
+    if (warmup < 0)
+        sbn_fatal("--warmup must be >= 0 (got ", warmup, ")");
+    const std::int64_t measure = cli.getInt("measure", 200000);
+    if (measure < 1)
+        sbn_fatal("--measure must be >= 1 (got ", measure, ")");
+    spec.base.warmupCycles = static_cast<Tick>(warmup);
+    spec.base.measureCycles = static_cast<Tick>(measure);
+
+    auto intAxis = [&cli](const char *flag, std::vector<int> &axis) {
+        for (std::int64_t v : cli.getIntList(flag, {})) {
+            if (v < std::numeric_limits<int>::min() ||
+                v > std::numeric_limits<int>::max())
+                sbn_fatal("--", flag, " value ", v,
+                          " is out of the int range");
+            axis.push_back(static_cast<int>(v));
+        }
+    };
+    intAxis("n", spec.processors);
+    intAxis("m", spec.modules);
+    intAxis("r", spec.memoryRatios);
     spec.requestProbabilities = cli.getDoubleList("p", {});
     if (cli.has("policy"))
         spec.policies =
             parsePolicyList(cli.getStringList("policy", {}));
-    for (std::int64_t b : cli.getIntList("buffered", {}))
-        spec.buffering.push_back(b != 0);
+    for (std::int64_t b : cli.getIntList("buffered", {})) {
+        if (b != 0 && b != 1)
+            sbn_fatal("--buffered values must be 0 or 1 (got ", b, ")");
+        spec.buffering.push_back(b == 1);
+    }
     spec.hotFractions = cli.getDoubleList("hot", {});
     spec.favoriteFractions = cli.getDoubleList("favorite", {});
 

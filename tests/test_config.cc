@@ -7,6 +7,8 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+
 #include "core/config.hh"
 #include "core/experiment.hh"
 
@@ -124,6 +126,17 @@ TEST(ConfigValidationDeath, RejectsEmptyMeasurementWindow)
     SystemConfig cfg = valid();
     cfg.measureCycles = 0;
     EXPECT_DEATH(cfg.validate(), "measureCycles");
+}
+
+TEST(ConfigValidationDeath, RejectsWindowPastTickRange)
+{
+    // The window ends at warmup + measure; past the Tick range that
+    // sum wraps and no tick would ever be measured.
+    SystemConfig cfg = valid();
+    cfg.warmupCycles = std::numeric_limits<Tick>::max() - cfg.measureCycles;
+    cfg.validate(); // ends exactly at the last tick: still valid
+    cfg.warmupCycles += 1;
+    EXPECT_DEATH(cfg.validate(), "overflows the tick range");
 }
 
 TEST(ConfigValidation, ValidWeightsAccepted)

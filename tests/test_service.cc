@@ -411,6 +411,21 @@ TEST(SpecParse, ValidationForksSoBadSpecsCannotKillTheCaller)
     EXPECT_FALSE(specParsesCleanly("--n=8 --m=16 --p=banana"));
     EXPECT_FALSE(specParsesCleanly("--n='8'"));
     EXPECT_FALSE(specParsesCleanly("--dir=elsewhere")); // front-end flag
+
+    // Integers the spec cannot represent: a negative window would wrap
+    // the unsigned tick, an axis value past int would truncate to
+    // another system, and --buffered is a 0/1 switch.
+    const std::string base = "--n=4 --m=4 --r=4 --p=1 --measure=20000";
+    EXPECT_TRUE(specParsesCleanly(base + " --warmup=0 --buffered=0,1"));
+    EXPECT_FALSE(specParsesCleanly(base + " --warmup=-5"));
+    EXPECT_FALSE(specParsesCleanly("--n=4 --m=4 --r=4 --p=1 --measure=-1"));
+    EXPECT_FALSE(specParsesCleanly(
+        "--n=4294967297 --m=4 --r=4 --p=1 --measure=20000"));
+    EXPECT_FALSE(specParsesCleanly(
+        "--n=4 --m=4294967297 --r=4 --p=1 --measure=20000"));
+    EXPECT_FALSE(specParsesCleanly(
+        "--n=4 --m=4 --r=4294967297 --p=1 --measure=20000"));
+    EXPECT_FALSE(specParsesCleanly(base + " --buffered=2"));
 }
 
 // ------------------------------------------------------ exit codes
