@@ -14,8 +14,6 @@
 
 namespace sbn {
 
-class TraceSink;
-
 /**
  * Bus-grant policy when both processor requests and memory responses
  * compete for the next bus cycle (paper hypothesis (g)).
@@ -145,12 +143,6 @@ struct SystemConfig
      * fingerprint.
      */
     bool collectLatency = false;
-
-    /**
-     * Optional event tracing (categories: "proc", "bus", "mem").
-     * Not owned; must outlive the system. nullptr disables tracing.
-     */
-    TraceSink *trace = nullptr;
 
     /** Processor cycle length r + 2 in bus cycles. */
     int processorCycle() const { return memoryRatio + 2; }

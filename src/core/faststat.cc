@@ -4,21 +4,12 @@
 #include <limits>
 
 #include "core/fingerprint.hh"
-#include "desim/trace.hh"
 #include "telemetry/telemetry.hh"
 #include "util/logging.hh"
 
 namespace sbn {
 
 namespace {
-
-/** Compose "proc 3 -> module 5"-style trace text. */
-template <typename... Args>
-std::string
-traceText(Args &&...args)
-{
-    return detail::composeMessage(std::forward<Args>(args)...);
-}
 
 constexpr Tick kNever = std::numeric_limits<Tick>::max();
 
@@ -180,13 +171,7 @@ FastStatSystem::processorReady(int proc, Tick now)
     if (k > (collector_.windowEnd() - now) /
                 static_cast<std::uint64_t>(pc_))
         return;
-    const Tick due = now + static_cast<Tick>(k) * pc_;
-    if (cfg_.trace) {
-        cfg_.trace->record(now, "proc",
-                           traceText("proc ", proc, " thinks until ",
-                                     due));
-    }
-    pushThinkWake(due, proc);
+    pushThinkWake(now + static_cast<Tick>(k) * pc_, proc);
 }
 
 void
@@ -197,11 +182,6 @@ FastStatSystem::issue(int proc, Tick now)
     const int target = workload_.sampleTarget(proc, procRng_[idx]);
     procTarget_[idx] = target;
     procIssueTick_[idx] = now;
-    if (cfg_.trace) {
-        cfg_.trace->record(now, "proc",
-                           traceText("proc ", proc,
-                                     " issues to module ", target));
-    }
     collector_.issue(target, now);
     procBecomesWaiting(proc, target);
 }
@@ -211,12 +191,6 @@ void
 FastStatSystem::memoryCompletion(int module, Tick now)
 {
     const auto idx = static_cast<std::size_t>(module);
-    if (cfg_.trace) {
-        cfg_.trace->record(now, "mem",
-                           traceText("module ", module,
-                                     " completes access for proc ",
-                                     modServing_[idx]));
-    }
     if constexpr (!Buffered) {
         sbn_debug_assert(modState_[idx] == ModState::Accessing,
                    "completion on non-accessing module");
@@ -253,12 +227,6 @@ FastStatSystem::maybeStartBufferedAccess(int module, Tick now)
     modAccessStart_[idx] = now;
     collector_.serviceStart(modServing_[idx], now);
     collector_.dequeue(module, now);
-    if (cfg_.trace) {
-        cfg_.trace->record(now, "mem",
-                           traceText("module ", module,
-                                     " starts access for proc ",
-                                     modServing_[idx]));
-    }
     scheduleCompletion(module,
                        now + static_cast<Tick>(cfg_.memoryRatio));
     refreshModule(module);
@@ -342,11 +310,6 @@ FastStatSystem::grantRequest(int proc, Tick now)
 
     waiterSets_[tgt].erase(idx);
     candProcSet_.erase(idx);
-    if (cfg_.trace) {
-        cfg_.trace->record(now, "bus",
-                           traceText("grant request proc ", proc,
-                                     " -> module ", target));
-    }
 
     if constexpr (!Buffered) {
         sbn_debug_assert(modState_[tgt] == ModState::Idle,
@@ -364,12 +327,6 @@ FastStatSystem::grantRequest(int proc, Tick now)
         modServing_[tgt] = proc;
         modAccessStart_[tgt] = arrive;
         collector_.serviceStart(proc, arrive);
-        if (cfg_.trace) {
-            cfg_.trace->record(arrive, "mem",
-                               traceText("module ", target,
-                                         " starts access for proc ",
-                                         proc));
-        }
         scheduleCompletion(
             target, arrive + static_cast<Tick>(cfg_.memoryRatio));
     } else {
@@ -410,15 +367,6 @@ FastStatSystem::grantResponse(int module, Tick now)
         maybeStartBufferedAccess(module, now);
     }
 
-    if (cfg_.trace) {
-        cfg_.trace->record(now, "bus",
-                           traceText("grant response module ", module,
-                                     " -> proc ", proc));
-        cfg_.trace->record(now + 1, "proc",
-                           traceText("proc ", proc,
-                                     " receives response from module ",
-                                     module));
-    }
     recordCompletion(proc, now);
     processorReady(proc, now + 1);
 }

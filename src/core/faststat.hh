@@ -65,9 +65,6 @@ class FastStatSystem
     /** Run warmup + measurement and return the collected metrics. */
     Metrics run();
 
-    /** The configuration this system was built with. */
-    const SystemConfig &config() const { return cfg_; }
-
     /**
      * Geometric think-interval draws performed. One per processor
      * ready event - O(1) per interval, against CycleSkip's one

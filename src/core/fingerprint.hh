@@ -5,8 +5,8 @@
  * A fingerprint is a 64-bit FNV-1a hash over every SystemConfig field
  * that determines simulation *results*: grid coordinates, policies,
  * buffering, the full workload description, seed and window lengths.
- * Presentation-only fields (trace sink, wait-histogram toggle) are
- * excluded. The leading version tag is SBNFPV02 (the workload layer
+ * The passive collection toggles (collectPerModule, collectLatency)
+ * are excluded. The leading version tag is SBNFPV02 (the workload layer
  * replaced the bare moduleWeights vector; V01 records never match
  * and are discarded on resume).
  *

@@ -1,22 +1,9 @@
 #include "core/system.hh"
 
-#include "desim/trace.hh"
 #include "telemetry/telemetry.hh"
 #include "util/logging.hh"
 
 namespace sbn {
-
-namespace {
-
-/** Compose "proc 3 -> module 5"-style trace text. */
-template <typename... Args>
-std::string
-traceText(Args &&...args)
-{
-    return detail::composeMessage(std::forward<Args>(args)...);
-}
-
-} // namespace
 
 SingleBusSystem::SingleBusSystem(const SystemConfig &config)
     : cfg_(config), rng_(config.seed),
@@ -169,11 +156,6 @@ SingleBusSystem::drawProcessor(int proc, Tick now)
         p.state = ProcState::WaitingGrant;
         p.target = workload_.sampleTarget(proc, rng_);
         p.issueTick = now;
-        if (cfg_.trace) {
-            cfg_.trace->record(now, "proc",
-                               traceText("proc ", proc, " issues to module ",
-                                         p.target));
-        }
         collector_.issue(p.target, now);
         procBecomesWaiting(proc, p.target);
         if (modCanAccept_[p.target])
@@ -185,12 +167,6 @@ SingleBusSystem::drawProcessor(int proc, Tick now)
     // (hypothesis (f): requests only start on processor-cycle
     // boundaries).
     p.state = ProcState::Thinking;
-    if (cfg_.trace) {
-        cfg_.trace->record(
-            now, "proc",
-            traceText("proc ", proc, " thinks until ",
-                      now + static_cast<Tick>(cfg_.processorCycle())));
-    }
     return false;
 }
 
@@ -306,12 +282,6 @@ SingleBusSystem::memoryCompletion(int module)
     const Tick now = now_;
     Module &mod = mods_[module];
 
-    if (cfg_.trace) {
-        cfg_.trace->record(now, "mem",
-                           traceText("module ", module,
-                                     " completes access for proc ",
-                                     mod.servingProc));
-    }
     if (!cfg_.buffered) {
         sbn_assert(mod.state == ModState::Accessing,
                    "completion on non-accessing module");
@@ -348,12 +318,6 @@ SingleBusSystem::maybeStartBufferedAccess(int module)
     mod.accessStart = now;
     collector_.serviceStart(mod.servingProc, now);
     collector_.dequeue(module, now);
-    if (cfg_.trace) {
-        cfg_.trace->record(now, "mem",
-                           traceText("module ", module,
-                                     " starts access for proc ",
-                                     mod.servingProc));
-    }
     scheduleCompletion(module);
     refreshModule(module);
     // An input slot freed: a waiting processor may now be eligible.
@@ -376,12 +340,6 @@ SingleBusSystem::transferDone()
             mod.servingProc = xfer.proc;
             mod.accessStart = now;
             collector_.serviceStart(xfer.proc, now);
-            if (cfg_.trace) {
-                cfg_.trace->record(now, "mem",
-                                   traceText("module ", xfer.module,
-                                             " starts access for proc ",
-                                             xfer.proc));
-            }
             scheduleCompletion(xfer.module);
             refreshModule(xfer.module);
         } else {
@@ -410,12 +368,6 @@ SingleBusSystem::transferDone()
 
     // Deliver to the processor; it immediately starts its next
     // processor cycle (issue or think).
-    if (cfg_.trace) {
-        cfg_.trace->record(now, "proc",
-                           traceText("proc ", xfer.proc,
-                                     " receives response from module ",
-                                     xfer.module));
-    }
     processorReady(xfer.proc);
 }
 
@@ -529,11 +481,6 @@ SingleBusSystem::grantRequest(int proc)
     refreshModule(p.target);
 
     busTransfer_ = BusTransfer{BusTransfer::Kind::Request, proc, p.target};
-    if (cfg_.trace) {
-        cfg_.trace->record(now_, "bus",
-                           traceText("grant request proc ", proc,
-                                     " -> module ", p.target));
-    }
 }
 
 void
@@ -558,11 +505,6 @@ SingleBusSystem::grantResponse(int module)
     }
 
     busTransfer_ = BusTransfer{BusTransfer::Kind::Response, proc, module};
-    if (cfg_.trace) {
-        cfg_.trace->record(now, "bus",
-                           traceText("grant response module ", module,
-                                     " -> proc ", proc));
-    }
     recordCompletion(proc, now);
 }
 
@@ -618,10 +560,10 @@ SingleBusSystem::runCycleSkip()
     //    runs first. Running the bus cycle first instead moves golden
     //    pins.
     //  - The ring also keeps the heap's order among same-tick
-    //    completions, although no metric depends on it: a completion
+    //    completions, although nothing depends on it: a completion
     //    draws no random number and changes only its own module (its
-    //    arbitration request is idempotent), so reversing them moves
-    //    nothing but the trace.
+    //    arbitration request is idempotent), so reversing same-tick
+    //    completions changes no output.
     //  - An arbitration is requested only at the current tick, and
     //    never while a bus cycle is pending or in its transfer phase
     //    (requestArbitration), so the two slots are never due in the

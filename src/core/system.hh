@@ -73,9 +73,6 @@ class SingleBusSystem
     /** Run warmup + measurement and return the collected metrics. */
     Metrics run();
 
-    /** The configuration this system was built with. */
-    const SystemConfig &config() const { return cfg_; }
-
     /**
      * Scheduled events executed so far: memory completions, bus
      * cycles and arbitrations (perf accounting; think draws are

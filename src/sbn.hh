@@ -34,7 +34,6 @@
 #include "core/experiment.hh"
 #include "core/metrics.hh"
 #include "core/system.hh"
-#include "desim/trace.hh"
 #include "core/fingerprint.hh"
 #include "exec/adaptive.hh"
 #include "exec/parallel_runner.hh"

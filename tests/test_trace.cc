@@ -1,303 +1,281 @@
 /**
  * @file
- * Tests for the trace subsystem and its integration with the
- * simulator: record filtering, ring capacity, and the exact event
- * sequence of an uncontended processor cycle.
+ * Tests of the cross-process span layer (trace/span.hh): the
+ * SBN_TRACE_CTX "<trace>:<span>" grammar, and the sbn.trace.v1 line a
+ * span appends to this process's shard under SBN_TRACE_DIR.
  */
 
 #include <gtest/gtest.h>
 
+#include <sys/stat.h>
+#include <unistd.h>
+
+#include <cstdio>
+#include <cstdlib>
+#include <fstream>
+#include <optional>
 #include <sstream>
 #include <string>
+#include <vector>
 
-#include "core/experiment.hh"
-#include "desim/trace.hh"
 #include "service/protocol.hh"
+#include "trace/span.hh"
 
 namespace sbn {
 namespace {
 
-TEST(TraceSink, RecordsInOrder)
+/**
+ * Sets or unsets one environment variable for a scope and restores
+ * its previous state, so no test leaks tracing into the next one.
+ */
+class ScopedEnv
 {
-    TraceSink sink;
-    sink.record(1, "a", "first");
-    sink.record(2, "b", "second");
-    ASSERT_EQ(sink.records().size(), 2u);
-    EXPECT_EQ(sink.records()[0].tick, 1u);
-    EXPECT_EQ(sink.records()[0].message, "first");
-    EXPECT_EQ(sink.records()[1].category, "b");
-    EXPECT_EQ(sink.emitted(), 2u);
-}
-
-TEST(TraceSink, CategoryFilter)
-{
-    TraceSink sink;
-    sink.enableOnly({"bus"});
-    EXPECT_TRUE(sink.wants("bus"));
-    EXPECT_FALSE(sink.wants("mem"));
-    sink.record(0, "mem", "dropped");
-    sink.record(0, "bus", "kept");
-    ASSERT_EQ(sink.records().size(), 1u);
-    EXPECT_EQ(sink.records()[0].message, "kept");
-
-    sink.enableAll();
-    sink.record(1, "mem", "now kept");
-    EXPECT_EQ(sink.records().size(), 2u);
-}
-
-TEST(TraceSink, RingCapacity)
-{
-    TraceSink sink(nullptr, 3);
-    for (int i = 0; i < 10; ++i)
-        sink.record(static_cast<Tick>(i), "c", std::to_string(i));
-    ASSERT_EQ(sink.records().size(), 3u);
-    EXPECT_EQ(sink.records().front().message, "7");
-    EXPECT_EQ(sink.records().back().message, "9");
-    EXPECT_EQ(sink.emitted(), 10u);
-}
-
-TEST(TraceSink, StreamsToOstream)
-{
-    std::ostringstream os;
-    TraceSink sink(&os);
-    sink.record(42, "bus", "grant request proc 0 -> module 3");
-    EXPECT_EQ(os.str(), "42: [bus] grant request proc 0 -> module 3\n");
-}
-
-TEST(TraceSink, JsonlStreamFormat)
-{
-    std::ostringstream os;
-    TraceSink sink(&os, 65536, TraceFormat::Jsonl);
-    sink.record(42, "bus", "grant request proc 0 -> module 3");
-    EXPECT_EQ(os.str(),
-              "{\"tick\":42,\"category\":\"bus\",\"message\":\"grant "
-              "request proc 0 -> module 3\"}\n");
-}
-
-TEST(TraceSink, JsonlEscapesAndRoundTrips)
-{
-    // Hostile message bytes must come back intact through the strict
-    // flat-JSON parser the rest of the codebase uses.
-    std::ostringstream os;
-    TraceSink sink(&os, 65536, TraceFormat::Jsonl);
-    const std::string nasty = "quote \" slash \\ tab \t newline \n";
-    sink.record(7, "mem", nasty);
-
-    std::string line = os.str();
-    ASSERT_FALSE(line.empty());
-    ASSERT_EQ(line.back(), '\n');
-    line.pop_back();
-    // The line itself must be exactly one line (escapes worked).
-    EXPECT_EQ(line.find('\n'), std::string::npos);
-
-    JsonObject fields;
-    std::string error;
-    ASSERT_TRUE(parseFlatJsonObject(line, fields, error)) << error;
-    EXPECT_EQ(fields.at("tick").number, 7.0);
-    EXPECT_EQ(fields.at("category").text, "mem");
-    EXPECT_EQ(fields.at("message").text, nasty);
-}
-
-TEST(TraceSink, JsonlStreamingKeepsRingSemantics)
-{
-    // The stream sees every emitted record; the ring still only
-    // retains the newest `capacity`.
-    std::ostringstream os;
-    TraceSink sink(&os, 2, TraceFormat::Jsonl);
-    for (int i = 0; i < 5; ++i)
-        sink.record(static_cast<Tick>(i), "c", std::to_string(i));
-    EXPECT_EQ(sink.emitted(), 5u);
-    ASSERT_EQ(sink.records().size(), 2u);
-    EXPECT_EQ(sink.records().front().message, "3");
-    EXPECT_EQ(sink.records().back().message, "4");
-
-    std::istringstream in(os.str());
-    std::string line;
-    std::size_t lines = 0;
-    while (std::getline(in, line)) {
-        JsonObject fields;
-        std::string error;
-        ASSERT_TRUE(parseFlatJsonObject(line, fields, error)) << error;
-        ++lines;
+  public:
+    ScopedEnv(const char *name, const char *value) : name_(name)
+    {
+        if (const char *old = std::getenv(name))
+            saved_ = old;
+        if (value != nullptr)
+            ::setenv(name, value, 1);
+        else
+            ::unsetenv(name);
     }
-    EXPECT_EQ(lines, 5u);
+
+    ~ScopedEnv()
+    {
+        if (saved_)
+            ::setenv(name_, saved_->c_str(), 1);
+        else
+            ::unsetenv(name_);
+    }
+
+  private:
+    const char *name_;
+    std::optional<std::string> saved_;
+};
+
+std::string
+hex16(std::uint64_t value)
+{
+    char buf[24];
+    std::snprintf(buf, sizeof(buf), "%016llx",
+                  static_cast<unsigned long long>(value));
+    return buf;
 }
 
-TEST(TraceSink, EvictionAtExactCapacityBoundary)
+/** This process's shard file name inside a trace directory. */
+std::string
+shardName()
 {
-    TraceSink sink(nullptr, 3);
-    sink.record(0, "c", "0");
-    sink.record(1, "c", "1");
-    sink.record(2, "c", "2");
-    // Exactly at capacity: nothing evicted yet.
-    ASSERT_EQ(sink.records().size(), 3u);
-    EXPECT_EQ(sink.records().front().message, "0");
-    // One past capacity evicts exactly the oldest.
-    sink.record(3, "c", "3");
-    ASSERT_EQ(sink.records().size(), 3u);
-    EXPECT_EQ(sink.records().front().message, "1");
-    EXPECT_EQ(sink.records().back().message, "3");
+    return "trace-" + std::to_string(::getpid()) + ".jsonl";
 }
 
-TEST(TraceSink, ZeroCapacityRetainsNothingButCountsAndStreams)
+/**
+ * The trace directory every TraceSpan test points SBN_TRACE_DIR at.
+ * The span writer keeps its shard open for the life of the process,
+ * so the tests share one per-process directory, count the lines each
+ * call appends, and remove the directory only at exit.
+ */
+class ShardDir
 {
+  public:
+    ShardDir()
+        : owner_(::getpid()), path_(::testing::TempDir() + "sbn_trace_" +
+                                    std::to_string(owner_))
+    {
+        ::mkdir(path_.c_str(), 0777);
+    }
+
+    ~ShardDir()
+    {
+        if (::getpid() != owner_)
+            return; // a forked child exiting; the parent cleans up
+        std::remove((path_ + "/" + shardName()).c_str());
+        ::rmdir(path_.c_str());
+    }
+
+    const std::string &path() const { return path_; }
+
+  private:
+    pid_t owner_;
+    std::string path_;
+};
+
+const std::string &
+shardDir()
+{
+    static const ShardDir dir;
+    return dir.path();
+}
+
+/** The lines of this process's shard (none when it does not exist). */
+std::vector<std::string>
+shardLines()
+{
+    std::ifstream in(shardDir() + "/" + shardName(), std::ios::binary);
     std::ostringstream os;
-    TraceSink sink(&os, 0);
-    sink.record(0, "c", "gone");
-    EXPECT_TRUE(sink.records().empty());
-    EXPECT_EQ(sink.emitted(), 1u);
-    EXPECT_EQ(os.str(), "0: [c] gone\n");
+    os << in.rdbuf();
+    const std::string bytes = os.str();
+    if (!bytes.empty()) {
+        EXPECT_EQ(bytes.back(), '\n') << "torn final line";
+    }
+    std::vector<std::string> lines;
+    std::istringstream split(bytes);
+    for (std::string line; std::getline(split, line);)
+        lines.push_back(line);
+    return lines;
 }
 
-TEST(TraceSink, CategoryToggleEdgeCases)
+JsonObject
+parseLine(const std::string &line)
 {
-    TraceSink sink;
-    // enableOnly({}) is "nothing", not "everything".
-    sink.enableOnly({});
-    EXPECT_FALSE(sink.wants("bus"));
-    sink.record(0, "bus", "dropped");
-    EXPECT_EQ(sink.emitted(), 0u);
-
-    // Narrow -> renarrow replaces the set, it does not union.
-    sink.enableOnly({"bus"});
-    sink.enableOnly({"mem"});
-    EXPECT_FALSE(sink.wants("bus"));
-    EXPECT_TRUE(sink.wants("mem"));
-
-    // enableAll clears the filter AND the remembered set: a later
-    // enableOnly starts from scratch.
-    sink.enableAll();
-    EXPECT_TRUE(sink.wants("bus"));
-    sink.enableOnly({"proc"});
-    EXPECT_FALSE(sink.wants("mem"));
-    EXPECT_TRUE(sink.wants("proc"));
-
-    // Toggling does not disturb already-retained records.
-    sink.record(1, "proc", "kept");
-    sink.enableOnly({"bus"});
-    ASSERT_EQ(sink.records().size(), 1u);
-    EXPECT_EQ(sink.records()[0].message, "kept");
+    JsonObject obj;
+    std::string error;
+    EXPECT_TRUE(parseFlatJsonObject(line, obj, error))
+        << error << ": " << line;
+    return obj;
 }
 
-TEST(TraceSink, WildcardPrefixFilter)
+TEST(TraceContext, FormatParseRoundTrip)
 {
-    TraceSink sink;
-    // A trailing '*' enables every category with that prefix,
-    // including the bare stem itself.
-    sink.enableOnly({"bus*"});
-    EXPECT_TRUE(sink.wants("bus"));
-    EXPECT_TRUE(sink.wants("bus.arb"));
-    EXPECT_TRUE(sink.wants("busload"));
-    EXPECT_FALSE(sink.wants("mem"));
-    EXPECT_FALSE(sink.wants("bu"));
+    const TraceContext ctx{0x0123456789abcdefull, 0xfedcba9876543210ull};
+    const std::string text = formatTraceContext(ctx);
+    EXPECT_EQ(text, "0123456789abcdef:fedcba9876543210");
 
-    sink.record(0, "bus.arb", "grant");
-    sink.record(1, "mem", "dropped");
-    ASSERT_EQ(sink.records().size(), 1u);
-    EXPECT_EQ(sink.records()[0].category, "bus.arb");
+    TraceContext back;
+    ASSERT_TRUE(parseTraceContext(text, back));
+    EXPECT_EQ(back.traceId, ctx.traceId);
+    EXPECT_EQ(back.spanId, ctx.spanId);
+    EXPECT_EQ(formatTraceContext(back), text);
 
-    // Exact patterns and wildcards mix; the exact one does not
-    // become a prefix.
-    sink.enableOnly({"mem", "proc*"});
-    EXPECT_TRUE(sink.wants("mem"));
-    EXPECT_FALSE(sink.wants("mem.ctl"));
-    EXPECT_TRUE(sink.wants("proc"));
-    EXPECT_TRUE(sink.wants("proc3"));
-
-    // '*' anywhere but the end is not special.
-    sink.enableOnly({"b*s"});
-    EXPECT_FALSE(sink.wants("bus"));
-    EXPECT_TRUE(sink.wants("b*s"));
+    // Fewer than 16 digits parse too; span 0 is a trace's root.
+    ASSERT_TRUE(parseTraceContext("ab:0", back));
+    EXPECT_EQ(back.traceId, 0xabu);
+    EXPECT_EQ(back.spanId, 0u);
+    EXPECT_TRUE(back.valid());
+    EXPECT_EQ(formatTraceContext(back),
+              "00000000000000ab:0000000000000000");
 }
 
-TEST(TraceSink, WildcardStarAloneAndReset)
+TEST(TraceContext, ParseRejectsMalformedInput)
 {
-    TraceSink sink;
-    // A bare "*" matches everything (empty prefix) while keeping
-    // the filter active - distinct from enableAll only in intent.
-    sink.enableOnly({"*"});
-    EXPECT_TRUE(sink.wants("bus"));
-    EXPECT_TRUE(sink.wants("anything"));
-
-    // Re-narrowing replaces wildcards too, and enableAll clears
-    // remembered prefixes so a later enableOnly starts from scratch.
-    sink.enableOnly({"mem"});
-    EXPECT_FALSE(sink.wants("bus.arb"));
-    sink.enableOnly({"bus*"});
-    sink.enableAll();
-    sink.enableOnly({"mem"});
-    EXPECT_FALSE(sink.wants("bus.arb"));
-    EXPECT_TRUE(sink.wants("mem"));
+    const char *const bad[] = {
+        "",          "abc",       ":1",       "1:",
+        "1:2:3",
+        "0:1", // trace id 0 is the invalid context
+        "00000000000000001:1", "1:00000000000000001", // 17 digits
+        "AB:1",      "1:Cd",      // uppercase hex
+        "+1:2",      "-1:2",      "1:+2",     "0x1:2",
+        " 1:2",      "1: 2",      "1:2 ",     "1:2\n",
+    };
+    for (const char *text : bad) {
+        TraceContext out{7, 9};
+        EXPECT_FALSE(parseTraceContext(text, out)) << "'" << text << "'";
+        // A rejected parse leaves the output untouched.
+        EXPECT_EQ(out.traceId, 7u) << "'" << text << "'";
+        EXPECT_EQ(out.spanId, 9u) << "'" << text << "'";
+    }
 }
 
-TEST(TraceIntegration, UncontendedCycleSequence)
+TEST(TraceContext, InheritedContextComesFromTheEnvironment)
 {
-    // n = 1, m = 1, r = 3: the first processor cycle is fully
-    // deterministic: issue@0, grant@0, access 1..4, response grant@4,
-    // delivery@5, next issue@5.
-    TraceSink sink;
-    SystemConfig cfg;
-    cfg.numProcessors = 1;
-    cfg.numModules = 1;
-    cfg.memoryRatio = 3;
-    cfg.warmupCycles = 0;
-    cfg.measureCycles = 20;
-    cfg.trace = &sink;
-    (void)runOnce(cfg);
-
-    const auto &recs = sink.records();
-    ASSERT_GE(recs.size(), 7u);
-    EXPECT_EQ(recs[0].tick, 0u);
-    EXPECT_EQ(recs[0].message, "proc 0 issues to module 0");
-    EXPECT_EQ(recs[1].tick, 0u);
-    EXPECT_EQ(recs[1].message, "grant request proc 0 -> module 0");
-    EXPECT_EQ(recs[2].tick, 1u);
-    EXPECT_EQ(recs[2].message, "module 0 starts access for proc 0");
-    EXPECT_EQ(recs[3].tick, 4u);
-    EXPECT_EQ(recs[3].message, "module 0 completes access for proc 0");
-    EXPECT_EQ(recs[4].tick, 4u);
-    EXPECT_EQ(recs[4].message, "grant response module 0 -> proc 0");
-    EXPECT_EQ(recs[5].tick, 5u);
-    EXPECT_EQ(recs[5].message, "proc 0 receives response from module 0");
-    EXPECT_EQ(recs[6].tick, 5u);
-    EXPECT_EQ(recs[6].message, "proc 0 issues to module 0");
+    ScopedEnv dir(kTraceDirEnvVar, nullptr);
+    {
+        ScopedEnv ctx(kTraceCtxEnvVar, nullptr);
+        EXPECT_FALSE(inheritedTraceContext().valid());
+    }
+    {
+        ScopedEnv ctx(kTraceCtxEnvVar, "00000000000000ab:00000000000000cd");
+        const TraceContext got = inheritedTraceContext();
+        EXPECT_EQ(got.traceId, 0xabu);
+        EXPECT_EQ(got.spanId, 0xcdu);
+    }
+    // A malformed context starts a fresh trace instead of joining a
+    // garbage one.
+    for (const char *text : {"0:1", "xyz", "1:2:3", "AB:CD", " 1:2"}) {
+        ScopedEnv ctx(kTraceCtxEnvVar, text);
+        const TraceContext got = inheritedTraceContext();
+        EXPECT_FALSE(got.valid()) << "'" << text << "'";
+        EXPECT_EQ(got.spanId, 0u) << "'" << text << "'";
+    }
 }
 
-TEST(TraceIntegration, BusOnlyFilter)
+TEST(TraceSpan, DisabledWithoutTraceDir)
 {
-    TraceSink sink;
-    sink.enableOnly({"bus"});
-    SystemConfig cfg;
-    cfg.numProcessors = 2;
-    cfg.numModules = 2;
-    cfg.memoryRatio = 2;
-    cfg.warmupCycles = 0;
-    cfg.measureCycles = 100;
-    cfg.trace = &sink;
-    const Metrics m = runOnce(cfg);
-
-    for (const auto &rec : sink.records())
-        EXPECT_EQ(rec.category, "bus");
-    // Every bus-busy cycle produced exactly one grant record.
-    EXPECT_EQ(sink.emitted(), m.busBusyCycles);
+    ScopedEnv ctx(kTraceCtxEnvVar, nullptr);
+    for (const char *value : {static_cast<const char *>(nullptr), ""}) {
+        ScopedEnv dir(kTraceDirEnvVar, value);
+        EXPECT_FALSE(traceEnabled());
+        EXPECT_EQ(traceShardDir(), "");
+        EXPECT_EQ(traceAllocSpanId(), 0u);
+        EXPECT_EQ(traceEmitSpan(TraceContext{1, 0}, "test", "off", 0, 1, 2,
+                                {{"k", "v"}}),
+                  0u);
+        traceEmitSpanWithId(TraceContext{1, 0}, 42, "test", "off", 0, 1,
+                            2);
+        // The writer was never reached: it would have created its
+        // shard under the empty directory name.
+        const std::string stray = traceShardDir() + "/" + shardName();
+        EXPECT_NE(::access(stray.c_str(), F_OK), 0) << stray;
+    }
 }
 
-TEST(TraceIntegration, TracingDoesNotPerturbResults)
+TEST(TraceSpan, OneCallAppendsOneParsableLine)
 {
-    SystemConfig cfg;
-    cfg.numProcessors = 4;
-    cfg.numModules = 4;
-    cfg.memoryRatio = 4;
-    cfg.warmupCycles = 100;
-    cfg.measureCycles = 5000;
-    const Metrics plain = runOnce(cfg);
+    ScopedEnv ctx(kTraceCtxEnvVar, nullptr);
+    ScopedEnv dir(kTraceDirEnvVar, shardDir().c_str());
+    ASSERT_TRUE(traceEnabled());
+    EXPECT_EQ(traceShardDir(), shardDir());
+    const std::size_t before = shardLines().size();
 
-    TraceSink sink;
-    cfg.trace = &sink;
-    const Metrics traced = runOnce(cfg);
-    EXPECT_EQ(plain.completedRequests, traced.completedRequests);
-    EXPECT_EQ(plain.busBusyCycles, traced.busBusyCycles);
-    EXPECT_GT(sink.emitted(), 0u);
+    const std::string name = "say \"hi\" \\ then\nbreak";
+    const std::uint64_t span = traceEmitSpan(
+        TraceContext{0x1234, 0}, "test", name, 0xabc, 100, 250,
+        {{"points", "8"}, {"note", "tab\there"}});
+    ASSERT_NE(span, 0u);
+
+    const std::vector<std::string> lines = shardLines();
+    ASSERT_EQ(lines.size(), before + 1);
+    const JsonObject obj = parseLine(lines.back());
+    EXPECT_EQ(obj.size(), 11u); // nine span fields + two attributes
+    EXPECT_EQ(obj.at("type").text, "sbn.trace.v1");
+    EXPECT_EQ(obj.at("trace").text, "0000000000001234");
+    EXPECT_EQ(obj.at("span").text, hex16(span));
+    EXPECT_EQ(obj.at("parent").text, "0000000000000abc");
+    EXPECT_EQ(obj.at("kind").text, "test");
+    EXPECT_EQ(obj.at("name").text, name);
+    EXPECT_EQ(obj.at("pid").number, static_cast<double>(::getpid()));
+    EXPECT_EQ(obj.at("start_us").number, 100.0);
+    EXPECT_EQ(obj.at("end_us").number, 250.0);
+    EXPECT_EQ(obj.at("a_points").text, "8");
+    EXPECT_EQ(obj.at("a_note").text, "tab\there");
+
+    // Span ids are process-unique.
+    const std::uint64_t next =
+        traceEmitSpan(TraceContext{0x1234, 0}, "test", "next", span, 250,
+                      250);
+    EXPECT_NE(next, 0u);
+    EXPECT_NE(next, span);
+    EXPECT_EQ(shardLines().size(), before + 2);
+}
+
+TEST(TraceSpan, ZeroIdWritesNothing)
+{
+    ScopedEnv ctx(kTraceCtxEnvVar, nullptr);
+    ScopedEnv dir(kTraceDirEnvVar, shardDir().c_str());
+    const std::size_t before = shardLines().size();
+
+    traceEmitSpanWithId(TraceContext{1, 0}, 0, "test", "zero", 0, 1, 2);
+    EXPECT_EQ(shardLines().size(), before);
+
+    // A pre-allocated id is written as given.
+    const std::uint64_t id = traceAllocSpanId();
+    ASSERT_NE(id, 0u);
+    traceEmitSpanWithId(TraceContext{1, 0}, id, "test", "allocated", 0, 1,
+                        2);
+    const std::vector<std::string> lines = shardLines();
+    ASSERT_EQ(lines.size(), before + 1);
+    EXPECT_EQ(parseLine(lines.back()).at("span").text, hex16(id));
 }
 
 } // namespace
