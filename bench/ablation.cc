@@ -1,6 +1,7 @@
 /**
  * @file
- * Ablation studies over the design choices DESIGN.md calls out.
+ * Ablation studies over the design choices docs/design.md,
+ * "Ablations", calls out.
  * These go beyond the paper's published grids:
  *
  *  A1. arbitration tie-break: random (paper hypothesis (h)) vs

@@ -9,7 +9,8 @@
  *      r=8; with m=10 only ~5% degradation is suffered.
  *  C3. (ref [5], unit caveat) a multiple-bus network needs ~4 buses
  *      for the 8x8 crossbar level; in non-multiplexed units our chain
- *      puts the requirement at 5 buses (documented in DESIGN.md).
+ *      puts the requirement at 5 buses (docs/design.md, "Conclusion
+ *      C3: the unit mismatch").
  *  C4. With p > 0.4, r = 8 suffices to exceed the crossbar in an
  *      8x16 system; with p = 0.3, r = 12 is enough.
  *  C5. A buffered single bus with r = 18 performs like a 16x16
@@ -81,7 +82,7 @@ printReproduction()
         }
         std::printf("    (paper quotes 4 buses from ref [5], whose "
                     "multiple-bus network is itself\n     multiplexed; "
-                    "see DESIGN.md on the unit mismatch)\n");
+                    "see docs/design.md on the unit mismatch)\n");
     }
 
     // ---- C4: partial-load crossovers on 8x16 -------------------------

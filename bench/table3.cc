@@ -7,8 +7,9 @@
  *   (b) approximate model -> our Section 4 reduced Markov chain
  *
  * The chain's P1/P2 formulas are re-derived from their verbal
- * definitions (the printed expressions are OCR-degraded); DESIGN.md
- * explains and tests/test_procprio.cc pins the validation bands.
+ * definitions (the printed expressions are OCR-degraded);
+ * docs/design.md, "Section 4 chain", explains them and
+ * tests/test_procprio.cc pins the validation bands.
  */
 
 #include "bench_common.hh"

@@ -35,10 +35,10 @@
  *                                  demanded modules
  *
  * P2 is re-derived from its verbal definition (the printed formula is
- * OCR-degraded); see DESIGN.md section 4. The class-3 completion
- * transition is likewise re-derived to respect processor priority;
- * Options::literal_class3 switches back to the literal printed target
- * for comparison.
+ * OCR-degraded); see docs/design.md, "Section 4 chain". The class-3
+ * completion transition is likewise re-derived to respect processor
+ * priority; Options::literal_class3 switches back to the literal
+ * printed target for comparison.
  */
 
 #ifndef SBN_ANALYTIC_PROCPRIO_HH
@@ -114,8 +114,9 @@ class ProcPrioChain
     /**
      * The paper's closed-form state count S = (3v^2+3v-2)/2 with
      * v = min(n, m), quoted for r > min(n, m). Our reachable
-     * enumeration may differ slightly (see DESIGN.md); exposed so
-     * tests can document the relation.
+     * enumeration equals it for r >= v and falls short below
+     * (docs/design.md, "Reachable states"); exposed so tests can pin
+     * the relation.
      */
     static std::size_t paperStateCount(int n, int m);
 
