@@ -49,6 +49,9 @@ class ScopedEnv
             ::unsetenv(name_);
     }
 
+    ScopedEnv(const ScopedEnv &) = delete;
+    ScopedEnv &operator=(const ScopedEnv &) = delete;
+
   private:
     const char *name_;
     std::optional<std::string> saved_;
@@ -93,6 +96,9 @@ class ShardDir
         std::remove((path_ + "/" + shardName()).c_str());
         ::rmdir(path_.c_str());
     }
+
+    ShardDir(const ShardDir &) = delete;
+    ShardDir &operator=(const ShardDir &) = delete;
 
     const std::string &path() const { return path_; }
 
