@@ -88,6 +88,64 @@ TEST(SystemBasic, SingleProcessorIsUncontended)
     }
 }
 
+TEST(TraceIntegration, UncontendedCycleSequence)
+{
+    // n = 1, m = 1, r = 3: the first processor cycles are fully
+    // deterministic: issue and request grant at 0, access [1, 4),
+    // response grant at 4, delivery and the next issue at 5. A window
+    // of T ticks counts the events at ticks 0 .. T-1 (an access when it
+    // ends, a completion at its response grant), so the counters at
+    // every horizon T trace that sequence tick by tick, in both kernels.
+    struct Horizon
+    {
+        std::uint64_t ticks, issued, busBusy, moduleBusy, completed;
+    };
+    const Horizon trace[] = {
+        {1, 1, 1, 0, 0}, // issue and request grant at 0
+        {2, 1, 1, 0, 0}, {3, 1, 1, 0, 0}, {4, 1, 1, 0, 0},
+        {5, 1, 2, 3, 1}, // access [1, 4) ends, response grant at 4
+        {6, 2, 3, 3, 1}, // next issue and its request grant at 5
+        {7, 2, 3, 3, 1}, {8, 2, 3, 3, 1}, {9, 2, 3, 3, 1},
+        {10, 2, 4, 6, 2}, // access [6, 9) ends, response grant at 9
+        {11, 3, 5, 6, 2}, // third issue and request grant at 10
+    };
+    for (KernelKind kernel : {KernelKind::CycleSkip, KernelKind::FastStat}) {
+        for (const Horizon &h : trace) {
+            SystemConfig cfg;
+            cfg.numProcessors = 1;
+            cfg.numModules = 1;
+            cfg.memoryRatio = 3;
+            cfg.warmupCycles = 0;
+            cfg.measureCycles = h.ticks;
+            cfg.kernel = kernel;
+            cfg.collectPerModule = true;
+            cfg.collectLatency = true;
+            const Metrics out = runOnce(cfg);
+            SCOPED_TRACE(testing::Message()
+                         << "kernel=" << static_cast<int>(kernel)
+                         << " T=" << h.ticks);
+            EXPECT_EQ(out.issuedRequests, h.issued);
+            EXPECT_EQ(out.busBusyCycles, h.busBusy);
+            ASSERT_EQ(out.perModuleBusyCycles.size(), 1u);
+            EXPECT_EQ(out.perModuleBusyCycles[0], h.moduleBusy);
+            EXPECT_EQ(out.completedRequests, h.completed);
+            if (h.completed == 0)
+                continue;
+            // Every completed request started service one tick after
+            // its issue and was delivered r + 2 = 5 ticks after it (a
+            // mean equal to the max pins every sample).
+            ASSERT_TRUE(out.latencyWait.has_value());
+            EXPECT_EQ(out.latencyWait->count(), h.completed);
+            EXPECT_EQ(out.latencyWait->mean(), 1.0);
+            EXPECT_EQ(out.latencyWait->maxSample(), 1.0);
+            ASSERT_TRUE(out.latencyResidence.has_value());
+            EXPECT_EQ(out.latencyResidence->count(), h.completed);
+            EXPECT_EQ(out.latencyResidence->mean(), 5.0);
+            EXPECT_EQ(out.latencyResidence->maxSample(), 5.0);
+        }
+    }
+}
+
 TEST(SystemBasic, SingleModuleUnbufferedSerializes)
 {
     // m = 1 unbuffered: the module turns around one request per r+2
