@@ -3,10 +3,12 @@
 #include <sys/wait.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cerrno>
 #include <cstdio>
 #include <cstdlib>
 #include <limits>
+#include <optional>
 
 #include "core/experiment.hh"
 #include "exec/parallel_runner.hh"
@@ -86,22 +88,24 @@ currentTraceContext()
     return ctx;
 }
 
-/** Compute @p subset of @p opt's sweep into the record file @p path. */
+/** Compute @p subset of @p opt's sweep, as far as @p claim admits,
+ *  into the record file @p path. */
 ShardRunStats
 writeSweepPoints(const SweepRunOptions &opt,
                  const std::vector<SystemConfig> &points,
                  const std::vector<std::size_t> &subset,
-                 const std::string &path, bool resume)
+                 const std::string &path, bool resume,
+                 PointClaim *claim)
 {
     return runShardPoints(
         subset, sweepRunMergeCheck(opt, points).expectedRunFp, path,
         resume,
         [&](const std::vector<std::size_t> &missing,
             RecordWriter &writer) {
-            runSweepPoints(opt, points, missing,
-                           [&](const PointRecord &record) {
-                               writer.add(record);
-                           });
+            runSweepPoints(
+                opt, points, missing,
+                [&](const PointRecord &record) { writer.add(record); },
+                claim);
         });
 }
 
@@ -142,8 +146,8 @@ sweepFlagHelp()
                          "killed (0 = off)"},
         {"backoff", "spawn: initial retry backoff seconds (doubles "
                     "per failure, capped)"},
-        {"steal", "spawn: let free workers steal missing points from "
-                  "stragglers (default 1)"},
+        {"steal", "spawn: let free slots split off the unstarted "
+                  "points of stragglers (default 1)"},
         {"telemetry", "collect run telemetry counters/timers; the "
                       "optional value names the dump file (default "
                       "'-' = stderr). Shard workers also append "
@@ -420,7 +424,7 @@ void
 runSweepPoints(const SweepRunOptions &opt,
                const std::vector<SystemConfig> &points,
                const std::vector<std::size_t> &subset,
-               const PointRecordCallback &emit)
+               const PointRecordCallback &emit, PointClaim *claim)
 {
     for (std::size_t k = 0; k < subset.size(); ++k) {
         sbn_assert(subset[k] < points.size(),
@@ -432,22 +436,32 @@ runSweepPoints(const SweepRunOptions &opt,
         opt.threads != 0 ? opt.threads : defaultExecThreads());
 
     if (!opt.adaptive) {
-        runner.stream<PointSample>(
+        // Each point is claimed just before it starts; a refused one
+        // belongs to a thief, and so does every later one.
+        runner.stream<std::optional<PointSample>>(
             subset.size(),
-            [&](std::size_t k) {
+            [&](std::size_t k) -> std::optional<PointSample> {
+                if (claim != nullptr && !claim->claim(subset[k]))
+                    return std::nullopt;
                 return evaluateSweepPointSample(points[subset[k]]);
             },
-            [&](std::size_t k, const PointSample &sample) {
-                emit(makeSweepRecord(subset[k], points[subset[k]],
-                                     sample));
+            [&](std::size_t k, const std::optional<PointSample> &sample) {
+                if (sample)
+                    emit(makeSweepRecord(subset[k], points[subset[k]],
+                                         *sample));
             });
         return;
     }
 
+    // Adaptive rounds span every point, so the whole owned range is
+    // claimed at once, before the first round.
     std::vector<SystemConfig> selected;
     selected.reserve(subset.size());
-    for (const std::size_t index : subset)
+    for (const std::size_t index : subset) {
+        if (claim != nullptr && !claim->claim(index))
+            break;
         selected.push_back(points[index]);
+    }
     const AdaptiveReplicator replicator(runner, opt.target,
                                         opt.schedule);
     replicator.runPoints(
@@ -466,7 +480,7 @@ runSweepPoints(const SweepRunOptions &opt,
 
 ShardRunStats
 runSweepShard(const SweepRunOptions &opt, const ShardSpec &shard,
-              const std::string &dir, bool resume)
+              const std::string &dir, bool resume, PointClaim *claim)
 {
     const std::string path = shardFilePath(dir, shard);
     const TraceContext ctx = currentTraceContext();
@@ -474,7 +488,7 @@ runSweepShard(const SweepRunOptions &opt, const ShardSpec &shard,
     const std::vector<SystemConfig> points = opt.spec.materialize();
     const ShardPlan plan(points.size(), shard.count, opt.layout);
     const ShardRunStats stats = writeSweepPoints(
-        opt, points, plan.indices(shard.index), path, resume);
+        opt, points, plan.indices(shard.index), path, resume, claim);
     // The worker's own view of the attempt: emitted from inside the
     // (possibly forked) worker process, so a supervised run's merged
     // timeline shows spans from every process of the fleet.
@@ -487,10 +501,12 @@ runSweepShard(const SweepRunOptions &opt, const ShardSpec &shard,
                    {"adaptive", opt.adaptive ? "1" : "0"}});
     std::fprintf(stderr,
                  "shard %s (%s): %zu point(s) owned, %zu resumed, "
-                 "%zu computed -> %s\n",
+                 "%zu computed, %zu split off -> %s\n",
                  shard.toString().c_str(),
                  shardLayoutName(opt.layout), stats.owned,
-                 stats.skipped, stats.computed, path.c_str());
+                 stats.skipped, stats.computed,
+                 stats.owned - stats.skipped - stats.computed,
+                 path.c_str());
     appendTelemetrySidecar(path);
     return stats;
 }
@@ -511,11 +527,9 @@ makeSweepWorkerBody(const SweepRunOptions &opt,
         if (task.steal) {
             const TraceContext ctx = currentTraceContext();
             const std::uint64_t startUs = traceNowMicros();
-            // A steal file carries only this launch's records; a
-            // predecessor's partial file stays on disk under its own
-            // name, so its flushed records still count for the fleet.
+            // A relaunched thief resumes its own file, as a shard does.
             writeSweepPoints(worker, points, task.points, task.outPath,
-                             /*resume=*/false);
+                             /*resume=*/task.attempt > 0, task.claim);
             traceEmitSpan(ctx, "steal_run", "steal slice run",
                           ctx.spanId, startUs, traceNowMicros(),
                           {{"points",
@@ -525,7 +539,8 @@ makeSweepWorkerBody(const SweepRunOptions &opt,
             // A respawn must keep the dead worker's flushed records;
             // first launches honor the caller's resume choice.
             runSweepShard(worker, task.shard, dir,
-                          resume_first_launch || task.attempt > 0);
+                          resume_first_launch || task.attempt > 0,
+                          task.claim);
         }
     };
 }
@@ -573,8 +588,36 @@ runSupervisedSweep(const SweepRunOptions &opt, std::size_t shard_count,
             {{"files",
               std::to_string(outcome.report.recordFiles.size())},
              {"grid", std::to_string(check.gridSize)}});
+        foldBackThieves(outcome);
     }
     return outcome;
+}
+
+void
+foldBackThieves(const SupervisedSweepOutcome &outcome)
+{
+    const SupervisorReport &report = outcome.report;
+    const MergeCheck &check = outcome.check;
+    if (!report.complete || report.stealLaunches == 0)
+        return;
+    sbn_assert(outcome.merged.records.size() == check.gridSize,
+               "a complete fleet merges one record per point");
+    const ShardPlan plan(check.gridSize, check.shardCount, check.layout);
+    const std::vector<std::string> canonical =
+        shardFilePaths(check.dir, check.shardCount);
+    for (std::size_t i = 0; i < check.shardCount; ++i) {
+        if (report.shards[i].state == ShardState::Done &&
+            report.shards[i].splitPoints == 0)
+            continue; // its worker wrote every point of its plan
+        std::vector<PointRecord> records;
+        for (const std::size_t index : plan.indices(i))
+            records.push_back(outcome.merged.records[index]);
+        rewriteRecordsAtomic(canonical[i], records);
+    }
+    for (const std::string &path : report.recordFiles)
+        if (std::find(canonical.begin(), canonical.end(), path) ==
+            canonical.end())
+            std::remove(path.c_str());
 }
 
 } // namespace sbn

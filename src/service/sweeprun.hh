@@ -167,20 +167,28 @@ using PointRecordCallback = std::function<void(const PointRecord &)>;
  *
  * A record depends only on its own point, never on which other
  * points share the subset, so index i yields the same bytes alone,
- * in a shard, in a steal slice or in the full grid, at any thread
+ * in a shard, in a thief's list or in the full grid, at any thread
  * count. Sharded runs and their merge rest on this.
+ *
+ * With a @p claim (a supervised worker's), a plain sweep claims each
+ * point just before starting it, and an adaptive sweep claims its
+ * points once, before its first round. The first refused point and
+ * every later one belong to a thief: they are skipped and not
+ * emitted.
  */
 void runSweepPoints(const SweepRunOptions &opt,
                     const std::vector<SystemConfig> &points,
                     const std::vector<std::size_t> &subset,
-                    const PointRecordCallback &emit);
+                    const PointRecordCallback &emit,
+                    PointClaim *claim = nullptr);
 
-/** Run one full shard of @p opt's sweep into its canonical file under
- *  @p dir, reporting stats on stderr (the worker body and --shard
- *  mode share this). */
+/** Run one full shard of @p opt's sweep, as far as @p claim admits,
+ *  into its canonical file under @p dir, reporting stats on stderr
+ *  (the worker body and --shard mode share this). */
 ShardRunStats runSweepShard(const SweepRunOptions &opt,
                             const ShardSpec &shard,
-                            const std::string &dir, bool resume);
+                            const std::string &dir, bool resume,
+                            PointClaim *claim = nullptr);
 
 /** The one-seeded-run-per-point evaluator (plain sweeps). */
 double evaluateSweepPoint(const SystemConfig &cfg);
@@ -190,9 +198,9 @@ double evaluateSweepPoint(const SystemConfig &cfg);
 PointSample evaluateSweepPointSample(const SystemConfig &cfg);
 
 /**
- * The WorkerBody a supervised sweep forks per shard: full shards run
- * with resume semantics on respawn, steal slices compute an explicit
- * point list. @p points must outlive the returned body.
+ * The WorkerBody a supervised sweep forks per task: shards and
+ * thieves compute their points under their claim, with resume
+ * semantics on respawn. @p points must outlive the returned body.
  */
 WorkerBody makeSweepWorkerBody(const SweepRunOptions &opt,
                                const std::vector<SystemConfig> &points,
@@ -212,13 +220,24 @@ struct SupervisedSweepOutcome
 
 /**
  * Run a @p shard_count-worker supervised fleet of @p opt's sweep
- * into @p dir (created/probed first), then collect the records.
+ * into @p dir (created/probed first), collect the records, then fold
+ * the thieves' records back (foldBackThieves()).
  * Forks; call before creating any thread pool in this process.
  */
 SupervisedSweepOutcome runSupervisedSweep(const SweepRunOptions &opt,
                                           std::size_t shard_count,
                                           const std::string &dir,
                                           bool resume_first_launch);
+
+/**
+ * Leave a complete fleet's directory as a fleet without thieves
+ * would: rewrite (atomically) each canonical shard file that lost
+ * points to its plan's records from @p outcome's merged set, then
+ * remove the run's steal-*.jsonl files. `sbn_sweep --merge`, --resume
+ * and the daemon's relaunch read only canonical files. An incomplete
+ * or interrupted run, or one without thieves, is left as it is.
+ */
+void foldBackThieves(const SupervisedSweepOutcome &outcome);
 
 } // namespace sbn
 

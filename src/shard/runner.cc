@@ -124,9 +124,9 @@ runShardPoints(const std::vector<std::size_t> &subset,
     for (std::size_t index : subset)
         if (kept.find(index) == kept.end())
             missing.push_back(index);
-    stats.computed = missing.size();
 
     compute(missing, writer);
+    stats.computed = writer.written();
 
     // A resume that skipped points out of order (kept = {0, 2},
     // computed = {1, 3}) appended behind the kept block; restore

@@ -3,7 +3,7 @@
  * Writing a subset of a sweep's points to a record file, with resume.
  *
  * runShardPoints() drives one record file - an owned shard's
- * canonical file or a steal slice's own file - through the points a
+ * canonical file or a thief's own file - through the points a
  * caller-supplied compute step produces, flushing one PointRecord per
  * finished point so a killed worker loses at most the line it was
  * writing. What a point computes (plain or adaptive) is the compute
@@ -46,7 +46,8 @@ struct ShardRunStats
 
 /**
  * Computes the records of @p missing (strictly increasing flat
- * indices) and appends them to @p writer in increasing-index order.
+ * indices), or of a prefix whose rest moved to a thief, and appends
+ * them to @p writer in increasing-index order.
  */
 using ShardCompute = std::function<void(
     const std::vector<std::size_t> &missing, RecordWriter &writer)>;

@@ -3,6 +3,7 @@
 #include <fcntl.h>
 #include <poll.h>
 #include <signal.h>
+#include <sys/mman.h>
 #include <sys/stat.h>
 #include <sys/types.h>
 #include <sys/wait.h>
@@ -19,7 +20,8 @@
 #include <cstdio>
 #include <cstring>
 #include <fstream>
-#include <set>
+#include <memory>
+#include <new>
 
 #include "shard/fault.hh"
 #include "telemetry/telemetry.hh"
@@ -36,7 +38,7 @@ using Clock = std::chrono::steady_clock;
  * Period of the run() loop's tick. Worker exits, interrupts and
  * backoff deadlines wake the loop between ticks, but only the tick
  * runs what no event announces - liveness sampling for the hang timer
- * and steal scans - so an exit never triggers a steal on its own.
+ * and splits - so an exit never triggers a split on its own.
  */
 constexpr auto kSupervisorTick = std::chrono::milliseconds(20);
 
@@ -50,11 +52,12 @@ fileSize(const std::string &path)
     return static_cast<long long>(info.st_size);
 }
 
-bool
-fileExists(const std::string &path)
+/** "shard 1/4", or "thief <its record file>". */
+std::string
+taskName(const WorkerTask &work)
 {
-    struct stat info;
-    return ::stat(path.c_str(), &info) == 0;
+    return work.steal ? "thief " + work.outPath
+                      : "shard " + work.shard.toString();
 }
 
 // Lock-free atomics, so the handler may touch them (a plain volatile
@@ -163,6 +166,51 @@ class SignalGuard
 
 } // namespace
 
+bool
+PointClaim::claim(std::size_t index)
+{
+    std::uint64_t word = word_.load();
+    for (;;) {
+        const std::uint64_t end = word & 0xffffffffu;
+        if (index >= end)
+            return false;
+        // Below the mark the point is claimed already: a split never
+        // lowers end below next.
+        if (index < (word >> 32))
+            return true;
+        if (word_.compare_exchange_weak(word, (index + 1) << 32 | end))
+            return true;
+    }
+}
+
+std::size_t
+PointClaim::unstarted(const std::vector<std::size_t> &list) const
+{
+    const std::uint64_t word = word_.load();
+    const auto first =
+        std::lower_bound(list.begin(), list.end(), word >> 32);
+    return static_cast<std::size_t>(
+        std::lower_bound(first, list.end(), word & 0xffffffffu) - first);
+}
+
+std::vector<std::size_t>
+PointClaim::split(const std::vector<std::size_t> &list)
+{
+    std::uint64_t word = word_.load();
+    for (;;) {
+        const auto first =
+            std::lower_bound(list.begin(), list.end(), word >> 32);
+        const auto last =
+            std::lower_bound(first, list.end(), word & 0xffffffffu);
+        if (last - first < 2)
+            return {};
+        const auto cut = first + (last - first + 1) / 2;
+        if (word_.compare_exchange_weak(
+                word, (word & ~std::uint64_t{0xffffffffu}) | *cut))
+            return {cut, last};
+    }
+}
+
 const char *
 shardStateName(ShardState state)
 {
@@ -194,7 +242,7 @@ supervisorBackoffSeconds(const SupervisorConfig &config,
                      static_cast<double>(failures - 1)));
 }
 
-/** One supervised process slot (a shard or a steal slice). */
+/** One supervised process slot (a shard or a thief). */
 struct ShardSupervisor::Task
 {
     WorkerTask work;
@@ -206,12 +254,20 @@ struct ShardSupervisor::Task
     Clock::time_point wakeAt;       //!< backoff deadline
     long long lastSize = -1;        //!< liveness: last seen file size
     Clock::time_point lastProgress; //!< liveness: last growth time
+    std::size_t splitPoints = 0;    //!< points split off to thieves
 
     // Span tracing (zero when off): the open attempt span and, while
     // the task waits in Backoff, when that wait started.
     std::uint64_t attemptSpanId = 0;
     std::uint64_t attemptStartUs = 0;
     std::uint64_t backoffStartUs = 0;
+
+    /** Not yet Done or Exhausted: its points are still its own. */
+    bool live() const
+    {
+        return state != ShardState::Done &&
+               state != ShardState::Exhausted;
+    }
 };
 
 ShardSupervisor::ShardSupervisor(SupervisorConfig config,
@@ -224,14 +280,18 @@ ShardSupervisor::ShardSupervisor(SupervisorConfig config,
                "supervisor needs the expected run fingerprints");
     sbn_assert(config_.maxRetries < 1000,
                "retry budget is implausibly large");
+    sbn_assert(config_.expectedRunFp.size() < (std::uint64_t{1} << 32),
+               "claim words address fewer than 2^32 points");
     if (config_.maxStealLaunches == 0)
         config_.maxStealLaunches = 4 * config_.shardCount;
 
-    shardTasks_.resize(config_.shardCount);
+    const ShardPlan plan(config_.expectedRunFp.size(),
+                         config_.shardCount, config_.layout);
+    tasks_.resize(config_.shardCount);
     for (std::size_t i = 0; i < config_.shardCount; ++i) {
-        Task &task = shardTasks_[i];
-        task.work.steal = false;
+        Task &task = tasks_[i];
         task.work.shard = {i, config_.shardCount};
+        task.work.points = plan.indices(i);
         task.work.outPath =
             shardFilePath(config_.dir, task.work.shard);
     }
@@ -243,9 +303,7 @@ void
 ShardSupervisor::spawn(Task &task)
 {
     task.work.attempt = task.launches;
-    const std::string what =
-        task.work.steal ? "steal task"
-                        : "shard " + task.work.shard.toString();
+    const std::string what = taskName(task.work);
     // Trace: the attempt span's id is allocated before the fork so
     // the child can parent its own spans under it; the span itself is
     // emitted parent-side when the worker is reaped. A pending
@@ -327,10 +385,8 @@ ShardSupervisor::closeAttemptSpan(Task &task, const char *outcome,
         attrs.emplace_back("hung", "1");
     traceEmitSpanWithId(
         trace_, task.attemptSpanId, "attempt",
-        task.work.steal
-            ? "steal attempt"
-            : "shard " + task.work.shard.toString() + " attempt " +
-                  std::to_string(task.work.attempt),
+        taskName(task.work) + " attempt " +
+            std::to_string(task.work.attempt),
         runSpanId_, task.attemptStartUs, traceNowMicros(), attrs);
     task.attemptSpanId = 0;
 }
@@ -343,27 +399,13 @@ ShardSupervisor::handleFailure(Task &task, int status, bool hung)
     task.everHung = task.everHung || hung;
     task.pid = -1;
 
-    if (task.work.steal) {
-        // Stolen work has no budget of its own: the victim's points
-        // are still tracked as missing, so losing a thief costs
-        // nothing but the duplicate effort. A failing thief usually
-        // means the failure is not shard-specific, though, so stop
-        // stealing rather than loop on it.
-        task.state = ShardState::Done;
-        stealBroken_ = true;
-        sbn_warn("supervisor: steal worker (",
-                 describeWaitStatus(status), hung ? ", hung" : "",
-                 ") failed; disabling further work stealing");
-        return;
-    }
-
+    // A thief is retried like a shard: nobody else holds its points.
+    const std::string what = taskName(task.work);
     if (task.launches >= config_.maxRetries + 1) {
         task.state = ShardState::Exhausted;
-        sbn_warn("supervisor: shard ", task.work.shard.toString(),
-                 " exhausted its retry budget (", task.launches,
-                 " launch(es), last failure: ",
-                 describeWaitStatus(status), hung ? ", hung" : "",
-                 ")");
+        sbn_warn("supervisor: ", what, " exhausted its retry budget (",
+                 task.launches, " launch(es), last failure: ",
+                 describeWaitStatus(status), hung ? ", hung" : "", ")");
         return;
     }
 
@@ -379,41 +421,34 @@ ShardSupervisor::handleFailure(Task &task, int status, bool hung)
     task.backoffStartUs = traceNowMicros();
     ++report_.respawns;
     telemetryAdd(TelemetryCounter::SupervisorRespawns, 1);
-    sbn_warn("supervisor: shard ", task.work.shard.toString(),
-             " worker failed (", describeWaitStatus(status),
-             hung ? ", hung" : "", "); respawning with resume in ",
-             seconds, "s (attempt ", task.launches + 1, " of ",
-             config_.maxRetries + 1, ")");
+    sbn_warn("supervisor: ", what, " worker failed (",
+             describeWaitStatus(status), hung ? ", hung" : "",
+             "); respawning with resume in ", seconds, "s (attempt ",
+             task.launches + 1, " of ", config_.maxRetries + 1, ")");
 }
 
 void
 ShardSupervisor::reapExited()
 {
-    const auto reap = [&](Task &task) {
+    for (Task &task : tasks_) {
         if (task.state != ShardState::Running)
-            return;
+            continue;
         int status = 0;
         const pid_t got = ::waitpid(task.pid, &status, WNOHANG);
         if (got == 0)
-            return;
+            continue;
         if (got < 0) {
             // Should not happen (we own the child); treat as failure
             // so supervision cannot wedge on a lost pid.
             handleFailure(task, -1, false);
-            return;
-        }
-        if (WIFEXITED(status) && WEXITSTATUS(status) == 0) {
+        } else if (WIFEXITED(status) && WEXITSTATUS(status) == 0) {
             closeAttemptSpan(task, "ok", 0, false);
             task.state = ShardState::Done;
             task.pid = -1;
         } else {
             handleFailure(task, status, false);
         }
-    };
-    for (Task &task : shardTasks_)
-        reap(task);
-    for (Task &task : stealTasks_)
-        reap(task);
+    }
 }
 
 void
@@ -423,24 +458,22 @@ ShardSupervisor::killHungWorkers()
         return;
     const auto deadline = std::chrono::microseconds(
         static_cast<long long>(config_.hangTimeoutSeconds * 1e6));
-    const auto check = [&](Task &task) {
+    for (Task &task : tasks_) {
         if (task.state != ShardState::Running)
-            return;
+            continue;
         const long long size = fileSize(task.work.outPath);
         if (size != task.lastSize) {
             task.lastSize = size;
             task.lastProgress = Clock::now();
-            return;
+            continue;
         }
         if (Clock::now() - task.lastProgress < deadline)
-            return;
+            continue;
         // No record progress within the deadline: the worker is
         // declared hung. SIGKILL (not SIGTERM): a wedged process may
         // not run handlers, and the record file needs no cleanup -
         // that is the whole point of the append+flush format.
-        const std::string what =
-            task.work.steal ? "steal worker"
-                            : "shard " + task.work.shard.toString();
+        const std::string what = taskName(task.work);
         sbn_warn("supervisor: ", what,
                  " made no record progress for ",
                  config_.hangTimeoutSeconds,
@@ -454,181 +487,145 @@ ShardSupervisor::killHungWorkers()
         int status = 0;
         ::waitpid(task.pid, &status, 0);
         handleFailure(task, status, /*hung=*/true);
-    };
-    for (Task &task : shardTasks_)
-        check(task);
-    for (Task &task : stealTasks_)
-        check(task);
+    }
 }
 
 void
 ShardSupervisor::launchDueRespawns()
 {
     const Clock::time_point now = Clock::now();
-    for (Task &task : shardTasks_) {
+    for (Task &task : tasks_)
         if (task.state == ShardState::Pending ||
             (task.state == ShardState::Backoff && now >= task.wakeAt))
             spawn(task);
-    }
 }
 
 std::vector<std::string>
 ShardSupervisor::existingRecordFiles() const
 {
     std::vector<std::string> files;
-    for (const Task &task : shardTasks_)
-        if (fileExists(task.work.outPath))
-            files.push_back(task.work.outPath);
-    for (const Task &task : stealTasks_)
-        if (fileExists(task.work.outPath))
+    for (const Task &task : tasks_)
+        if (fileSize(task.work.outPath) >= 0)
             files.push_back(task.work.outPath);
     return files;
 }
 
-std::vector<bool>
-ShardSupervisor::satisfiedPoints() const
+std::vector<std::size_t>
+ShardSupervisor::missingPoints() const
 {
     // A point is satisfied when any record file holds a record whose
     // run fingerprint matches what the sweep expects there - the
     // exact criterion resume and merge use, so the supervisor never
     // declares done what the merge would reject.
     std::vector<bool> satisfied(config_.expectedRunFp.size(), false);
-    for (const std::string &path : existingRecordFiles()) {
+    for (const std::string &path : existingRecordFiles())
         for (const PointRecord &record :
-             readRecordFile(path, /*tolerate_partial_tail=*/true)) {
+             readRecordFile(path, /*tolerate_partial_tail=*/true))
             if (record.flatIndex < satisfied.size() &&
                 record.runFp ==
                     config_.expectedRunFp[record.flatIndex])
                 satisfied[record.flatIndex] = true;
-        }
-    }
-    return satisfied;
+    std::vector<std::size_t> missing;
+    for (std::size_t i = 0; i < satisfied.size(); ++i)
+        if (!satisfied[i])
+            missing.push_back(i);
+    return missing;
 }
 
 std::size_t
 ShardSupervisor::runningCount() const
 {
-    std::size_t running = 0;
-    for (const Task &task : shardTasks_)
-        running += task.state == ShardState::Running;
-    for (const Task &task : stealTasks_)
-        running += task.state == ShardState::Running;
-    return running;
+    return static_cast<std::size_t>(
+        std::count_if(tasks_.begin(), tasks_.end(), [](const Task &task) {
+            return task.state == ShardState::Running;
+        }));
 }
 
 bool
-ShardSupervisor::allShardsTerminal() const
+ShardSupervisor::rescueExhausted()
 {
-    for (const Task &task : shardTasks_)
-        if (task.state != ShardState::Done &&
-            task.state != ShardState::Exhausted)
-            return false;
+    // Only an exhausted task loses points, so only then are record
+    // files read. It hands its list over, once: the points no record
+    // satisfies and no live thief holds go to a rescuing thief.
+    std::vector<bool> owed(config_.expectedRunFp.size(), false);
+    bool any = false;
+    for (Task &task : tasks_) {
+        if (task.state != ShardState::Exhausted)
+            continue;
+        for (const std::size_t index : task.work.points)
+            owed[index] = any = true;
+        task.work.points.clear();
+    }
+    if (!any)
+        return false;
+    for (const Task &task : tasks_)
+        if (task.work.steal && task.live())
+            for (const std::size_t index : task.work.points)
+                owed[index] = false;
+    std::vector<std::size_t> points;
+    for (const std::size_t index : missingPoints())
+        if (owed[index])
+            points.push_back(index);
+    if (points.empty())
+        return false;
+    launchSteal(std::move(points), /*split=*/false);
+    return true;
+}
+
+bool
+ShardSupervisor::splitLargest()
+{
+    // The live task, shard or thief, with the most unstarted points.
+    // Only claim words are read, never a record file.
+    Task *victim = nullptr;
+    std::size_t most = 1;
+    for (Task &task : tasks_) {
+        const std::size_t unstarted =
+            task.live() ? task.work.claim->unstarted(task.work.points)
+                        : 0;
+        if (unstarted > most) {
+            most = unstarted;
+            victim = &task;
+        }
+    }
+    if (victim == nullptr)
+        return false;
+    std::vector<std::size_t> points =
+        victim->work.claim->split(victim->work.points);
+    if (points.empty())
+        return false; // its worker started them meanwhile
+    victim->splitPoints += points.size();
+    launchSteal(std::move(points), /*split=*/true);
     return true;
 }
 
 void
-ShardSupervisor::maybeSteal()
+ShardSupervisor::launchSteal(std::vector<std::size_t> points,
+                             bool split)
 {
-    if (!config_.workStealing || stealBroken_ ||
-        stealLaunches() >= config_.maxStealLaunches)
-        return;
-    if (runningCount() >= config_.shardCount)
-        return; // no free slot
-    bool anyDone = false;
-    bool anyNotDone = false;
-    for (const Task &task : shardTasks_) {
-        anyDone = anyDone || task.state == ShardState::Done;
-        anyNotDone = anyNotDone || task.state != ShardState::Done;
-    }
-    if (!anyDone || !anyNotDone)
-        return; // steal only once a worker has actually finished
+    const std::size_t sequence = report_.stealLaunches++;
+    report_.stolenPoints += points.size();
+    report_.splits += split;
+    report_.splitPoints += split ? points.size() : 0;
+    telemetryAdd(TelemetryCounter::SupervisorSteals, 1);
 
-    // Scanning record files is not free; do it at most a few times a
-    // second, not every poll tick.
-    if (!stealScanGate_.due(Clock::now()))
-        return;
-
-    const std::vector<bool> satisfied = satisfiedPoints();
-    std::set<std::size_t> claimed;
-    for (const Task &task : stealTasks_)
-        if (task.state == ShardState::Running)
-            claimed.insert(task.work.points.begin(),
-                           task.work.points.end());
-
-    // Victim: the non-Done shard with the most unclaimed missing
-    // points.
-    const ShardPlan plan(config_.expectedRunFp.size(),
-                         config_.shardCount, config_.layout);
-    std::size_t victim = config_.shardCount;
-    std::vector<std::size_t> victimMissing;
-    for (std::size_t i = 0; i < config_.shardCount; ++i) {
-        if (shardTasks_[i].state == ShardState::Done)
-            continue;
-        std::vector<std::size_t> missing;
-        for (std::size_t index : plan.indices(i))
-            if (!satisfied[index] && claimed.count(index) == 0)
-                missing.push_back(index);
-        if (missing.size() > victimMissing.size()) {
-            victim = i;
-            victimMissing = std::move(missing);
-        }
-    }
-    if (victim == config_.shardCount || victimMissing.empty())
-        return;
-
-    // An exhausted victim is never coming back: claim everything it
-    // still owes. A live (running / backed-off) victim is resuming
-    // its missing list front-to-back, so the thief takes the strided
-    // complement - overlap stays possible and stays harmless (the
-    // merge dedupes bit-identical recomputation), but mostly the two
-    // ends meet in the middle.
-    std::vector<std::size_t> slice;
-    if (shardTasks_[victim].state == ShardState::Exhausted) {
-        slice = victimMissing;
-    } else {
-        for (std::size_t k = 1; k < victimMissing.size(); k += 2)
-            slice.push_back(victimMissing[k]);
-    }
-    if (slice.empty())
-        return;
-    launchSteal(slice, victim);
-}
-
-void
-ShardSupervisor::launchSteal(const std::vector<std::size_t> &points,
-                             std::size_t victim)
-{
-    stealTasks_.emplace_back();
-    Task &task = stealTasks_.back();
-    task.work.steal = true;
-    task.work.shard = {victim < config_.shardCount ? victim : 0,
-                       config_.shardCount};
-    task.work.points = points;
     std::string path = config_.dir;
     if (!path.empty() && path.back() != '/')
         path += '/';
+    // A thief's claim word sits at its index in tasks_.
+    Task &task = tasks_.emplace_back();
+    task.work.steal = true;
     task.work.outPath =
-        path + "steal-" + std::to_string(stealSequence_++) + ".jsonl";
-    report_.stolenPoints += points.size();
-    ++report_.stealLaunches;
-    telemetryAdd(TelemetryCounter::SupervisorSteals, 1);
+        path + "steal-" + std::to_string(sequence) + ".jsonl";
+    task.work.claim = new (claims_ + tasks_.size() - 1)
+        PointClaim(config_.expectedRunFp.size());
+    task.work.points = std::move(points);
     // stderr, not sbn_inform: orchestrators reserve stdout for the
     // merged record stream.
-    std::fprintf(stderr,
-                 "supervisor: free worker stealing %zu missing "
-                 "point(s) from shard %s -> %s\n",
-                 points.size(),
-                 victim < config_.shardCount
-                     ? shardTasks_[victim].work.shard.toString().c_str()
-                     : "(unowned)",
-                 task.work.outPath.c_str());
+    std::fprintf(stderr, "supervisor: %s %zu point(s) -> %s\n",
+                 split ? "split off" : "rescuing",
+                 task.work.points.size(), task.work.outPath.c_str());
     spawn(task);
-}
-
-std::size_t
-ShardSupervisor::stealLaunches() const
-{
-    return report_.stealLaunches;
 }
 
 void
@@ -639,9 +636,9 @@ ShardSupervisor::killAndReapAllWorkers()
     // ignored a gentler signal would become the very orphan this
     // path exists to prevent. The blocking waitpid guarantees no
     // worker pid outlives the supervisor's return.
-    const auto killOne = [&](Task &task) {
+    for (Task &task : tasks_) {
         if (task.state != ShardState::Running || task.pid < 0)
-            return;
+            continue;
         ::kill(task.pid, SIGKILL);
         int status = 0;
         ::waitpid(task.pid, &status, 0);
@@ -649,11 +646,7 @@ ShardSupervisor::killAndReapAllWorkers()
         task.lastStatus = status;
         task.pid = -1;
         task.state = ShardState::Exhausted;
-    };
-    for (Task &task : shardTasks_)
-        killOne(task);
-    for (Task &task : stealTasks_)
-        killOne(task);
+    }
 }
 
 SupervisorReport
@@ -664,6 +657,23 @@ ShardSupervisor::run()
     // the handlers after fork (spawn()), so only this process defers.
     // SIGCHLD wakes the loop the moment a worker exits.
     SignalGuard guard;
+
+    // One claim word per task the fleet may launch, mapped shared
+    // before the first fork so every worker meets the supervisor in it.
+    const std::size_t bytes =
+        (config_.shardCount + config_.maxStealLaunches) *
+        sizeof(PointClaim);
+    void *page = ::mmap(nullptr, bytes, PROT_READ | PROT_WRITE,
+                        MAP_SHARED | MAP_ANONYMOUS, -1, 0);
+    if (page == MAP_FAILED)
+        sbn_fatal("supervisor: cannot map its claim page: ",
+                  std::strerror(errno));
+    const auto unmap = [bytes](void *mapped) { ::munmap(mapped, bytes); };
+    const std::unique_ptr<void, decltype(unmap)> pageOwner(page, unmap);
+    claims_ = static_cast<PointClaim *>(page);
+    for (std::size_t i = 0; i < tasks_.size(); ++i)
+        tasks_[i].work.claim =
+            new (claims_ + i) PointClaim(config_.expectedRunFp.size());
 
     // Trace: the whole supervised run is one span, parented under
     // whatever context launched this process (the daemon's job span,
@@ -685,14 +695,13 @@ ShardSupervisor::run()
                      " live worker(s) before exiting");
             killAndReapAllWorkers();
             report_.interruptSignal = sig;
+            report_.missingPoints = missingPoints();
             break;
         }
 
         // An event wake reaps and relaunches at once; the sampled
-        // duties wait for the tick, whatever woke the loop. A steal
-        // scan run the instant the first worker exits mostly finds
-        // the other worker a point or two from done, and forks a
-        // thief to duplicate them.
+        // duties, liveness and splits, wait for the tick, whatever
+        // woke the loop.
         const Clock::time_point now = Clock::now();
         const bool tick = now >= nextTick;
         if (tick)
@@ -701,52 +710,41 @@ ShardSupervisor::run()
         if (tick)
             killHungWorkers();
         launchDueRespawns();
-        if (tick)
-            maybeSteal();
+        // Fill every free slot. Rescues go first: nobody else will
+        // compute the points an exhausted task lost.
+        while (tick && runningCount() < config_.shardCount &&
+               mayLaunchThief() && (rescueExhausted() || splitLargest())) {
+        }
 
-        if (allShardsTerminal() && runningCount() == 0) {
-            const std::vector<bool> satisfied = satisfiedPoints();
-            std::vector<std::size_t> missing;
-            for (std::size_t i = 0; i < satisfied.size(); ++i)
-                if (!satisfied[i])
-                    missing.push_back(i);
-            if (missing.empty())
+        if (std::none_of(tasks_.begin(), tasks_.end(),
+                         [](const Task &task) { return task.live(); })) {
+            report_.missingPoints = missingPoints();
+            // Last chance: every task is terminal, so any remaining
+            // hole belongs to an exhausted task (or a worker that lied
+            // about success). Free slots exist by definition; claim
+            // the lot, bounded by the thief-launch budget.
+            if (report_.missingPoints.empty() || !mayLaunchThief())
                 break;
-            // Last-chance stealing: every shard is terminal, so any
-            // remaining hole belongs to an exhausted shard (or a
-            // worker that lied about success). Free slots exist by
-            // definition; claim the lot, bounded by the steal-launch
-            // budget.
-            if (!config_.workStealing || stealBroken_ ||
-                stealLaunches() >= config_.maxStealLaunches)
-                break;
-            launchSteal(missing, config_.shardCount);
+            launchSteal(report_.missingPoints, /*split=*/false);
             continue;
         }
 
         Clock::time_point wakeAt = nextTick;
-        for (const Task &task : shardTasks_)
+        for (const Task &task : tasks_)
             if (task.state == ShardState::Backoff)
                 wakeAt = std::min(wakeAt, task.wakeAt);
         guard.waitUntil(wakeAt);
     }
 
     // Terminal accounting.
-    const std::vector<bool> satisfied = satisfiedPoints();
-    report_.missingPoints.clear();
-    for (std::size_t i = 0; i < satisfied.size(); ++i)
-        if (!satisfied[i])
-            report_.missingPoints.push_back(i);
     report_.complete = report_.missingPoints.empty();
     report_.recordFiles = existingRecordFiles();
     report_.shards.clear();
-    for (const Task &task : shardTasks_) {
-        ShardOutcome outcome;
-        outcome.state = task.state;
-        outcome.launches = task.launches;
-        outcome.lastStatus = task.lastStatus;
-        outcome.everHung = task.everHung;
-        report_.shards.push_back(outcome);
+    for (std::size_t i = 0; i < config_.shardCount; ++i) {
+        const Task &task = tasks_[i];
+        report_.shards.push_back({task.state, task.launches,
+                                  task.lastStatus, task.everHung,
+                                  task.splitPoints});
     }
 
     if (runSpanId_ != 0)

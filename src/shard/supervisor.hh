@@ -3,7 +3,7 @@
  * Fault-tolerant supervision of a sharded-sweep worker fleet.
  *
  * ShardSupervisor owns the worker processes of a multi-shard sweep:
- * it forks one worker per shard, watches them, and drives a per-shard
+ * it forks one worker per shard, watches them, and drives a per-task
  * state machine
  *
  *     Pending -> Running -> Done
@@ -14,46 +14,41 @@
  *                   v                        v
  *                  Done                  Exhausted
  *
- * with three recovery mechanisms layered on the shard layer's
- * determinism contract (docs/sharding.md):
+ * with three mechanisms layered on the shard layer's determinism
+ * contract (docs/sharding.md):
  *
  *  - **Retry with capped exponential backoff.** A worker that exits
- *    nonzero or dies on a signal is re-forked with resume semantics -
- *    the respawned worker keeps every record the dead one flushed and
- *    recomputes only the missing points. Each shard has a bounded
- *    retry budget; backoff doubles per failure up to a cap.
- *  - **Liveness via record-file progress.** Workers prove liveness by
- *    growing their record file. A worker whose file has not grown
- *    within the hang timeout is declared hung, SIGKILLed, and retried
- *    like a crash. No heartbeat protocol: the progress signal is the
- *    output itself, so a worker that is alive but wedged (deadlock,
- *    infinite loop, stuck I/O) is caught too.
- *  - **Work stealing.** When a worker finishes and another shard
- *    still has missing points, the free slot runs a *steal* worker
- *    that claims a strided slice of those points into its own record
- *    file. Overlap with the victim is harmless: every point is an
- *    independent seeded computation, so duplicates are bit-identical
- *    and the merge layer dedupes them.
+ *    nonzero or dies on a signal is re-forked with resume semantics:
+ *    it keeps every record the dead one flushed and recomputes only
+ *    the missing points, within a bounded retry budget.
+ *  - **Liveness via record-file progress.** A worker whose record
+ *    file has not grown within the hang timeout is declared hung,
+ *    SIGKILLed, and retried like a crash. The progress signal is the
+ *    output itself, so a worker alive but wedged is caught too.
+ *  - **Work splitting.** A worker claims each point in its task's
+ *    PointClaim word before starting it. A free slot takes the upper
+ *    half of the unstarted points of the task with the most of them:
+ *    a *thief* with a word and a record file of its own. Every point
+ *    is computed once. The points an exhausted task lost, found from
+ *    the record files, go to a thief too.
  *
- * On exhausted retries the supervisor degrades gracefully instead of
- * failing blanketly: the report lists exactly which grid points have
- * no valid record, writeMissingPointsManifest() persists them
- * machine-readably, and the orchestrator emits the merged partial
- * output with the distinct kPartialResultExit code.
+ * Points that nothing could cover are listed in the report;
+ * writeMissingPointsManifest() persists them, and the orchestrator
+ * emits the merged partial output with kPartialResultExit.
  *
  * The supervisor is policy; execution stays in the worker body
- * callback, which runs in the forked child (for sbn_sweep that is
- * runShardPoints over the shard's plan indices or the steal slice,
- * computing through runSweepPoints). The
- * deterministic fault plane (shard/fault.hh) targets workers by the
- * scope the supervisor sets in each child, which is how ctest and CI
- * exercise every one of these paths on purpose.
+ * callback, which runs in the forked child (for sbn_sweep,
+ * runShardPoints over the task's points through runSweepPoints). The
+ * fault plane (shard/fault.hh) targets workers by the scope the
+ * supervisor sets in each child, which is how ctest and CI exercise
+ * every one of these paths on purpose.
  */
 
 #ifndef SBN_SHARD_SUPERVISOR_HH
 #define SBN_SHARD_SUPERVISOR_HH
 
-#include <chrono>
+#include <atomic>
+#include <cstdint>
 #include <functional>
 #include <string>
 #include <vector>
@@ -79,17 +74,50 @@ enum class ShardState
 const char *shardStateName(ShardState state);
 
 /**
- * One unit of work executed in a forked child: either a full shard
- * (resume semantics, canonical shard file) or a steal slice (explicit
- * point list, its own file).
+ * Which of a task's points its worker may still start, shared by the
+ * worker and the supervisor in memory mapped before the first fork.
+ * One lock-free word packs two flat indices: `next`, one past the
+ * highest index the task has started, and `end`, the exclusive bound.
+ * A claim raises `next`; a split lowers `end`, never below `next`, so
+ * each point is started by exactly one task.
  */
+class PointClaim
+{
+  public:
+    explicit PointClaim(std::size_t end) : word_(end) {} //!< none started
+
+    /** Worker side: true when @p index < end, raising next to at least
+     *  index + 1. A refused index and every larger one belong to a
+     *  thief. Threads may claim out of order: next is a high mark. */
+    bool claim(std::size_t index);
+
+    /** How many of @p list (strictly increasing) lie in [next, end). */
+    std::size_t unstarted(const std::vector<std::size_t> &list) const;
+
+    /** Supervisor side: of the k unstarted points of @p list, keep the
+     *  lower ceil(k/2) and return the upper floor(k/2) for a thief;
+     *  nothing when k < 2. */
+    std::vector<std::size_t> split(const std::vector<std::size_t> &list);
+
+    std::size_t next() const { return word_.load() >> 32; }
+    std::size_t end() const { return word_.load() & 0xffffffffu; }
+
+  private:
+    static_assert(std::atomic<std::uint64_t>::is_always_lock_free,
+                  "a claim word must be address-free across fork");
+    std::atomic<std::uint64_t> word_; //!< next << 32 | end
+};
+
+/** One unit of work executed in a forked child: a shard (canonical
+ *  shard file) or a thief (its own file), resumed on respawn. */
 struct WorkerTask
 {
     bool steal = false;
-    ShardSpec shard;                 //!< full-shard task identity
-    std::vector<std::size_t> points; //!< steal: claimed flat indices
+    ShardSpec shard;                 //!< the shard (unused by a thief)
+    std::vector<std::size_t> points; //!< flat indices, increasing
     std::string outPath;             //!< record file this task writes
-    unsigned attempt = 0;            //!< prior launches of this shard
+    unsigned attempt = 0;            //!< prior launches of this task
+    PointClaim *claim = nullptr;     //!< null: compute every point
 };
 
 /**
@@ -125,8 +153,9 @@ struct SupervisorConfig
 
     bool workStealing = true;
 
-    /** Total steal launches allowed (0 = 4 * shardCount). Bounds the
-     *  loop when stolen work itself keeps failing. */
+    /** Total thief launches allowed, splits and rescues together
+     *  (0 = 4 * shardCount). Sizes the claim page and bounds the loop
+     *  when rescued work itself keeps failing. */
     std::size_t maxStealLaunches = 0;
 };
 
@@ -146,38 +175,6 @@ struct SupervisorConfig
 double supervisorBackoffSeconds(const SupervisorConfig &config,
                                 unsigned failures);
 
-/**
- * Rate gate for periodic work inside a polled loop: due() answers
- * "has at least `period` elapsed since the last admitted tick?" and
- * admits at most one tick per period. The caller supplies the clock
- * reading, which is what makes the steal-scan throttle (and any
- * future periodic duty) testable with synthetic time points.
- */
-class PeriodicGate
-{
-  public:
-    using Duration = std::chrono::steady_clock::duration;
-    using TimePoint = std::chrono::steady_clock::time_point;
-
-    explicit PeriodicGate(Duration period) : period_(period) {}
-
-    /** True (and consumes the tick) when the period has elapsed
-     *  since the last admitted tick. The first call always admits. */
-    bool due(TimePoint now)
-    {
-        if (armed_ && now - last_ < period_)
-            return false;
-        armed_ = true;
-        last_ = now;
-        return true;
-    }
-
-  private:
-    Duration period_;
-    TimePoint last_{};
-    bool armed_ = false; //!< a tick has been admitted before
-};
-
 /** Terminal accounting for one shard. */
 struct ShardOutcome
 {
@@ -185,6 +182,7 @@ struct ShardOutcome
     unsigned launches = 0; //!< processes forked for this shard
     int lastStatus = 0;    //!< raw waitpid status of the last failure
     bool everHung = false; //!< a launch was killed by the hang timer
+    std::size_t splitPoints = 0; //!< points split off to thieves
 };
 
 /** What a supervised run accomplished. */
@@ -204,8 +202,10 @@ struct SupervisorReport
      *  in merge order. */
     std::vector<std::string> recordFiles;
     std::size_t respawns = 0;      //!< failure-triggered relaunches
-    std::size_t stealLaunches = 0; //!< steal workers forked
-    std::size_t stolenPoints = 0;  //!< points claimed across steals
+    std::size_t stealLaunches = 0; //!< thieves forked: splits + rescues
+    std::size_t stolenPoints = 0;  //!< points handed to thieves
+    std::size_t splits = 0;        //!< thieves forked by a split
+    std::size_t splitPoints = 0;   //!< points those splits moved
 };
 
 /**
@@ -221,8 +221,8 @@ class ShardSupervisor
     ~ShardSupervisor(); // out-of-line: Task is incomplete here
 
     /**
-     * Run the fleet; blocks until every shard is Done or Exhausted
-     * and no steal worker is in flight - or until the supervisor
+     * Run the fleet; blocks until every shard and thief is Done or
+     * Exhausted - or until the supervisor
      * process catches SIGINT/SIGTERM, in which case every live worker
      * is SIGKILLed and reaped (no orphans) and the report carries the
      * signal in interruptSignal. The SIGINT/SIGTERM handlers, and a
@@ -239,25 +239,25 @@ class ShardSupervisor
     void reapExited();
     void killHungWorkers();
     void launchDueRespawns();
-    void maybeSteal();
-    void launchSteal(const std::vector<std::size_t> &points,
-                     std::size_t victim);
-    std::size_t stealLaunches() const;
+    bool rescueExhausted();
+    bool splitLargest();
+    void launchSteal(std::vector<std::size_t> points, bool split);
+    bool mayLaunchThief() const
+    {
+        return config_.workStealing &&
+               report_.stealLaunches < config_.maxStealLaunches;
+    }
     void handleFailure(Task &task, int status, bool hung);
     void closeAttemptSpan(Task &task, const char *outcome, int status,
                           bool hung);
-    std::vector<bool> satisfiedPoints() const;
+    std::vector<std::size_t> missingPoints() const;
     std::vector<std::string> existingRecordFiles() const;
     std::size_t runningCount() const;
-    bool allShardsTerminal() const;
 
     SupervisorConfig config_;
     WorkerBody body_;
-    std::vector<Task> shardTasks_;
-    std::vector<Task> stealTasks_;
-    std::size_t stealSequence_ = 0;
-    PeriodicGate stealScanGate_{std::chrono::milliseconds(250)};
-    bool stealBroken_ = false; //!< a steal worker failed; stop stealing
+    std::vector<Task> tasks_;      //!< the shards, then the thieves
+    PointClaim *claims_ = nullptr; //!< one word per task, during run()
     SupervisorReport report_;
 
     // Span tracing (trace/span.hh); all zero when SBN_TRACE_DIR is

@@ -118,12 +118,14 @@ testConfig(const std::string &dir, const MergeCheck &check,
     return config;
 }
 
-/** Compute @p subset of the plain sweep over @p points into the
- *  record file @p path on one thread, as the shard front ends do. */
+/** Compute @p subset of the plain sweep over @p points, as far as
+ *  @p claim admits, into the record file @p path on one thread, as
+ *  the shard front ends do. */
 void
 writePoints(const std::vector<SystemConfig> &points,
             const std::vector<std::size_t> &subset,
-            const std::string &path, bool resume)
+            const std::string &path, bool resume,
+            PointClaim *claim = nullptr)
 {
     SweepRunOptions opt;
     opt.threads = 1;
@@ -131,10 +133,12 @@ writePoints(const std::vector<SystemConfig> &points,
                    resume,
                    [&](const std::vector<std::size_t> &missing,
                        RecordWriter &writer) {
-                       runSweepPoints(opt, points, missing,
-                                      [&](const PointRecord &record) {
-                                          writer.add(record);
-                                      });
+                       runSweepPoints(
+                           opt, points, missing,
+                           [&](const PointRecord &record) {
+                               writer.add(record);
+                           },
+                           claim);
                    });
 }
 
@@ -143,14 +147,84 @@ WorkerBody
 sweepBody(const std::vector<SystemConfig> &points)
 {
     return [&points](const WorkerTask &task) {
-        if (task.steal)
-            writePoints(points, task.points, task.outPath, false);
-        else
-            writePoints(points,
-                        ShardPlan(points.size(), task.shard.count)
-                            .indices(task.shard.index),
-                        task.outPath, /*resume=*/task.attempt > 0);
+        writePoints(points, task.points, task.outPath,
+                    /*resume=*/task.attempt > 0, task.claim);
     };
+}
+
+/** The 32-point grid of the splitting tests: 8 points per shard. */
+SweepSpec
+splitSpec()
+{
+    SweepSpec spec = testSpec();
+    spec.processors = {2, 4};
+    spec.buffering = {false, true};
+    return spec;
+}
+
+/**
+ * Worker body with a costly region: each point shard 3 of 4 owns
+ * sleeps 25 ms before it is computed, whichever task computes it.
+ * Points are claimed one at a time, just before they start. With
+ * @p failFirstThief, the first thief's first attempt exits nonzero
+ * right after flushing one record, and its relaunch appends how many
+ * records it resumed to dir/thief-resumed.
+ */
+WorkerBody
+slowShardBody(const std::vector<SystemConfig> &points,
+              const std::string &dir, bool failFirstThief = false)
+{
+    return [&points, dir, failFirstThief](const WorkerTask &task) {
+        const ShardPlan plan(points.size(), 4);
+        const bool failing = failFirstThief && task.attempt == 0 &&
+                             task.outPath == dir + "/steal-0.jsonl";
+        SweepRunOptions opt;
+        opt.threads = 1;
+        const ShardRunStats stats = runShardPoints(
+            task.points, sweepMergeCheck(points).expectedRunFp,
+            task.outPath, /*resume=*/task.attempt > 0,
+            [&](const std::vector<std::size_t> &missing,
+                RecordWriter &writer) {
+                for (const std::size_t index : missing) {
+                    if (!task.claim->claim(index))
+                        return;
+                    if (plan.owner(index) == 3)
+                        ::usleep(25000);
+                    runSweepPoints(opt, points, {index},
+                                   [&](const PointRecord &record) {
+                                       writer.add(record);
+                                   });
+                    if (failing)
+                        ::_exit(3);
+                }
+            });
+        if (task.steal && task.attempt > 0) {
+            std::ofstream log(dir + "/thief-resumed",
+                              std::ios::app);
+            log << stats.skipped << '\n';
+        }
+    };
+}
+
+/** How many records each flat index has across @p files. */
+std::vector<int>
+recordsPerIndex(const std::vector<std::string> &files, std::size_t grid)
+{
+    std::vector<int> count(grid, 0);
+    for (const std::string &path : files)
+        for (const PointRecord &record :
+             readRecordFile(path, /*tolerate_partial_tail=*/false))
+            ++count.at(record.flatIndex);
+    return count;
+}
+
+std::string
+fileBytes(const std::string &path)
+{
+    std::ifstream in(path, std::ios::binary);
+    std::ostringstream os;
+    os << in.rdbuf();
+    return os.str();
 }
 
 std::string
@@ -480,6 +554,82 @@ TEST(Supervisor, StealRescuesAShardThatNeverMakesProgress)
     EXPECT_EQ(report.shards[1].state, ShardState::Exhausted);
     EXPECT_GE(report.stealLaunches, 1u);
     EXPECT_GE(report.stolenPoints, 2u); // shard 1 owns {2, 3}
+    EXPECT_EQ(mergedBytes(report, check), serialBytes(points));
+}
+
+TEST(Supervisor, SlowShardIsSplitNotDuplicated)
+{
+    // Shard 3 of 4 costs 25 ms a point, the others almost nothing, so
+    // three slots fall free while shard 3 has most of its points ahead
+    // of it. Splitting moves the unstarted ones to thieves: every
+    // point runs once, and the fold-back leaves the directory as an
+    // unsplit fleet would.
+    const std::vector<SystemConfig> points = splitSpec().materialize();
+    ASSERT_EQ(points.size(), 32u);
+    const std::string dir = tempDir("split");
+    MergeCheck check = sweepMergeCheck(points);
+    check.shardCount = 4;
+    check.layout = ShardLayout::Contiguous;
+    check.dir = dir;
+
+    ShardSupervisor supervisor(testConfig(dir, check, 4),
+                               slowShardBody(points, dir));
+    SupervisedSweepOutcome outcome;
+    outcome.report = supervisor.run();
+    outcome.check = check;
+    const SupervisorReport &report = outcome.report;
+
+    ASSERT_TRUE(report.complete);
+    EXPECT_EQ(report.respawns, 0u);
+    EXPECT_GE(report.stealLaunches, 1u);
+    EXPECT_EQ(report.splits, report.stealLaunches);
+    EXPECT_GE(report.shards[3].splitPoints, 1u);
+    for (const int count : recordsPerIndex(report.recordFiles,
+                                           points.size()))
+        EXPECT_EQ(count, 1);
+    EXPECT_EQ(mergedBytes(report, check), serialBytes(points));
+
+    outcome.merged = collectRecordFiles(report.recordFiles, check,
+                                        /*tolerate_partial_tail=*/false);
+    foldBackThieves(outcome);
+    const std::string standalone = dir + "/standalone.jsonl";
+    writePoints(points, ShardPlan(points.size(), 4).indices(3),
+                standalone, false);
+    EXPECT_EQ(fileBytes(shardFilePath(dir, {3, 4})),
+              fileBytes(standalone));
+    for (const std::string &path : report.recordFiles)
+        EXPECT_TRUE(path.find("/steal-") == std::string::npos ||
+                    ::access(path.c_str(), F_OK) != 0)
+            << path << " was left behind";
+    std::ostringstream remerged;
+    writeRecords(remerged,
+                 mergeRecordFiles(shardFilePaths(dir, 4), check));
+    EXPECT_EQ(remerged.str(), serialBytes(points));
+}
+
+TEST(Supervisor, FailedThiefIsRetriedAndKeepsItsPoints)
+{
+    // The first thief dies right after flushing one record. It holds
+    // its points alone, so the supervisor relaunches it with resume
+    // rather than letting another worker recompute them.
+    const std::vector<SystemConfig> points = splitSpec().materialize();
+    const std::string dir = tempDir("thieffail");
+    MergeCheck check = sweepMergeCheck(points);
+    check.shardCount = 4;
+    check.layout = ShardLayout::Contiguous;
+    check.dir = dir;
+
+    ShardSupervisor supervisor(
+        testConfig(dir, check, 4),
+        slowShardBody(points, dir, /*failFirstThief=*/true));
+    const SupervisorReport report = supervisor.run();
+
+    ASSERT_TRUE(report.complete);
+    EXPECT_EQ(report.respawns, 1u);
+    EXPECT_EQ(fileBytes(dir + "/thief-resumed"), "1\n");
+    for (const int count : recordsPerIndex(report.recordFiles,
+                                           points.size()))
+        EXPECT_EQ(count, 1);
     EXPECT_EQ(mergedBytes(report, check), serialBytes(points));
 }
 
