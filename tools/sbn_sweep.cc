@@ -26,8 +26,9 @@
  *   sbn_sweep ... --spawn=4 --dir=out/
  *       Run the 4-shard fleet under ShardSupervisor: one worker per
  *       shard with crash/hang detection, capped-backoff retries with
- *       resume (--retries, --hang-timeout), and work stealing of a
- *       straggler's missing points into free slots (--steal). On
+ *       resume (--retries, --hang-timeout), and work splitting: a
+ *       free slot takes the upper half of a straggler's unstarted
+ *       points (--steal). On
  *       success the merged stream on stdout is byte-identical to the
  *       serial run. When a shard exhausts its retry budget the tool
  *       degrades gracefully: merged partial output on stdout, a
@@ -224,12 +225,26 @@ spawnAndMerge(const Options &opt, std::size_t shard_count)
         std::exit(exitCodeForSignal(report.interruptSignal));
     }
 
-    if (report.respawns != 0 || report.stealLaunches != 0)
+    // Splits are load balancing; only respawns and rescues recover.
+    const std::size_t rescues = report.stealLaunches - report.splits;
+    if (report.respawns != 0 || rescues != 0)
         std::fprintf(stderr,
                      "--spawn: supervision recovered: %zu respawn(s), "
-                     "%zu steal launch(es) covering %zu point(s)\n",
-                     report.respawns, report.stealLaunches,
-                     report.stolenPoints);
+                     "%zu rescue launch(es) covering %zu point(s)\n",
+                     report.respawns, rescues,
+                     report.stolenPoints - report.splitPoints);
+    if (report.splits != 0) {
+        std::string line = "--spawn: load balancing: " +
+                           std::to_string(report.splits) +
+                           " split(s) moved " +
+                           std::to_string(report.splitPoints) +
+                           " point(s); split off per shard:";
+        for (std::size_t i = 0; i < report.shards.size(); ++i)
+            line += " " + std::to_string(i) + "/" +
+                    std::to_string(shard_count) + "=" +
+                    std::to_string(report.shards[i].splitPoints);
+        std::fprintf(stderr, "%s\n", line.c_str());
+    }
 
     writeRecords(std::cout, outcome.merged.records);
 
