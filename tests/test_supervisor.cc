@@ -152,9 +152,11 @@ TEST(PointClaim, ConcurrentClaimsAndSplitsClaimEveryIndexOnce)
     // Four threads drain the tasks in order, claiming each task's
     // list in increasing order through a shared cursor, as a worker's
     // threads do. A fifth keeps splitting the task with the most
-    // unstarted points; the drainers then drain the thieves.
+    // unstarted points; the drainers then drain the thieves. All five
+    // start together, or the first drainer would finish alone.
     constexpr std::size_t kPoints = 64;
     constexpr std::size_t kMaxTasks = 16;
+    std::size_t splits = 0;
     for (int round = 0; round < 1000; ++round) {
         std::vector<std::size_t> lists[kMaxTasks];
         std::unique_ptr<PointClaim> claims[kMaxTasks];
@@ -170,7 +172,14 @@ TEST(PointClaim, ConcurrentClaimsAndSplitsClaimEveryIndexOnce)
         std::atomic<std::size_t> published{1};
         std::atomic<bool> splitterDone{false};
 
+        std::atomic<int> ready{0};
+        const auto start = [&ready] {
+            ready.fetch_add(1);
+            while (ready.load() < 5)
+                std::this_thread::yield();
+        };
         const auto drain = [&] {
+            start();
             for (std::size_t t = 0;;) {
                 if (t == published.load()) {
                     if (splitterDone.load() && t == published.load())
@@ -186,6 +195,7 @@ TEST(PointClaim, ConcurrentClaimsAndSplitsClaimEveryIndexOnce)
             }
         };
         const auto split = [&] {
+            start();
             for (std::size_t n = 1; n < kMaxTasks;) {
                 std::size_t victim = 0;
                 std::size_t most = 0;
@@ -217,11 +227,13 @@ TEST(PointClaim, ConcurrentClaimsAndSplitsClaimEveryIndexOnce)
         for (std::thread &thread : threads)
             thread.join();
 
+        splits += published.load() - 1;
         for (std::size_t i = 0; i < kPoints; ++i)
             ASSERT_EQ(claimed[i].load(), 1)
                 << "index " << i << ", round " << round << ", "
                 << published.load() << " task(s)";
     }
+    EXPECT_GT(splits, 0u);
 }
 
 } // namespace
