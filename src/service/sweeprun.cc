@@ -530,7 +530,7 @@ makeSweepWorkerBody(const SweepRunOptions &opt,
             // A relaunched thief resumes its own file, as a shard does.
             writeSweepPoints(worker, points, task.points, task.outPath,
                              /*resume=*/task.attempt > 0, task.claim);
-            traceEmitSpan(ctx, "steal_run", "steal slice run",
+            traceEmitSpan(ctx, "steal_run", "thief run",
                           ctx.spanId, startUs, traceNowMicros(),
                           {{"points",
                             std::to_string(task.points.size())}});

@@ -52,7 +52,7 @@ enum class TelemetryCounter : unsigned
     ShardRecordsMerged,   //!< records accepted into a merge
     ShardRecordsDeduped,  //!< bit-identical duplicates dropped
     SupervisorRespawns,   //!< shard workers relaunched after a crash
-    SupervisorSteals,     //!< steal launches dispatched
+    SupervisorSteals,     //!< thief launches: splits and rescues
     SupervisorHangKills,  //!< hung workers killed (liveness timeout)
 };
 constexpr unsigned kTelemetryCounterCount = 13;
