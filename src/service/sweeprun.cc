@@ -598,7 +598,8 @@ foldBackThieves(const SupervisedSweepOutcome &outcome)
 {
     const SupervisorReport &report = outcome.report;
     const MergeCheck &check = outcome.check;
-    if (!report.complete || report.stealLaunches == 0)
+    if (!report.complete || report.interruptSignal != 0 ||
+        report.stealLaunches == 0)
         return;
     sbn_assert(outcome.merged.records.size() == check.gridSize,
                "a complete fleet merges one record per point");
