@@ -182,7 +182,7 @@ initShardArgs(int *argc, char **argv)
  * @p opt) and pass each record to @p onRecord in flat-index order.
  * Unsharded, every point runs through runSweepPoints on all hardware
  * threads. In shard mode only this process's shard runs, through the
- * same runShardPoints file path `sbn_sweep --shard` uses, and other
+ * same writeSweepPoints file path `sbn_sweep --shard` uses, and other
  * shards' cells yield no record.
  */
 inline void
@@ -200,17 +200,8 @@ benchSweep(SweepRunOptions opt, const std::vector<SystemConfig> &points,
 
     const std::string path = mode.nextPath();
     const ShardPlan plan(points.size(), mode.shard.count, mode.layout);
-    const ShardRunStats stats = runShardPoints(
-        plan.indices(mode.shard.index),
-        sweepRunMergeCheck(opt, points).expectedRunFp, path,
-        mode.resume,
-        [&](const std::vector<std::size_t> &missing,
-            RecordWriter &writer) {
-            runSweepPoints(opt, points, missing,
-                           [&](const PointRecord &record) {
-                               writer.add(record);
-                           });
-        });
+    const ShardRunStats stats = writeSweepPoints(
+        opt, points, plan.indices(mode.shard.index), path, mode.resume);
     std::printf("shard %s: %zu/%zu point(s) computed, %zu resumed "
                 "-> %s\n",
                 mode.shard.toString().c_str(), stats.computed,

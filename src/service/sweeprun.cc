@@ -88,27 +88,6 @@ currentTraceContext()
     return ctx;
 }
 
-/** Compute @p subset of @p opt's sweep, as far as @p claim admits,
- *  into the record file @p path. */
-ShardRunStats
-writeSweepPoints(const SweepRunOptions &opt,
-                 const std::vector<SystemConfig> &points,
-                 const std::vector<std::size_t> &subset,
-                 const std::string &path, bool resume,
-                 PointClaim *claim)
-{
-    return runShardPoints(
-        subset, sweepRunMergeCheck(opt, points).expectedRunFp, path,
-        resume,
-        [&](const std::vector<std::size_t> &missing,
-            RecordWriter &writer) {
-            runSweepPoints(
-                opt, points, missing,
-                [&](const PointRecord &record) { writer.add(record); },
-                claim);
-        });
-}
-
 } // namespace
 
 const std::map<std::string, std::string> &
@@ -475,6 +454,25 @@ runSweepPoints(const SweepRunOptions &opt,
             const AdaptiveEstimate &estimate) {
             emit(makeAdaptiveRecord(subset[k], cfg, estimate,
                                     opt.target, opt.schedule));
+        });
+}
+
+ShardRunStats
+writeSweepPoints(const SweepRunOptions &opt,
+                 const std::vector<SystemConfig> &points,
+                 const std::vector<std::size_t> &subset,
+                 const std::string &path, bool resume,
+                 PointClaim *claim)
+{
+    return runShardPoints(
+        subset, sweepRunMergeCheck(opt, points).expectedRunFp, path,
+        resume,
+        [&](const std::vector<std::size_t> &missing,
+            RecordWriter &writer) {
+            runSweepPoints(
+                opt, points, missing,
+                [&](const PointRecord &record) { writer.add(record); },
+                claim);
         });
 }
 

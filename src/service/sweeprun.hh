@@ -182,6 +182,21 @@ void runSweepPoints(const SweepRunOptions &opt,
                     const PointRecordCallback &emit,
                     PointClaim *claim = nullptr);
 
+/**
+ * Compute the flat indices in @p subset of @p opt's sweep over
+ * @p points, as far as @p claim admits, into the record file
+ * @p path: runShardPoints() owns the file (resume, atomic rewrites,
+ * one flushed line per point) and runSweepPoints() computes what
+ * resume left missing. Every record-file path shares this one entry
+ * point: shards, thieves, bench shard mode and the tests that stand
+ * in for them.
+ */
+ShardRunStats writeSweepPoints(const SweepRunOptions &opt,
+                               const std::vector<SystemConfig> &points,
+                               const std::vector<std::size_t> &subset,
+                               const std::string &path, bool resume,
+                               PointClaim *claim = nullptr);
+
 /** Run one full shard of @p opt's sweep, as far as @p claim admits,
  *  into its canonical file under @p dir, reporting stats on stderr
  *  (the worker body and --shard mode share this). */

@@ -129,17 +129,7 @@ writePoints(const std::vector<SystemConfig> &points,
 {
     SweepRunOptions opt;
     opt.threads = 1;
-    runShardPoints(subset, sweepMergeCheck(points).expectedRunFp, path,
-                   resume,
-                   [&](const std::vector<std::size_t> &missing,
-                       RecordWriter &writer) {
-                       runSweepPoints(
-                           opt, points, missing,
-                           [&](const PointRecord &record) {
-                               writer.add(record);
-                           },
-                           claim);
-                   });
+    writeSweepPoints(opt, points, subset, path, resume, claim);
 }
 
 /** Worker body every supervisor test uses: plain sweep, 1 thread. */

@@ -105,29 +105,18 @@ adaptiveOptions(const PrecisionTarget &target,
 
 /**
  * Run shard @p shard of @p opt's sweep over @p points into @p path,
- * composed the way every shard front end composes it: the plan picks
- * the subset, runShardPoints owns the file, runSweepPoints computes.
- * @p computed, when given, accumulates the points handed to compute.
+ * as every shard front end does: the plan picks the subset and
+ * writeSweepPoints fills the file.
  */
 ShardRunStats
 runShard(const SweepRunOptions &opt,
          const std::vector<SystemConfig> &points, const ShardSpec &shard,
          ShardLayout layout, const std::string &path,
-         bool resume = false, std::size_t *computed = nullptr)
+         bool resume = false)
 {
     const ShardPlan plan(points.size(), shard.count, layout);
-    return runShardPoints(
-        plan.indices(shard.index),
-        sweepRunMergeCheck(opt, points).expectedRunFp, path, resume,
-        [&](const std::vector<std::size_t> &missing,
-            RecordWriter &writer) {
-            if (computed != nullptr)
-                *computed += missing.size();
-            runSweepPoints(opt, points, missing,
-                           [&](const PointRecord &record) {
-                               writer.add(record);
-                           });
-        });
+    return writeSweepPoints(opt, points, plan.indices(shard.index), path,
+                            resume);
 }
 
 // ---------------------------------------------------------------- plan
@@ -600,22 +589,20 @@ TEST(ShardResume, SkipsFinishedPointsAndReproducesIdenticalRecords)
             out << formatRecord(records[i]) << '\n';
         out << formatRecord(records[3]).substr(0, 25);
     }
-    std::size_t evaluated = 0;
     const ShardRunStats stats =
         runShard(plainOptions(), points, shard, ShardLayout::Contiguous,
-                 killed, /*resume=*/true, &evaluated);
+                 killed, /*resume=*/true);
     EXPECT_EQ(stats.owned, points.size());
     EXPECT_EQ(stats.skipped, 3u);
-    EXPECT_EQ(stats.computed, points.size() - 3);
-    EXPECT_EQ(evaluated, points.size() - 3)
+    EXPECT_EQ(stats.computed, points.size() - 3)
         << "resume recomputed finished points";
     EXPECT_EQ(fileBytes(killed), fresh_bytes);
 
     // Resuming a complete file computes nothing at all.
-    evaluated = 0;
-    runShard(plainOptions(), points, shard, ShardLayout::Contiguous,
-             killed, /*resume=*/true, &evaluated);
-    EXPECT_EQ(evaluated, 0u);
+    EXPECT_EQ(runShard(plainOptions(), points, shard,
+                       ShardLayout::Contiguous, killed, /*resume=*/true)
+                  .computed,
+              0u);
     EXPECT_EQ(fileBytes(killed), fresh_bytes);
 
     std::remove(fresh.c_str());
@@ -765,12 +752,11 @@ TEST(ShardResume, AdaptiveResumeSkipsConvergedPoints)
         std::ofstream out(killed, std::ios::binary);
         out << formatRecord(records[0]) << '\n';
     }
-    std::size_t evaluations = 0;
     const ShardRunStats stats =
         runShard(opt, points, shard, ShardLayout::Contiguous, killed,
-                 /*resume=*/true, &evaluations);
+                 /*resume=*/true);
     EXPECT_EQ(stats.skipped, 1u);
-    EXPECT_GT(evaluations, 0u);
+    EXPECT_GT(stats.computed, 0u);
     EXPECT_EQ(fileBytes(killed), fresh_bytes);
 
     std::remove(fresh.c_str());

@@ -34,7 +34,6 @@
 #include "golden_util.hh"
 #include "shard/merge.hh"
 #include "shard/result_io.hh"
-#include "shard/runner.hh"
 #include "service/sweeprun.hh"
 #include "workload/analytic.hh"
 #include "workload/workload.hh"
@@ -479,21 +478,12 @@ TEST(WorkloadDeterminism, ShardLayoutsMergeByteIdenticalToSerial)
     const std::vector<SystemConfig> points =
         hotSpotSpec().materialize();
     const SweepRunOptions opt;
-    const std::vector<std::uint64_t> fps =
-        sweepMergeCheck(points).expectedRunFp;
     const auto runShard = [&](const ShardSpec &shard, ShardLayout layout,
                               const std::string &path) {
-        runShardPoints(
-            ShardPlan(points.size(), shard.count, layout)
-                .indices(shard.index),
-            fps, path, /*resume=*/false,
-            [&](const std::vector<std::size_t> &missing,
-                RecordWriter &writer) {
-                runSweepPoints(opt, points, missing,
-                               [&](const PointRecord &record) {
-                                   writer.add(record);
-                               });
-            });
+        writeSweepPoints(opt, points,
+                         ShardPlan(points.size(), shard.count, layout)
+                             .indices(shard.index),
+                         path, /*resume=*/false);
     };
 
     // Serial reference: the whole grid as one shard.
