@@ -47,50 +47,15 @@ namespace {
 
 using Clock = std::chrono::steady_clock;
 
+/** Seconds between cancel's SIGTERM and the SIGKILL escalation. */
+constexpr double kKillGraceSeconds = 2.0;
+
 volatile std::sig_atomic_t g_terminateSignal = 0;
 
 void
 onTerminateSignal(int sig)
 {
     g_terminateSignal = sig;
-}
-
-/** write() the whole buffer, riding out EINTR; false on error. */
-bool
-writeAll(int fd, const char *data, std::size_t size)
-{
-    std::size_t written = 0;
-    while (written < size) {
-        const ssize_t got = ::write(fd, data + written, size - written);
-        if (got < 0) {
-            if (errno == EINTR)
-                continue;
-            return false;
-        }
-        written += static_cast<std::size_t>(got);
-    }
-    return true;
-}
-
-/** Atomic small-file publish: temp + fsync + rename. */
-void
-atomicWriteFile(const std::string &path, const std::string &content)
-{
-    const std::string tmp = path + ".tmp." +
-                            std::to_string(static_cast<long>(::getpid()));
-    const int fd = ::open(tmp.c_str(), O_WRONLY | O_CREAT | O_TRUNC, 0644);
-    if (fd < 0)
-        sbn_fatal("cannot create '", tmp,
-                  "': ", std::strerror(errno));
-    if (!writeAll(fd, content.data(), content.size()) ||
-        ::fsync(fd) != 0) {
-        ::close(fd);
-        sbn_fatal("cannot write '", tmp, "': ", std::strerror(errno));
-    }
-    ::close(fd);
-    if (::rename(tmp.c_str(), path.c_str()) != 0)
-        sbn_fatal("cannot publish '", path,
-                  "': ", std::strerror(errno));
 }
 
 void
@@ -1147,7 +1112,7 @@ Daemon::killJobRunner(Job &job)
     job.killDeadline = Clock::now() +
                        std::chrono::duration_cast<Clock::duration>(
                            std::chrono::duration<double>(
-                               config_.killGraceSeconds));
+                               kKillGraceSeconds));
 }
 
 void

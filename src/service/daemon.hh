@@ -66,8 +66,6 @@ struct DaemonConfig
     unsigned jobRetries = 2;
     /** Worker count for specs that carry no --spawn. */
     std::size_t defaultShards = 1;
-    /** Seconds between cancel's SIGTERM and the SIGKILL escalation. */
-    double killGraceSeconds = 2.0;
 };
 
 /** <state-dir>/jobs.jsonl - the job journal. */

@@ -648,6 +648,42 @@ rewriteRecordsAtomic(const std::string &path,
     syncParentDir(path);
 }
 
+bool
+writeAll(int fd, const char *data, std::size_t size)
+{
+    std::size_t written = 0;
+    while (written < size) {
+        const ssize_t got = ::write(fd, data + written, size - written);
+        if (got < 0) {
+            if (errno == EINTR)
+                continue;
+            return false;
+        }
+        written += static_cast<std::size_t>(got);
+    }
+    return true;
+}
+
+void
+atomicWriteFile(const std::string &path, const std::string &content)
+{
+    const std::string tmp =
+        path + ".tmp." + std::to_string(::getpid());
+    const int fd = ::open(tmp.c_str(), O_WRONLY | O_CREAT | O_TRUNC, 0644);
+    if (fd < 0)
+        sbn_fatal("cannot create '", tmp,
+                  "': ", std::strerror(errno));
+    if (!writeAll(fd, content.data(), content.size()) ||
+        ::fsync(fd) != 0) {
+        ::close(fd);
+        sbn_fatal("cannot write '", tmp, "': ", std::strerror(errno));
+    }
+    ::close(fd);
+    if (::rename(tmp.c_str(), path.c_str()) != 0)
+        sbn_fatal("cannot publish '", path,
+                  "': ", std::strerror(errno));
+}
+
 std::size_t
 removeStaleRewriteTemps(const std::string &path)
 {
@@ -733,18 +769,9 @@ RecordWriter::add(const PointRecord &record)
                   " fail_write_at=", ordinal, ")");
 
     const std::string line = formatRecord(record) + '\n';
-    std::size_t done = 0;
-    while (done < line.size()) {
-        const ssize_t wrote = ::write(fd_, line.data() + done,
-                                      line.size() - done);
-        if (wrote < 0) {
-            if (errno == EINTR)
-                continue;
-            sbn_fatal("write error on shard record file '", path_,
-                      "': ", std::strerror(errno));
-        }
-        done += static_cast<std::size_t>(wrote);
-    }
+    if (!writeAll(fd_, line.data(), line.size()))
+        sbn_fatal("write error on shard record file '", path_,
+                  "': ", std::strerror(errno));
     ++written_;
     telemetryAdd(TelemetryCounter::ShardRecordsWritten, 1);
     // Record boundary: the line is fully on disk (unbuffered write).

@@ -154,6 +154,21 @@ std::vector<PointRecord> readRecordFile(const std::string &path,
 void rewriteRecordsAtomic(const std::string &path,
                           const std::vector<PointRecord> &records);
 
+/** write() all @p size bytes of @p data to @p fd, riding out EINTR;
+ *  false on any other error (errno says which). */
+bool writeAll(int fd, const char *data, std::size_t size);
+
+/**
+ * Atomically publish @p content as @p path, the way
+ * rewriteRecordsAtomic() publishes records: a process-unique temp
+ * file (path+".tmp.<pid>"), fsync()ed, then rename()d over @p path.
+ * A reader sees the old file or the whole new one, and the new bytes
+ * are durable before they become visible. Fatal on any error. Used
+ * for small whole-file state: the missing-points manifest and the
+ * daemon's port and heartbeat files.
+ */
+void atomicWriteFile(const std::string &path, const std::string &content);
+
 /**
  * Remove leftover rewrite temp files of @p path (path+".tmp*"): the
  * artifact of a process killed between opening the temp and the

@@ -19,7 +19,6 @@
 #include <cmath>
 #include <cstdio>
 #include <cstring>
-#include <fstream>
 #include <memory>
 #include <new>
 
@@ -282,8 +281,6 @@ ShardSupervisor::ShardSupervisor(SupervisorConfig config,
                "retry budget is implausibly large");
     sbn_assert(config_.expectedRunFp.size() < (std::uint64_t{1} << 32),
                "claim words address fewer than 2^32 points");
-    if (config_.maxStealLaunches == 0)
-        config_.maxStealLaunches = 4 * config_.shardCount;
 
     const ShardPlan plan(config_.expectedRunFp.size(),
                          config_.shardCount, config_.layout);
@@ -661,7 +658,7 @@ ShardSupervisor::run()
     // One claim word per task the fleet may launch, mapped shared
     // before the first fork so every worker meets the supervisor in it.
     const std::size_t bytes =
-        (config_.shardCount + config_.maxStealLaunches) *
+        (config_.shardCount + maxStealLaunches()) *
         sizeof(PointClaim);
     void *page = ::mmap(nullptr, bytes, PROT_READ | PROT_WRITE,
                         MAP_SHARED | MAP_ANONYMOUS, -1, 0);
@@ -803,19 +800,7 @@ writeMissingPointsManifest(const std::string &path,
         body += '}';
     }
     body += "]}\n";
-
-    const std::string tmp =
-        path + ".tmp." + std::to_string(::getpid());
-    {
-        std::ofstream out(tmp);
-        out << body;
-        out.flush();
-        if (!out.good())
-            sbn_fatal("cannot write missing-points manifest '", tmp,
-                      "'");
-    }
-    if (std::rename(tmp.c_str(), path.c_str()) != 0)
-        sbn_fatal("cannot rename '", tmp, "' over '", path, "'");
+    atomicWriteFile(path, body);
 }
 
 } // namespace sbn

@@ -152,12 +152,12 @@ struct SupervisorConfig
     double hangTimeoutSeconds = 0.0;
 
     bool workStealing = true;
-
-    /** Total thief launches allowed, splits and rescues together
-     *  (0 = 4 * shardCount). Sizes the claim page and bounds the loop
-     *  when rescued work itself keeps failing. */
-    std::size_t maxStealLaunches = 0;
 };
+
+/** Thief launches a fleet allows per shard, splits and rescues
+ *  together. Sizes the claim page and bounds the loop when rescued
+ *  work itself keeps failing. */
+constexpr std::size_t kStealLaunchesPerShard = 4;
 
 /**
  * The capped-exponential retry delay before a shard's next relaunch,
@@ -242,10 +242,14 @@ class ShardSupervisor
     bool rescueExhausted();
     bool splitLargest();
     void launchSteal(std::vector<std::size_t> points, bool split);
+    std::size_t maxStealLaunches() const
+    {
+        return kStealLaunchesPerShard * config_.shardCount;
+    }
     bool mayLaunchThief() const
     {
         return config_.workStealing &&
-               report_.stealLaunches < config_.maxStealLaunches;
+               report_.stealLaunches < maxStealLaunches();
     }
     void handleFailure(Task &task, int status, bool hung);
     void closeAttemptSpan(Task &task, const char *outcome, int status,
@@ -273,10 +277,10 @@ class ShardSupervisor
 std::string missingManifestPath(const std::string &dir);
 
 /**
- * Persist the machine-readable missing-points manifest (atomic
- * temp+rename): one JSON object naming every missing flat index and,
- * when @p check carries shard attribution, the shard file expected
- * to own it.
+ * Persist the machine-readable missing-points manifest durably
+ * (atomicWriteFile): one JSON object naming every missing flat
+ * index and, when @p check carries shard attribution, the shard file
+ * expected to own it.
  */
 void writeMissingPointsManifest(const std::string &path,
                                 const MergeCheck &check,
