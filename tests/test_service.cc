@@ -7,8 +7,7 @@
  * and CI scripts branch on, and the results round trip of a forked
  * daemon. The daemon's end-to-end behavior - kill-anywhere recovery,
  * cancel, drain, backpressure - is exercised with real processes by
- * the tools/ ctest scripts and the CI service-recovery job
- * (docs/service.md).
+ * the `service`-labelled tools/ ctest scripts (docs/service.md).
  */
 
 #include <gtest/gtest.h>
