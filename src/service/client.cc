@@ -14,6 +14,7 @@
 #include <fstream>
 
 #include "service/daemon.hh"
+#include "shard/result_io.hh"
 #include "util/exit_codes.hh"
 #include "util/logging.hh"
 
@@ -179,18 +180,9 @@ ClientResponse
 DaemonClient::call(const Request &request)
 {
     const std::string line = formatRequest(request) + "\n";
-    std::size_t written = 0;
-    while (written < line.size()) {
-        const ssize_t got = ::write(fd_, line.data() + written,
-                                    line.size() - written);
-        if (got < 0) {
-            if (errno == EINTR)
-                continue;
-            sbn_fatal("daemon connection write failed: ",
-                      std::strerror(errno));
-        }
-        written += static_cast<std::size_t>(got);
-    }
+    if (!writeAll(fd_, line.data(), line.size()))
+        sbn_fatal("daemon connection write failed: ",
+                  std::strerror(errno));
 
     ClientResponse response;
     const std::string header = readLine();

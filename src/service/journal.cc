@@ -12,6 +12,7 @@
 
 #include "service/protocol.hh"
 #include "shard/fault.hh"
+#include "shard/result_io.hh"
 #include "util/logging.hh"
 
 namespace sbn {
@@ -182,18 +183,9 @@ void
 JobJournal::append(const JobJournalEntry &entry)
 {
     const std::string line = formatJournalEntry(entry) + "\n";
-    std::size_t written = 0;
-    while (written < line.size()) {
-        const ssize_t got = ::write(fd_, line.data() + written,
-                                    line.size() - written);
-        if (got < 0) {
-            if (errno == EINTR)
-                continue;
-            sbn_fatal("job journal '", path_,
-                      "': write failed: ", std::strerror(errno));
-        }
-        written += static_cast<std::size_t>(got);
-    }
+    if (!writeAll(fd_, line.data(), line.size()))
+        sbn_fatal("job journal '", path_,
+                  "': write failed: ", std::strerror(errno));
     if (::fsync(fd_) != 0)
         sbn_fatal("job journal '", path_,
                   "': fsync failed: ", std::strerror(errno));

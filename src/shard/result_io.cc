@@ -682,6 +682,7 @@ atomicWriteFile(const std::string &path, const std::string &content)
     if (::rename(tmp.c_str(), path.c_str()) != 0)
         sbn_fatal("cannot publish '", path,
                   "': ", std::strerror(errno));
+    syncParentDir(path);
 }
 
 std::size_t

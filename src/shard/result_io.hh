@@ -161,11 +161,12 @@ bool writeAll(int fd, const char *data, std::size_t size);
 /**
  * Atomically publish @p content as @p path, the way
  * rewriteRecordsAtomic() publishes records: a process-unique temp
- * file (path+".tmp.<pid>"), fsync()ed, then rename()d over @p path.
- * A reader sees the old file or the whole new one, and the new bytes
- * are durable before they become visible. Fatal on any error. Used
- * for small whole-file state: the missing-points manifest and the
- * daemon's port and heartbeat files.
+ * file (path+".tmp.<pid>"), fsync()ed, rename()d over @p path, then
+ * the parent directory fsync()ed (best effort) so the rename is
+ * durable too. A reader sees the old file or the whole new one, and
+ * the new bytes are durable before they become visible. Fatal on any
+ * write or rename error. Used for small whole-file state: the
+ * missing-points manifest and the daemon's port and heartbeat files.
  */
 void atomicWriteFile(const std::string &path, const std::string &content);
 
