@@ -29,7 +29,8 @@ namespace {
 /**
  * One kernel throughput measurement: wall time, scheduled events and
  * derived cycles/s for a config, for both the exact CycleSkip kernel
- * and the statistical FastStat kernel.
+ * and the statistical FastStat kernel, plus FastStat's wall time with
+ * latency histograms on (config.collectLatency).
  */
 struct KernelSample
 {
@@ -40,6 +41,7 @@ struct KernelSample
     double ebw = 0.0;
     double faststatSeconds = 0.0;
     double faststatEbw = 0.0;
+    double faststatLatencySeconds = 0.0;
 
     double
     eventsPerCycle() const
@@ -55,13 +57,23 @@ struct KernelSample
         return faststatSeconds > 0.0 ? seconds / faststatSeconds
                                      : 0.0;
     }
+
+    /** FastStat's extra wall time with latency on, as a fraction. */
+    double
+    latencyCost() const
+    {
+        return faststatSeconds > 0.0
+                   ? faststatLatencySeconds / faststatSeconds - 1.0
+                   : 0.0;
+    }
 };
 
 /**
- * Interleave repetitions of the two kernels and keep the fastest wall
- * time of each. Shared-host noise inflates both kernels together, so
- * alternating reps and taking per-kernel minima makes the reported
- * speedup far more stable than a single back-to-back pair of runs.
+ * Interleave repetitions of the two kernels, and of FastStat with
+ * latency on, and keep the fastest wall time of each. Shared-host
+ * noise inflates every run together, so alternating reps and taking
+ * per-kernel minima makes the reported speedup and latency cost far
+ * more stable than a single back-to-back pair of runs.
  */
 KernelSample
 measureKernel(std::string name, sbn::SystemConfig cfg)
@@ -72,6 +84,8 @@ measureKernel(std::string name, sbn::SystemConfig cfg)
     sample.name = std::move(name);
     sample.seconds = std::numeric_limits<double>::infinity();
     sample.faststatSeconds = std::numeric_limits<double>::infinity();
+    sample.faststatLatencySeconds =
+        std::numeric_limits<double>::infinity();
 
     for (int rep = 0; rep < kReps; ++rep) {
         {
@@ -88,18 +102,22 @@ measureKernel(std::string name, sbn::SystemConfig cfg)
             }
             sample.ebw = metrics.ebw;
         }
-        {
+        for (const bool latency : {false, true}) {
             cfg.kernel = sbn::KernelKind::FastStat;
+            cfg.collectLatency = latency;
             sbn::FastStatSystem system(cfg);
             const auto t0 = clock::now();
             const sbn::Metrics metrics = system.run();
             const double s =
                 std::chrono::duration<double>(clock::now() - t0)
                     .count();
-            sample.faststatSeconds =
-                std::min(sample.faststatSeconds, s);
-            sample.faststatEbw = metrics.ebw;
+            double &best = latency ? sample.faststatLatencySeconds
+                                   : sample.faststatSeconds;
+            best = std::min(best, s);
+            if (!latency)
+                sample.faststatEbw = metrics.ebw;
         }
+        cfg.collectLatency = false;
     }
     cfg.kernel = sbn::KernelKind::CycleSkip;
     sample.config = cfg;
@@ -136,6 +154,7 @@ writeKernelJson(const std::vector<KernelSample> &samples,
             << ", \"cycles_per_s\": "
             << static_cast<double>(cycles) / s.seconds << "},\n"
             << "      \"faststat\": {\"wall_s\": " << s.faststatSeconds
+            << ", \"latency_wall_s\": " << s.faststatLatencySeconds
             << ", \"ebw\": " << s.faststatEbw
             << ", \"cycles_per_s\": "
             << static_cast<double>(cycles) / s.faststatSeconds
@@ -150,7 +169,8 @@ writeKernelJson(const std::vector<KernelSample> &samples,
  * Kernel throughput over the regimes the paper sweeps live in (low
  * request probability = long think spans), a saturated point, and a
  * hot-spot workload point, for both the exact CycleSkip kernel and
- * the statistical FastStat kernel. Prints a table and writes a
+ * the statistical FastStat kernel, and FastStat's latency-collection
+ * cost (latency_wall_s, not gated). Prints a table and writes a
  * machine-readable BENCH_kernel.json (path overridable via the
  * SBN_BENCH_KERNEL_JSON environment variable) so CI can track both
  * kernels' perf trajectories per PR. The Classic reference kernel is
@@ -193,17 +213,19 @@ runKernelComparison()
 
     std::printf("Kernel throughput (cycleskip vs faststat), %s:\n",
                 "1.01M cycles per run, best of 3 interleaved reps");
-    std::printf("%-20s %9s %11s %11s %8s %8s\n", "config", "ev/cyc",
-                "cs Mcyc/s", "fs Mcyc/s", "speedup", "ebw");
+    std::printf("%-20s %9s %11s %11s %8s %8s %8s\n", "config", "ev/cyc",
+                "cs Mcyc/s", "fs Mcyc/s", "speedup", "fs +lat", "ebw");
     for (const KernelSample &s : samples) {
         const auto cycles = static_cast<double>(
             s.config.warmupCycles + s.config.measureCycles);
-        std::printf("%-20s %9.3f %11.1f %11.1f %7.2fx %8.3f\n",
+        std::printf("%-20s %9.3f %11.1f %11.1f %7.2fx %+7.1f%% %8.3f\n",
                     s.name.c_str(), s.eventsPerCycle(),
                     cycles / s.seconds / 1e6,
                     cycles / s.faststatSeconds / 1e6,
-                    s.faststatSpeedup(), s.ebw);
+                    s.faststatSpeedup(), 100.0 * s.latencyCost(), s.ebw);
     }
+    std::printf("fs +lat: FastStat's extra wall time with latency "
+                "histograms on (config.collectLatency).\n");
     std::printf("\n");
 
     const char *path = std::getenv("SBN_BENCH_KERNEL_JSON");

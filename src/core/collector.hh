@@ -126,10 +126,8 @@ class RunCollector
         ++completed_;
         ++perProcCompleted_[idx];
         if (latency_) {
-            latWait_->add(
-                static_cast<double>(serviceStart_[idx] - issue_tick));
-            latResidence_->add(
-                static_cast<double>(grant_tick + 1 - issue_tick));
+            latWait_->add(serviceStart_[idx] - issue_tick);
+            latResidence_->add(grant_tick + 1 - issue_tick);
         }
         return true;
     }

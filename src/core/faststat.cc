@@ -1,6 +1,7 @@
 #include "core/faststat.hh"
 
 #include <algorithm>
+#include <cmath>
 #include <limits>
 
 #include "core/fingerprint.hh"
@@ -31,8 +32,12 @@ FastStatSystem::FastStatSystem(const SystemConfig &config)
     const auto n = static_cast<std::size_t>(cfg_.numProcessors);
     const auto m = static_cast<std::size_t>(cfg_.numModules);
     procRng_.reserve(n);
-    for (std::size_t p = 0; p < n; ++p)
+    procLog1mp_.reserve(n);
+    for (std::size_t p = 0; p < n; ++p) {
         procRng_.emplace_back(key, static_cast<std::uint64_t>(p));
+        procLog1mp_.push_back(std::log1p(
+            -workload_.thinkProbability(static_cast<int>(p))));
+    }
     arbRng_ = CounterRng(key, static_cast<std::uint64_t>(n));
 
     procState_.assign(n, ProcState::Thinking);
@@ -151,21 +156,20 @@ void
 FastStatSystem::processorReady(int proc, Tick now)
 {
     ++thinkDraws_;
+    const auto idx = static_cast<std::size_t>(proc);
     const double p = workload_.thinkProbability(proc);
     if (p <= 0.0) {
         // Never issues again; park outside every structure (the exact
         // kernel redraws forever, statistically the same silence).
-        procState_[static_cast<std::size_t>(proc)] =
-            ProcState::Thinking;
+        procState_[idx] = ProcState::Thinking;
         return;
     }
-    const std::uint64_t k = procRng_[static_cast<std::size_t>(proc)]
-                                .geometric(p);
+    const std::uint64_t k = procRng_[idx].geometric(p, procLog1mp_[idx]);
     if (k == 0) {
         issue(proc, now);
         return;
     }
-    procState_[static_cast<std::size_t>(proc)] = ProcState::Thinking;
+    procState_[idx] = ProcState::Thinking;
     // A wake past the window can never fire (the driver loop stops
     // first); parking it keeps k * pc_ from overflowing for tiny p.
     if (k > (collector_.windowEnd() - now) /

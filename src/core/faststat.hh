@@ -142,6 +142,10 @@ class FastStatSystem
     std::vector<CounterRng> procRng_;
     CounterRng arbRng_;
 
+    /** Per-processor log1p(-p), the geometric think draw's
+     *  denominator: each processor's p is fixed for the run. */
+    std::vector<double> procLog1mp_;
+
     // SoA processor state.
     std::vector<ProcState> procState_;
     std::vector<std::int32_t> procTarget_;

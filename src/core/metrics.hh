@@ -16,17 +16,17 @@
 namespace sbn {
 
 /**
- * Canonical bin layout for the per-request latency histograms
- * (config.collectLatency). Every producer uses this exact layout so
- * histograms from different runs/replications are always mergeable
- * and flat-JSON renders are byte-comparable. Samples are integer bus
- * cycles; a zero-cycle wait lands in underflow, anything at or above
- * 2^20 cycles in overflow.
+ * An empty per-request latency histogram (config.collectLatency).
+ * Histogram has one layout - six bins per octave over [1, 2^20) bus
+ * cycles - so histograms from different runs/replications are always
+ * mergeable and flat-JSON renders are byte-comparable. A zero-cycle
+ * wait lands in underflow, anything at or above 2^20 cycles in
+ * overflow.
  */
 inline Histogram
 makeLatencyHistogram()
 {
-    return Histogram::logScale(1.0, 1048576.0, 120);
+    return Histogram();
 }
 
 /**

@@ -277,8 +277,10 @@ parseSweepRunOptions(const CommandLine &cli)
         setTelemetryEnabled(true);
 
     // Folding into the base config makes every materialized point
-    // collect; collectLatency stays out of the config fingerprint, so
-    // latency-on and latency-off runs stay merge/resume compatible.
+    // collect. collectLatency stays out of the config fingerprint
+    // (FastStat keys its streams on it), but a latency run's records
+    // get their own run fingerprint (sweepRunFingerprint), so resume
+    // and merge never mix latency-on and latency-off records.
     opt.latency = cli.getBool("latency", false);
     spec.base.collectLatency = opt.latency;
 

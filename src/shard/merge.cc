@@ -16,8 +16,8 @@ sweepMergeCheck(const std::vector<SystemConfig> &points)
     check.gridSize = points.size();
     check.expectedRunFp.reserve(points.size());
     for (const SystemConfig &point : points)
-        check.expectedRunFp.push_back(
-            sweepRunFingerprint(configFingerprint(point)));
+        check.expectedRunFp.push_back(sweepRunFingerprint(
+            configFingerprint(point), point.collectLatency));
     return check;
 }
 
@@ -98,7 +98,16 @@ collectRecordFiles(const std::vector<std::string> &paths,
                     formatFingerprint(
                         check.expectedRunFp[record.flatIndex]),
                     " - it belongs to a different grid, seed, or "
-                    "precision setup");
+                    "precision setup, or to a run with the other "
+                    "--latency setting");
+            if (!check.expectedRunFp.empty() &&
+                !record.latencyMatchesRunFp())
+                sbn_fatal("merge: record for flat index ",
+                          record.flatIndex, " in '", path,
+                          "' has a lat_* group its run fingerprint "
+                          "does not name - a latency record written "
+                          "before latency records got their own run "
+                          "fingerprint; recompute it with --resume");
             auto &slot = slots[record.flatIndex];
             if (slot) {
                 if (!slot->bitIdentical(record))

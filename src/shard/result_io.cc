@@ -16,6 +16,7 @@
 
 #include "core/fingerprint.hh"
 #include "shard/fault.hh"
+#include "stats/histogram.hh"
 #include "telemetry/telemetry.hh"
 #include "util/logging.hh"
 #include "workload/workload.hh"
@@ -87,10 +88,21 @@ PointRecord::bitIdentical(const PointRecord &other) const
            doubleBits(halfWidth) == doubleBits(other.halfWidth);
 }
 
-std::uint64_t
-sweepRunFingerprint(std::uint64_t config_fp)
+bool
+PointRecord::latencyMatchesRunFp() const
 {
-    return fingerprintMix(config_fp, 0x53574545502e7631ull);
+    return mode == RunMode::Sweep
+               ? runFp == sweepRunFingerprint(configFp, hasLatency)
+               : !hasLatency;
+}
+
+std::uint64_t
+sweepRunFingerprint(std::uint64_t config_fp, bool latency)
+{
+    const std::uint64_t state =
+        fingerprintMix(config_fp, 0x53574545502e7631ull);
+    return latency ? fingerprintMix(state, Histogram::kBinningRule)
+                   : state;
 }
 
 std::uint64_t
@@ -116,7 +128,8 @@ makeSweepRecord(std::size_t flat_index, const SystemConfig &config,
     PointRecord record;
     record.flatIndex = flat_index;
     record.configFp = configFingerprint(config);
-    record.runFp = sweepRunFingerprint(record.configFp);
+    record.runFp =
+        sweepRunFingerprint(record.configFp, sample.hasLatency);
     record.masterSeed = config.seed;
     record.mode = RunMode::Sweep;
     record.workload = formatWorkload(config.workload);

@@ -86,10 +86,27 @@ struct PointRecord
 
     /** Field-wise equality with doubles compared bit-for-bit. */
     bool bitIdentical(const PointRecord &other) const;
+
+    /**
+     * Whether the lat_* group's presence agrees with the run
+     * fingerprint: a sweep record carries the group exactly when its
+     * run fingerprint is the latency one, an adaptive record never.
+     * A latency record written before latency records got their own
+     * run fingerprint fails this; resume drops it and merge refuses
+     * it.
+     */
+    bool latencyMatchesRunFp() const;
 };
 
-/** Run fingerprint of a plain sweep over the point with @p config_fp. */
-std::uint64_t sweepRunFingerprint(std::uint64_t config_fp);
+/**
+ * Run fingerprint of a plain sweep over the point with @p config_fp.
+ * A run that collects latency mixes in the latency binning rule
+ * (Histogram::kBinningRule), so latency-on and latency-off records,
+ * and quantiles binned under different rules, never resume or merge
+ * together. Without latency it is the rule-free fingerprint every
+ * latency-off record has always carried.
+ */
+std::uint64_t sweepRunFingerprint(std::uint64_t config_fp, bool latency);
 
 /** Run fingerprint of an adaptive run (mixes target + schedule). */
 std::uint64_t adaptiveRunFingerprint(std::uint64_t config_fp,

@@ -27,8 +27,9 @@ runShardPoints(const std::vector<std::size_t> &subset,
         removeStaleRewriteTemps(path);
 
     // Resume: harvest usable records. Only records that address a
-    // subset point *and* carry the exact run fingerprint the sweep
-    // expects there survive. Track whether the file on disk is
+    // subset point, carry the exact run fingerprint the sweep expects
+    // there, and carry the lat_* group exactly when that fingerprint
+    // says so survive. Track whether the file on disk is
     // *exactly* the kept records in ascending order - the common
     // clean-resume case - because then it can be appended to in
     // place, preserving the "a kill loses at most the line being
@@ -61,6 +62,17 @@ runShardPoints(const std::vector<std::size_t> &subset,
                          formatFingerprint(record.runFp),
                          " does not match the current sweep (",
                          formatFingerprint(expected), ")");
+                dropped = true;
+                continue;
+            }
+            if (!record.latencyMatchesRunFp()) {
+                sbn_warn("resume: dropping stale record for flat "
+                         "index ",
+                         record.flatIndex, " in '", path,
+                         "' - its lat_* group presence differs from "
+                         "the run's (a latency record written before "
+                         "latency records got their own run "
+                         "fingerprint)");
                 dropped = true;
                 continue;
             }

@@ -511,16 +511,18 @@ std::vector<std::size_t>
 ShardSupervisor::missingPoints() const
 {
     // A point is satisfied when any record file holds a record whose
-    // run fingerprint matches what the sweep expects there - the
-    // exact criterion resume and merge use, so the supervisor never
-    // declares done what the merge would reject.
+    // run fingerprint matches what the sweep expects there, and whose
+    // lat_* group agrees with it - the exact criterion resume and
+    // merge use, so the supervisor never declares done what the
+    // merge would reject.
     std::vector<bool> satisfied(config_.expectedRunFp.size(), false);
     for (const std::string &path : existingRecordFiles())
         for (const PointRecord &record :
              readRecordFile(path, /*tolerate_partial_tail=*/true))
             if (record.flatIndex < satisfied.size() &&
                 record.runFp ==
-                    config_.expectedRunFp[record.flatIndex])
+                    config_.expectedRunFp[record.flatIndex] &&
+                record.latencyMatchesRunFp())
                 satisfied[record.flatIndex] = true;
     std::vector<std::size_t> missing;
     for (std::size_t i = 0; i < satisfied.size(); ++i)

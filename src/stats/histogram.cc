@@ -10,59 +10,26 @@
 
 namespace sbn {
 
-Histogram::Histogram(double lo, double hi, std::size_t bins)
-    : lo_(lo), hi_(hi), bins_(bins, 0)
-{
-    sbn_assert(hi > lo, "histogram range must be non-empty");
-    sbn_assert(bins >= 1, "histogram needs at least one bin");
-    sbn_assert(lo > 0.0, "histogram requires lo > 0");
-    logLo_ = std::log(lo_);
-    logStep_ = (std::log(hi_) - logLo_) / static_cast<double>(bins);
-}
-
-Histogram
-Histogram::logScale(double lo, double hi, std::size_t bins)
-{
-    return Histogram(lo, hi, bins);
-}
-
-void
-Histogram::add(double sample)
-{
-    ++count_;
-    sum_ += sample;
-    if (count_ == 1 || sample > maxSample_)
-        maxSample_ = sample;
-    if (sample < lo_) {
-        ++underflow_;
-    } else if (sample >= hi_) {
-        ++overflow_;
-    } else {
-        // Rounding in log() can push a sample fractionally across a
-        // bin edge but never outside [0, bins): clamp both ends.
-        const double t = (std::log(sample) - logLo_) / logStep_;
-        auto idx = static_cast<std::size_t>(std::max(t, 0.0));
-        idx = std::min(idx, bins_.size() - 1);
-        ++bins_[idx];
-    }
-}
-
 double
 Histogram::mean() const
 {
-    return count_ ? sum_ / static_cast<double>(count_) : 0.0;
+    return count_ ? static_cast<double>(sum_) / static_cast<double>(count_)
+                  : 0.0;
 }
 
 double
-Histogram::binLow(std::size_t i) const
+Histogram::binLow(std::size_t i)
 {
-    return std::exp(logLo_ + logStep_ * static_cast<double>(i));
+    // i / 6.0 is exact when i is a multiple of 6, and exp2 of an
+    // integer is the exact power of two.
+    return std::exp2(static_cast<double>(i) /
+                     static_cast<double>(kBinsPerOctave));
 }
 
 double
 Histogram::maxSample() const
 {
-    return count_ ? maxSample_
+    return count_ ? static_cast<double>(max_)
                   : std::numeric_limits<double>::quiet_NaN();
 }
 
@@ -76,40 +43,25 @@ Histogram::quantile(double q) const
         std::ceil(q * static_cast<double>(count_)));
     std::uint64_t seen = underflow_;
     if (seen >= target)
-        return lo_;
+        return 1.0;
     for (std::size_t i = 0; i < bins_.size(); ++i) {
         seen += bins_[i];
         if (seen >= target)
             return binLow(i + 1);
     }
     // Only overflow mass remains (including the all-overflow case).
-    return hi_;
-}
-
-bool
-Histogram::compatibleWith(const Histogram &other) const
-{
-    return lo_ == other.lo_ && hi_ == other.hi_ &&
-           bins_.size() == other.bins_.size();
+    return static_cast<double>(kHi);
 }
 
 void
 Histogram::merge(const Histogram &other)
 {
-    if (!compatibleWith(other)) {
-        sbn_fatal("histogram merge with incompatible bin layout: ",
-                  "[", lo_, ", ", hi_, ") x", bins_.size(), " vs [",
-                  other.lo_, ", ", other.hi_, ") x",
-                  other.bins_.size());
-    }
     for (std::size_t i = 0; i < bins_.size(); ++i)
         bins_[i] += other.bins_[i];
     underflow_ += other.underflow_;
     overflow_ += other.overflow_;
-    if (other.count_ &&
-        (count_ == 0 || other.maxSample_ > maxSample_)) {
-        maxSample_ = other.maxSample_;
-    }
+    if (other.max_ > max_)
+        max_ = other.max_;
     count_ += other.count_;
     sum_ += other.sum_;
 }
@@ -147,13 +99,12 @@ std::string
 Histogram::renderFlatJson() const
 {
     std::ostringstream os;
-    os << "{\"type\":\"sbn.hist.v1\",\"scale\":\"log\",\"lo\":"
-       << formatExactDouble(lo_)
-       << ",\"hi\":" << formatExactDouble(hi_)
-       << ",\"bins\":" << bins_.size() << ",\"count\":" << count_
+    os << "{\"type\":\"sbn.hist.v1\",\"scale\":\"log\",\"lo\":1,\"hi\":"
+       << kHi << ",\"bins\":" << kBins << ",\"count\":" << count_
        << ",\"underflow\":" << underflow_
        << ",\"overflow\":" << overflow_
-       << ",\"sum\":" << formatExactDouble(sum_) << ",\"counts\":\"";
+       << ",\"sum\":" << formatExactDouble(static_cast<double>(sum_))
+       << ",\"counts\":\"";
     bool first = true;
     for (std::size_t i = 0; i < bins_.size(); ++i) {
         if (!bins_[i])
@@ -171,9 +122,7 @@ void
 Histogram::reset()
 {
     std::fill(bins_.begin(), bins_.end(), 0);
-    underflow_ = overflow_ = count_ = 0;
-    sum_ = 0.0;
-    maxSample_ = 0.0;
+    underflow_ = overflow_ = count_ = sum_ = max_ = 0;
 }
 
 } // namespace sbn

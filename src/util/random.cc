@@ -102,14 +102,17 @@ CounterRng::bernoulli(double p)
 }
 
 std::uint64_t
-CounterRng::geometricSlow(double p)
+CounterRng::geometricSlow(double log1mp)
 {
-    sbn_assert(p > 0.0, "geometric requires p in (0, 1]");
+    // log1p(-p) < 0 exactly when p > 0.
+    sbn_assert(log1mp < 0.0, "geometric requires p in (0, 1]");
     // Inversion: U in (0, 1], k = floor(log U / log(1-p)) failures.
     // One uniform draw regardless of k - the O(1) contract the
-    // FastStat kernel's think batching is built on.
+    // FastStat kernel's think batching is built on. A true division:
+    // multiplying by a cached reciprocal rounds differently and can
+    // move k across an integer.
     const double u = 1.0 - uniformReal();
-    const double k = std::floor(std::log(u) / std::log1p(-p));
+    const double k = std::floor(std::log(u) / log1mp);
     if (!(k > 0.0))
         return 0;
     if (k >= 0x1.0p62)

@@ -211,18 +211,20 @@ class CounterRng
     /**
      * Geometric draw in O(1): number of failures before the first
      * success of a Bernoulli(p) sequence, via inversion
-     * floor(log(U) / log(1-p)). Returns 0 for p >= 1; results are
-     * clamped to 2^62 so downstream tick arithmetic cannot overflow.
-     * Inline so the saturated-regime fast path (p >= 1: no draw at
-     * all) folds into the kernel's per-completion code.
+     * floor(log(U) / log1mp). @p log1mp must be std::log1p(-p); a
+     * caller whose p is fixed computes it once instead of per draw.
+     * Returns 0 for p >= 1; results are clamped to 2^62 so downstream
+     * tick arithmetic cannot overflow. Inline so the saturated-regime
+     * fast path (p >= 1: no draw at all) folds into the kernel's
+     * per-completion code.
      * @pre p > 0 when p < 1
      */
     std::uint64_t
-    geometric(double p)
+    geometric(double p, double log1mp)
     {
         if (p >= 1.0)
             return 0;
-        return geometricSlow(p);
+        return geometricSlow(log1mp);
     }
 
     /** Pick an index uniformly from [0, size). */
@@ -238,7 +240,7 @@ class CounterRng
 
   private:
     /** The p < 1 inversion (one uniform draw). */
-    std::uint64_t geometricSlow(double p);
+    std::uint64_t geometricSlow(double log1mp);
 
     std::uint64_t key_ = 0;
     std::uint64_t counter_ = 0;

@@ -1,7 +1,8 @@
 /**
  * @file
  * Unit tests for the RNG: determinism, range correctness and first
- * moments of every distribution the simulators draw from.
+ * moments of every distribution the simulators draw from, and the
+ * counter stream's geometric inversion.
  */
 
 #include <gtest/gtest.h>
@@ -201,6 +202,33 @@ TEST(Random, DegenerateBernoulliConsumesNothing)
     EXPECT_TRUE(a.bernoulli(1.0));
     EXPECT_TRUE(a.bernoulli(2.0));
     EXPECT_EQ(a.next(), b.next());
+}
+
+TEST(CounterRng, CachedDenominatorDrawsMatchTheInversion)
+{
+    // FastStat computes log1p(-p) once per processor. The draws must
+    // equal, value for value, the inversion floor(log(U) / log1p(-p))
+    // evaluated afresh on a twin stream, and leave both streams at
+    // the same position.
+    for (double p : {1e-6, 0.01, 0.1, 0.25, 0.5, 0.9, 0.999}) {
+        CounterRng cached(0x5eed, 3), twin(0x5eed, 3);
+        const double log1mp = std::log1p(-p);
+        for (int i = 0; i < 100000; ++i) {
+            const double u = 1.0 - twin.uniformReal();
+            const double k = std::floor(std::log(u) / std::log1p(-p));
+            const std::uint64_t expected =
+                !(k > 0.0)       ? 0
+                : k >= 0x1.0p62 ? std::uint64_t{1} << 62
+                                : static_cast<std::uint64_t>(k);
+            ASSERT_EQ(cached.geometric(p, log1mp), expected)
+                << "p=" << p << " draw " << i;
+        }
+        EXPECT_EQ(cached.counter(), twin.counter()) << "p=" << p;
+    }
+    // Certain success draws nothing.
+    CounterRng certain(0x5eed, 3);
+    EXPECT_EQ(certain.geometric(1.0, std::log1p(-1.0)), 0u);
+    EXPECT_EQ(certain.counter(), 0u);
 }
 
 } // namespace

@@ -638,6 +638,105 @@ TEST(ShardResume, DiscardsStaleRecordsFromADifferentSetup)
     std::remove(fresh.c_str());
 }
 
+/** testSpec()'s points with latency collection on (--latency). */
+std::vector<SystemConfig>
+latencyPoints()
+{
+    SweepSpec spec = testSpec();
+    spec.base.collectLatency = true;
+    return spec.materialize();
+}
+
+/**
+ * Write @p points' latency records to @p path the way builds did
+ * before latency records got their own run fingerprint: under the
+ * latency-free one.
+ */
+void
+writeLatencyRecordsUnderOldFingerprint(
+    const std::vector<SystemConfig> &points, const std::string &path)
+{
+    const std::string fresh = path + ".fresh";
+    runShard(plainOptions(), points, {0, 1}, ShardLayout::Contiguous,
+             fresh);
+    RecordWriter writer(path, false);
+    for (PointRecord record : readRecordFile(fresh, false)) {
+        EXPECT_TRUE(record.hasLatency);
+        record.runFp = sweepRunFingerprint(record.configFp, false);
+        writer.add(record);
+    }
+    std::remove(fresh.c_str());
+}
+
+void
+writeFile(const std::string &path, const std::string &bytes)
+{
+    std::ofstream out(path, std::ios::binary | std::ios::trunc);
+    out << bytes;
+}
+
+TEST(ShardResume, RecomputesRecordsOfTheOtherLatencyKind)
+{
+    const std::vector<SystemConfig> plain = testSpec().materialize();
+    const std::vector<SystemConfig> latency = latencyPoints();
+    const ShardSpec shard{0, 1};
+    const std::string plain_fresh = tempPath("lat_plain_fresh.jsonl");
+    const std::string latency_fresh = tempPath("lat_on_fresh.jsonl");
+    runShard(plainOptions(), plain, shard, ShardLayout::Contiguous,
+             plain_fresh);
+    runShard(plainOptions(), latency, shard, ShardLayout::Contiguous,
+             latency_fresh);
+    const std::string plain_bytes = fileBytes(plain_fresh);
+    const std::string latency_bytes = fileBytes(latency_fresh);
+    ASSERT_NE(latency_bytes.find("\"lat_n\":"), std::string::npos);
+    ASSERT_EQ(plain_bytes.find("\"lat_n\":"), std::string::npos);
+
+    // Each resume starts from a file of the other kind, or of latency
+    // records under the old latency-free fingerprint, and must
+    // recompute every point into a fresh run's exact bytes.
+    const std::string path = tempPath("lat_resume.jsonl");
+    auto resumeRecomputesAll = [&](const std::vector<SystemConfig> &points,
+                                   const std::string &expected) {
+        const ShardRunStats stats =
+            runShard(plainOptions(), points, shard,
+                     ShardLayout::Contiguous, path, /*resume=*/true);
+        EXPECT_EQ(stats.skipped, 0u);
+        EXPECT_EQ(stats.computed, points.size());
+        EXPECT_EQ(fileBytes(path), expected);
+    };
+    writeFile(path, plain_bytes);
+    resumeRecomputesAll(latency, latency_bytes);
+    writeFile(path, latency_bytes);
+    resumeRecomputesAll(plain, plain_bytes);
+    writeLatencyRecordsUnderOldFingerprint(latency, path);
+    resumeRecomputesAll(latency, latency_bytes);
+    // The old records match a plain run's fingerprint; their lat_*
+    // group is what marks them stale.
+    writeLatencyRecordsUnderOldFingerprint(latency, path);
+    resumeRecomputesAll(plain, plain_bytes);
+
+    std::remove(path.c_str());
+    std::remove(plain_fresh.c_str());
+    std::remove(latency_fresh.c_str());
+}
+
+TEST(MergeDeathTest, RefusesLatencyRecordsUnderTheOldFingerprint)
+{
+    const std::vector<SystemConfig> latency = latencyPoints();
+    const std::string path = tempPath("lat_stale_merge.jsonl");
+    writeLatencyRecordsUnderOldFingerprint(latency, path);
+
+    // --merge --latency: the run fingerprint no longer matches.
+    EXPECT_DEATH((void)mergeRecordFiles({path}, sweepMergeCheck(latency)),
+                 "lat_stale_merge.jsonl' carries run fingerprint");
+    // Plain --merge: the fingerprint matches, the lat_* group does not.
+    EXPECT_DEATH((void)mergeRecordFiles(
+                     {path}, sweepMergeCheck(testSpec().materialize())),
+                 "lat_stale_merge.jsonl' has a lat_\\* group");
+
+    std::remove(path.c_str());
+}
+
 TEST(ShardResume, ReadsATailTornMidFloat)
 {
     // A worker killed mid-append can cut the line anywhere - including
@@ -817,7 +916,11 @@ TEST(Fingerprint, DistinguishesResultDeterminingFields)
 TEST(Fingerprint, RunFingerprintsBindTheMode)
 {
     const std::uint64_t config_fp = configFingerprint(SystemConfig{});
-    const std::uint64_t sweep_fp = sweepRunFingerprint(config_fp);
+    const std::uint64_t sweep_fp = sweepRunFingerprint(config_fp, false);
+    // Latency records name their binning rule; records without
+    // latency keep the rule-free fingerprint they have always had.
+    EXPECT_NE(sweepRunFingerprint(config_fp, true), sweep_fp);
+    EXPECT_EQ(sweep_fp, fingerprintMix(config_fp, 0x53574545502e7631ull));
     PrecisionTarget target;
     RoundSchedule schedule;
     const std::uint64_t adaptive_fp =

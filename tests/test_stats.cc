@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <string>
 #include <vector>
 
 #include "stats/accumulator.hh"
@@ -143,33 +144,36 @@ TEST(Histogram, MeanTracksAllSamples)
 {
     // Underflow, in-range and overflow samples all count toward the
     // exact running mean.
-    Histogram h = Histogram::logScale(1.0, 2.0, 4);
-    h.add(0.5);
-    h.add(1.5);
-    h.add(2.5);
-    EXPECT_NEAR(h.mean(), 1.5, 1e-12);
+    Histogram h;
+    h.add(0);
+    h.add(7);
+    h.add(Histogram::kHi + 5);
+    EXPECT_DOUBLE_EQ(h.mean(), (7.0 + 1048581.0) / 3.0);
 }
 
 TEST(Histogram, QuantileMonotone)
 {
-    Histogram h = Histogram::logScale(1.0, 128.0, 140);
+    Histogram h;
     RandomGenerator rng(123);
     for (int i = 0; i < 10000; ++i)
-        h.add(1.0 + rng.uniformReal() * 100.0);
+        h.add(1 + rng.uniformInt(100));
     const double q25 = h.quantile(0.25);
     const double q50 = h.quantile(0.50);
     const double q90 = h.quantile(0.90);
     EXPECT_LE(q25, q50);
     EXPECT_LE(q50, q90);
-    EXPECT_NEAR(q50, 51.0, 3.0);
+    // The median of U{1..100} is about 50.5; the quantile is the upper
+    // edge of its bin, at most one bin ratio 2^(1/6) above it.
+    EXPECT_GE(q50, 50.0);
+    EXPECT_LE(q50, 51.0 * std::exp2(1.0 / 6.0));
 }
 
 TEST(Histogram, ResetClears)
 {
-    Histogram h = Histogram::logScale(1.0, 2.0, 2);
-    h.add(0.5);
-    h.add(1.3);
-    h.add(2.0);
+    Histogram h;
+    h.add(0);
+    h.add(1);
+    h.add(Histogram::kHi);
     h.reset();
     EXPECT_EQ(h.count(), 0u);
     EXPECT_EQ(h.binCount(0), 0u);
@@ -180,33 +184,83 @@ TEST(Histogram, ResetClears)
 
 TEST(Histogram, LogScaleBinsArePowers)
 {
-    // logScale(1, 1024, 10) puts bin edges at exact powers of two.
-    Histogram h = Histogram::logScale(1.0, 1024.0, 10);
-    for (std::size_t i = 0; i <= 10; ++i)
-        EXPECT_NEAR(h.binLow(i), std::pow(2.0, static_cast<double>(i)),
-                    1e-9)
-            << "edge " << i;
+    // Every sixth edge is an octave edge, and it is the exact power of
+    // two, so a quantile there reads 2^k, not 8.000000000000002.
+    for (std::size_t k = 0; k <= Histogram::kOctaves; ++k)
+        EXPECT_EQ(Histogram::binLow(6 * k),
+                  static_cast<double>(std::uint64_t{1} << k))
+            << "octave " << k;
 
-    h.add(1.0);    // first bin, inclusive lower edge
-    h.add(1.99);   // still [1, 2)
-    h.add(2.0);    // [2, 4)
-    h.add(3.0);    // [2, 4)
-    h.add(512.0);  // last bin [512, 1024)
-    h.add(1023.0); // last bin
-    h.add(0.5);    // below lo -> underflow
-    h.add(1024.0); // hi is exclusive -> overflow
+    Histogram h;
+    h.add(1);                   // bin 0, inclusive lower edge
+    h.add(2);                   // bin 6 opens at 2
+    h.add(3);                   // 2^9 <= 3^6 = 729 < 2^10: bin 9
+    h.add(512);                 // bin 54 opens at 2^9
+    h.add(Histogram::kHi - 1);  // last bin
+    h.add(0);                   // underflow
+    h.add(Histogram::kHi);      // hi is exclusive -> overflow
 
-    EXPECT_EQ(h.count(), 8u);
-    EXPECT_EQ(h.binCount(0), 2u);
-    EXPECT_EQ(h.binCount(1), 2u);
-    EXPECT_EQ(h.binCount(9), 2u);
+    EXPECT_EQ(h.count(), 7u);
+    EXPECT_EQ(h.binCount(0), 1u);
+    EXPECT_EQ(h.binCount(6), 1u);
+    EXPECT_EQ(h.binCount(9), 1u);
+    EXPECT_EQ(h.binCount(54), 1u);
+    EXPECT_EQ(h.binCount(Histogram::kBins - 1), 1u);
     EXPECT_EQ(h.underflow(), 1u);
     EXPECT_EQ(h.overflow(), 1u);
+    // The third-smallest sample, 2, is alone in bin 6, whose upper
+    // edge is 2^(7/6).
+    EXPECT_EQ(h.quantile(0.4), Histogram::binLow(7));
+}
+
+TEST(Histogram, EveryIntegerLandsInItsExactBin)
+{
+    // Bin i holds exactly the integers s with 2^i <= s^6 < 2^(i+1).
+    // Check all of [1, 2^20) in 128-bit integers, against the bin add()
+    // actually incremented.
+    using u128 = unsigned __int128;
+    auto pow2 = [](unsigned e) { return static_cast<u128>(1) << e; };
+    Histogram h;
+    std::uint64_t misfiled = 0;
+    std::string first;
+    for (std::uint64_t s = 1; s < Histogram::kHi; ++s) {
+        const u128 s6 = static_cast<u128>(s) * s * s * s * s * s;
+        unsigned bin = 6 * (63 - static_cast<unsigned>(
+                                     __builtin_clzll(s)));
+        while (s6 >= pow2(bin + 1))
+            ++bin;
+        ASSERT_TRUE(pow2(bin) <= s6 && s6 < pow2(bin + 1));
+        const std::uint64_t before = h.binCount(bin);
+        h.add(s);
+        if (h.binCount(bin) != before + 1 && misfiled++ == 0)
+            first = std::to_string(s) + " not in bin " +
+                    std::to_string(bin);
+    }
+    EXPECT_EQ(misfiled, 0u) << "first: " << first;
+    EXPECT_EQ(h.count(), Histogram::kHi - 1);
+    EXPECT_EQ(h.underflow() + h.overflow(), 0u);
+
+    // The powers of two that floating-point binning, floor((ln s -
+    // ln 1) / (ln 2^20 / 120)), files one bin low: 2^k opens bin 6k.
+    for (std::uint64_t s : {2, 4, 8, 16, 64, 128, 256, 4096, 8192, 16384,
+                            32768, 65536, 131072}) {
+        Histogram one;
+        one.add(s);
+        const auto k = static_cast<std::size_t>(
+            63 - __builtin_clzll(s));
+        EXPECT_EQ(one.binCount(6 * k), 1u) << "sample " << s;
+    }
+
+    Histogram edges;
+    edges.add(0);
+    edges.add(Histogram::kHi);
+    EXPECT_EQ(edges.underflow(), 1u);
+    EXPECT_EQ(edges.overflow(), 1u);
 }
 
 TEST(Histogram, QuantileOfEmptyIsNaN)
 {
-    const Histogram h = Histogram::logScale(1.0, 2.0, 4);
+    const Histogram h;
     EXPECT_TRUE(std::isnan(h.quantile(0.0)));
     EXPECT_TRUE(std::isnan(h.quantile(0.5)));
     EXPECT_TRUE(std::isnan(h.quantile(1.0)));
@@ -215,34 +269,32 @@ TEST(Histogram, QuantileOfEmptyIsNaN)
 
 TEST(Histogram, QuantileSaturatesAtRangeEnds)
 {
-    // All mass in overflow: every quantile resolves to hi (the
+    // All mass in overflow: every quantile resolves to 2^20 (the
     // histogram cannot see past its range). All mass in underflow
-    // resolves to lo symmetrically.
-    Histogram over = Histogram::logScale(1.0, 10.0, 10);
-    over.add(50.0);
-    over.add(99.0);
-    EXPECT_DOUBLE_EQ(over.quantile(0.5), 10.0);
-    EXPECT_DOUBLE_EQ(over.quantile(1.0), 10.0);
+    // resolves to 1 symmetrically.
+    Histogram over;
+    over.add(Histogram::kHi + 50);
+    over.add(2 * Histogram::kHi);
+    EXPECT_EQ(over.quantile(0.5), 1048576.0);
+    EXPECT_EQ(over.quantile(1.0), 1048576.0);
 
-    Histogram under = Histogram::logScale(1.0, 10.0, 10);
-    under.add(0.25);
-    under.add(0.5);
-    EXPECT_DOUBLE_EQ(under.quantile(0.5), 1.0);
-    EXPECT_DOUBLE_EQ(under.quantile(1.0), 1.0);
+    Histogram under;
+    under.add(0);
+    under.add(0);
+    EXPECT_EQ(under.quantile(0.5), 1.0);
+    EXPECT_EQ(under.quantile(1.0), 1.0);
 }
 
 TEST(Histogram, MergeMatchesSequentialFill)
 {
-    Histogram whole = Histogram::logScale(1.0, 4096.0, 24);
-    Histogram left = Histogram::logScale(1.0, 4096.0, 24);
-    Histogram right = Histogram::logScale(1.0, 4096.0, 24);
+    Histogram whole;
+    Histogram left;
+    Histogram right;
 
     RandomGenerator rng(77);
     for (int i = 0; i < 2000; ++i) {
-        // Integer-valued samples (cycle counts) are the production
-        // contract; their running sum is exact, making the merged
-        // flat JSON byte-identical to the sequential fill.
-        const double v = std::floor(rng.uniformReal() * 8192.0);
+        // Spans underflow (0), every octave and overflow (>= 2^20).
+        const std::uint64_t v = rng.uniformInt(2 * Histogram::kHi);
         whole.add(v);
         (i % 2 ? left : right).add(v);
     }
@@ -251,67 +303,56 @@ TEST(Histogram, MergeMatchesSequentialFill)
     EXPECT_EQ(left.count(), whole.count());
     EXPECT_EQ(left.underflow(), whole.underflow());
     EXPECT_EQ(left.overflow(), whole.overflow());
-    EXPECT_DOUBLE_EQ(left.maxSample(), whole.maxSample());
+    EXPECT_EQ(left.maxSample(), whole.maxSample());
     // Byte-identical flat JSON is the contract sharded runs rely on.
     EXPECT_EQ(left.renderFlatJson(), whole.renderFlatJson());
 }
 
 TEST(Histogram, MergeWithEmptyKeepsStats)
 {
-    Histogram h = Histogram::logScale(1.0, 10.0, 5);
-    h.add(3.0);
-    h.add(7.0);
+    Histogram h;
+    h.add(3);
+    h.add(7);
     const std::string before = h.renderFlatJson();
 
-    const Histogram empty = Histogram::logScale(1.0, 10.0, 5);
+    const Histogram empty;
     h.merge(empty);
     EXPECT_EQ(h.renderFlatJson(), before);
-    EXPECT_DOUBLE_EQ(h.maxSample(), 7.0);
+    EXPECT_EQ(h.maxSample(), 7.0);
 
-    Histogram fresh = Histogram::logScale(1.0, 10.0, 5);
+    Histogram fresh;
     fresh.merge(h);
     EXPECT_EQ(fresh.renderFlatJson(), before);
-    EXPECT_DOUBLE_EQ(fresh.maxSample(), 7.0);
-}
-
-TEST(Histogram, MergeIncompatibleLayoutDies)
-{
-    Histogram base = Histogram::logScale(1.0, 10.0, 10);
-    Histogram widerRange = Histogram::logScale(1.0, 20.0, 10);
-    EXPECT_DEATH(base.merge(widerRange), "incompatible bin layout");
-
-    Histogram fewerBins = Histogram::logScale(1.0, 10.0, 5);
-    EXPECT_DEATH(base.merge(fewerBins), "incompatible bin layout");
+    EXPECT_EQ(fresh.maxSample(), 7.0);
 }
 
 TEST(Histogram, FlatJsonIsInsertionOrderInvariant)
 {
-    Histogram forward = Histogram::logScale(1.0, 1048576.0, 120);
-    Histogram backward = Histogram::logScale(1.0, 1048576.0, 120);
-    std::vector<double> samples;
+    Histogram forward;
+    Histogram backward;
+    std::vector<std::uint64_t> samples;
     RandomGenerator rng(5);
     for (int i = 0; i < 500; ++i)
-        samples.push_back(std::floor(1.0 + rng.uniformReal() * 2e6));
-    for (double v : samples)
+        samples.push_back(1 + rng.uniformInt(2000000));
+    for (std::uint64_t v : samples)
         forward.add(v);
     for (auto it = samples.rbegin(); it != samples.rend(); ++it)
         backward.add(*it);
     EXPECT_EQ(forward.renderFlatJson(), backward.renderFlatJson());
 
-    // Sparse counts: empty bins are omitted, so a tiny histogram
-    // renders a short, predictable line.
-    // Bins of logScale(1, 16, 4) are [1,2) [2,4) [4,8) [8,16).
-    Histogram tiny = Histogram::logScale(1.0, 16.0, 4);
-    tiny.add(0.5);
-    tiny.add(1.5);
-    tiny.add(4.5);
-    tiny.add(4.6);
-    tiny.add(20.0);
+    // Sparse counts: empty bins are omitted, so a small histogram
+    // renders a short, predictable line. 4 opens bin 12.
+    Histogram tiny;
+    tiny.add(0);
+    tiny.add(1);
+    tiny.add(4);
+    tiny.add(4);
+    tiny.add(Histogram::kHi + 3);
     EXPECT_EQ(tiny.renderFlatJson(),
               "{\"type\":\"sbn.hist.v1\",\"scale\":\"log\","
-              "\"lo\":1,\"hi\":16,\"bins\":4,\"count\":5,"
+              "\"lo\":1,\"hi\":1048576,\"bins\":120,\"count\":5,"
               "\"underflow\":1,\"overflow\":1,"
-              "\"sum\":31.100000000000001,\"counts\":\"0:1 2:2\"}");
+              "\"sum\":1048588,\"counts\":\"0:1 12:2\"}");
 }
 
 TEST(Replication, DeterministicSeedDerivation)
