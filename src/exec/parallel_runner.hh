@@ -42,10 +42,11 @@ void setDefaultExecThreads(unsigned threads);
 /**
  * Parse an SBN_THREADS-style worker-count spec. Accepts a positive
  * decimal integer (surrounding whitespace allowed), capped at 4096;
- * "0" means "all hardware threads" and resolves to 0. Anything else
- * (empty, non-numeric, negative, trailing junk) is a configuration
- * error and calls sbn_fatal with a message naming the bad value --
- * a typo must not silently degrade a sweep to serial execution.
+ * "0" means "every usable CPU" (ThreadPool::hardwareThreads()) and
+ * resolves to 0. Anything else (empty, non-numeric, negative,
+ * trailing junk) is a configuration error and calls sbn_fatal with a
+ * message naming the bad value -- a typo must not silently degrade a
+ * sweep to serial execution.
  */
 unsigned parseThreadsSpec(const char *spec);
 
@@ -60,7 +61,8 @@ unsigned parseThreadsSpec(const char *spec);
 class ParallelRunner
 {
   public:
-    /** @param threads worker count; 0 means all hardware threads. */
+    /** @param threads worker count; 0 means every usable CPU
+     *  (ThreadPool::hardwareThreads()). */
     explicit ParallelRunner(unsigned threads = 0);
 
     ~ParallelRunner();

@@ -1,5 +1,6 @@
 #include "exec/thread_pool.hh"
 
+#include <sched.h>
 #include <unistd.h>
 
 #include <exception>
@@ -82,6 +83,17 @@ ThreadPool::workerLoop()
 unsigned
 ThreadPool::hardwareThreads()
 {
+#ifdef __linux__
+    // The CPUs this process may run on, not every online CPU: under
+    // taskset or a cpuset, threads beyond the mask only time-slice.
+    cpu_set_t mask;
+    CPU_ZERO(&mask);
+    if (::sched_getaffinity(0, sizeof mask, &mask) == 0) {
+        const int usable = CPU_COUNT(&mask);
+        if (usable >= 1)
+            return static_cast<unsigned>(usable);
+    }
+#endif
     const unsigned hw = std::thread::hardware_concurrency();
     return hw >= 1 ? hw : 1;
 }

@@ -51,7 +51,11 @@ class ThreadPool
         return static_cast<unsigned>(workers_.size());
     }
 
-    /** Hardware concurrency, never reported as less than 1. */
+    /**
+     * CPUs this process may run on: the count of its affinity mask
+     * (sched_getaffinity), else every online CPU
+     * (std::thread::hardware_concurrency()). Never less than 1.
+     */
     static unsigned hardwareThreads();
 
   private:

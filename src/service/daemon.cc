@@ -30,6 +30,7 @@
 #include <string>
 #include <vector>
 
+#include "exec/thread_pool.hh"
 #include "service/journal.hh"
 #include "service/metrics.hh"
 #include "service/protocol.hh"
@@ -937,10 +938,15 @@ Daemon::runJobInRunner(const Job &job, int status_write_fd)
     // merge and lets the relaunch publish.
     setFaultProcessScope(kFaultNoShard, job.launches);
 
-    const SweepRunOptions opt = parseSweepSpecString(job.entry.spec);
+    SweepRunOptions opt = parseSweepSpecString(job.entry.spec);
     const std::size_t shards = opt.spawnShards != 0
                                    ? opt.spawnShards
                                    : config_.defaultShards;
+    // A spec without --threads gets this job's share of the host's
+    // cores; an explicit --threads (0 included) always wins.
+    if (opt.threads == 0)
+        opt.threads = jobWorkerThreads(ThreadPool::hardwareThreads(),
+                                       config_.maxRunning, shards);
     const std::string dir =
         daemonJobDir(config_.stateDir, job.entry.job);
 
@@ -1188,6 +1194,17 @@ Daemon::findJob(std::uint64_t id)
 }
 
 } // namespace
+
+unsigned
+jobWorkerThreads(unsigned cpus, std::size_t max_running,
+                 std::size_t shards)
+{
+    sbn_assert(max_running >= 1 && shards >= 1,
+               "a core share needs max_running >= 1 and shards >= 1");
+    const std::size_t share = cpus / max_running;
+    return static_cast<unsigned>(
+        std::max<std::size_t>(1, share / shards));
+}
 
 std::string
 daemonJournalPath(const std::string &state_dir)

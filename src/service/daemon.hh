@@ -58,7 +58,10 @@ struct DaemonConfig
      *  separately by maxRunning); submits beyond it get the
      *  machine-readable queue_full rejection. */
     std::size_t queueLimit = 8;
-    std::size_t maxRunning = 1; //!< concurrent runner processes
+    /** Concurrent runner processes. Each running job's workers
+     *  share hardwareThreads() / maxRunning cores (jobWorkerThreads())
+     *  unless its spec names --threads. */
+    std::size_t maxRunning = 1;
     double heartbeatSeconds = 1.0;
     /** Relaunches allowed when a runner dies on a signal (a crash,
      *  not a deterministic failure); each relaunch resumes from the
@@ -67,6 +70,17 @@ struct DaemonConfig
     /** Worker count for specs that carry no --spawn. */
     std::size_t defaultShards = 1;
 };
+
+/**
+ * Threads per worker for a job whose spec names no --threads: the
+ * job's share of @p cpus, floor(cpus / max_running), split across its
+ * @p shards workers, and never less than one. The runner derives it
+ * at every launch, so a job recovered on another host takes that
+ * host's share; records do not depend on it.
+ * @pre max_running >= 1 and shards >= 1
+ */
+unsigned jobWorkerThreads(unsigned cpus, std::size_t max_running,
+                          std::size_t shards);
 
 /** <state-dir>/jobs.jsonl - the job journal. */
 std::string daemonJournalPath(const std::string &state_dir);

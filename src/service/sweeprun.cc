@@ -116,7 +116,7 @@ sweepFlagHelp()
         {"initial", "adaptive: first-round replications"},
         {"growth", "adaptive: round growth factor"},
         {"cap", "adaptive: replication cap"},
-        {"threads", "worker threads (0 = all hardware threads)"},
+        {"threads", "worker threads (0 = every usable CPU)"},
         {"layout", "shard layout: contiguous or strided"},
         {"spawn", "run N supervised local shard workers, then merge"},
         {"retries", "spawn: respawns allowed per shard (default 2)"},
@@ -227,7 +227,7 @@ parseSweepRunOptions(const CommandLine &cli)
     if (cli.has("threads")) {
         opt.threads =
             parseThreadsSpec(cli.getString("threads", "1").c_str());
-        // parseThreadsSpec keeps "0 = all hardware threads" symbolic;
+        // parseThreadsSpec keeps "0 = every usable CPU" symbolic;
         // resolve it here so 0 never reaches runSweepPoints, where 0
         // means "defaultExecThreads()" (serial unless SBN_THREADS is
         // set) instead.
@@ -401,6 +401,21 @@ sweepRunMergeCheck(const SweepRunOptions &opt,
                : sweepMergeCheck(points);
 }
 
+unsigned
+sweepThreads(const SweepRunOptions &opt)
+{
+    return opt.threads != 0 ? opt.threads : defaultExecThreads();
+}
+
+SystemConfig
+adaptiveReplicationConfig(const SystemConfig &cfg, std::uint64_t seed)
+{
+    SystemConfig replication = cfg;
+    replication.seed = seed;
+    replication.collectLatency = false;
+    return replication;
+}
+
 void
 runSweepPoints(const SweepRunOptions &opt,
                const std::vector<SystemConfig> &points,
@@ -413,8 +428,7 @@ runSweepPoints(const SweepRunOptions &opt,
         sbn_assert(k == 0 || subset[k - 1] < subset[k],
                    "sweep subset indices must be strictly increasing");
     }
-    ParallelRunner &runner = sharedParallelRunner(
-        opt.threads != 0 ? opt.threads : defaultExecThreads());
+    ParallelRunner &runner = sharedParallelRunner(sweepThreads(opt));
 
     if (!opt.adaptive) {
         // Each point is claimed just before it starts; a refused one
@@ -448,9 +462,7 @@ runSweepPoints(const SweepRunOptions &opt,
     replicator.runPoints(
         selected,
         [](const SystemConfig &cfg, std::uint64_t seed) {
-            SystemConfig replication = cfg;
-            replication.seed = seed;
-            return runEbw(replication);
+            return runEbw(adaptiveReplicationConfig(cfg, seed));
         },
         [&](std::size_t k, const SystemConfig &cfg,
             const AdaptiveEstimate &estimate) {
@@ -489,6 +501,7 @@ runSweepShard(const SweepRunOptions &opt, const ShardSpec &shard,
     const ShardPlan plan(points.size(), shard.count, opt.layout);
     const ShardRunStats stats = writeSweepPoints(
         opt, points, plan.indices(shard.index), path, resume, claim);
+    const unsigned threads = sweepThreads(opt);
     // The worker's own view of the attempt: emitted from inside the
     // (possibly forked) worker process, so a supervised run's merged
     // timeline shows spans from every process of the fleet.
@@ -498,14 +511,15 @@ runSweepShard(const SweepRunOptions &opt, const ShardSpec &shard,
                   {{"owned", std::to_string(stats.owned)},
                    {"resumed", std::to_string(stats.skipped)},
                    {"computed", std::to_string(stats.computed)},
-                   {"adaptive", opt.adaptive ? "1" : "0"}});
+                   {"adaptive", opt.adaptive ? "1" : "0"},
+                   {"threads", std::to_string(threads)}});
     std::fprintf(stderr,
                  "shard %s (%s): %zu point(s) owned, %zu resumed, "
-                 "%zu computed, %zu split off -> %s\n",
+                 "%zu computed, %zu split off, %u thread(s) -> %s\n",
                  shard.toString().c_str(),
                  shardLayoutName(opt.layout), stats.owned,
                  stats.skipped, stats.computed,
-                 stats.owned - stats.skipped - stats.computed,
+                 stats.owned - stats.skipped - stats.computed, threads,
                  path.c_str());
     appendTelemetrySidecar(path);
     return stats;
@@ -518,7 +532,8 @@ makeSweepWorkerBody(const SweepRunOptions &opt,
 {
     // Workers are forked before the calling process creates any
     // thread pool, so each child owns a clean single-threaded image
-    // and builds its own. Each worker defaults to one thread.
+    // and builds its own. Each worker defaults to one thread; the
+    // daemon's runner names its core share in opt.threads instead.
     SweepRunOptions worker = opt;
     if (worker.threads == 0)
         worker.threads = 1;
@@ -532,8 +547,8 @@ makeSweepWorkerBody(const SweepRunOptions &opt,
                              /*resume=*/task.attempt > 0, task.claim);
             traceEmitSpan(ctx, "steal_run", "thief run",
                           ctx.spanId, startUs, traceNowMicros(),
-                          {{"points",
-                            std::to_string(task.points.size())}});
+                          {{"points", std::to_string(task.points.size())},
+                           {"threads", std::to_string(worker.threads)}});
             appendTelemetrySidecar(task.outPath);
         } else {
             // A respawn must keep the dead worker's flushed records;

@@ -25,6 +25,7 @@
 #define SBN_SERVICE_SWEEPRUN_HH
 
 #include <cstddef>
+#include <cstdint>
 #include <functional>
 #include <map>
 #include <string>
@@ -48,7 +49,7 @@ struct SweepRunOptions
     bool adaptive = false;
     PrecisionTarget target;
     RoundSchedule schedule;
-    unsigned threads = 0; //!< 0 = defaultExecThreads()
+    unsigned threads = 0; //!< 0 = defaultExecThreads(); see sweepThreads()
     ShardLayout layout = ShardLayout::Contiguous;
 
     // Supervision policy (--spawn fleets).
@@ -72,11 +73,14 @@ struct SweepRunOptions
 
     /**
      * --latency: collect per-request wait/residence histograms in
-     * every point run (config.collectLatency) and carry their
-     * p50/p90/p99/max summary in plain-sweep point records. Passive:
-     * EBW values and record fingerprints are unchanged. Adaptive
-     * records do not carry latency (their value is a replication
-     * aggregate, not one run).
+     * every plain-sweep point run (config.collectLatency) and carry
+     * their p50/p90/p99/max summary in the point records. Passive:
+     * EBW values and config fingerprints are unchanged, but a latency
+     * record's run fingerprint also mixes in Histogram::kBinningRule
+     * (sweepRunFingerprint), so resume and merge never mix the two
+     * kinds. Adaptive records do not carry latency (their value is a
+     * replication aggregate, not one run), so adaptive replications
+     * run without it (adaptiveReplicationConfig()).
      */
     bool latency = false;
 
@@ -146,6 +150,22 @@ void armSweepTracing(const SweepRunOptions &opt,
 MergeCheck sweepRunMergeCheck(const SweepRunOptions &opt,
                               const std::vector<SystemConfig> &points);
 
+/**
+ * The worker-thread count runSweepPoints() runs @p opt on:
+ * opt.threads, or defaultExecThreads() when that is 0.
+ */
+unsigned sweepThreads(const SweepRunOptions &opt);
+
+/**
+ * The config one adaptive replication of @p cfg runs: @p seed as its
+ * seed and latency collection off, since an adaptive record carries
+ * no latency summary. collectLatency is outside the config
+ * fingerprint, so the replication's FastStat streams are the same
+ * either way.
+ */
+SystemConfig adaptiveReplicationConfig(const SystemConfig &cfg,
+                                       std::uint64_t seed);
+
 /** Receives one finished point record. */
 using PointRecordCallback = std::function<void(const PointRecord &)>;
 
@@ -162,8 +182,7 @@ using PointRecordCallback = std::function<void(const PointRecord &)>;
  * (ParallelRunner::stream); an adaptive sweep (opt.adaptive)
  * replicates the selected points to opt.target under opt.schedule
  * (AdaptiveReplicator::runPoints). Work runs on
- * sharedParallelRunner(opt.threads), or defaultExecThreads() workers
- * when opt.threads is 0.
+ * sharedParallelRunner(sweepThreads(opt)).
  *
  * A record depends only on its own point, never on which other
  * points share the subset, so index i yields the same bytes alone,
@@ -215,7 +234,9 @@ PointSample evaluateSweepPointSample(const SystemConfig &cfg);
 /**
  * The WorkerBody a supervised sweep forks per task: shards and
  * thieves compute their points under their claim, with resume
- * semantics on respawn. @p points must outlive the returned body.
+ * semantics on respawn. Each worker runs opt.threads threads, or one
+ * when that is 0 (sbn_sweepd fills in its core share before this).
+ * @p points must outlive the returned body.
  */
 WorkerBody makeSweepWorkerBody(const SweepRunOptions &opt,
                                const std::vector<SystemConfig> &points,

@@ -8,6 +8,7 @@
 
 #include <gtest/gtest.h>
 
+#include <sched.h>
 #include <sys/wait.h>
 #include <unistd.h>
 
@@ -44,6 +45,41 @@ TEST(ThreadPool, HardwareThreadsIsPositive)
 {
     EXPECT_GE(ThreadPool::hardwareThreads(), 1u);
 }
+
+#ifdef __linux__
+TEST(ThreadPool, HardwareThreadsCountsTheAffinityMask)
+{
+    cpu_set_t mask;
+    CPU_ZERO(&mask);
+    ASSERT_EQ(sched_getaffinity(0, sizeof mask, &mask), 0);
+    EXPECT_EQ(ThreadPool::hardwareThreads(),
+              static_cast<unsigned>(CPU_COUNT(&mask)));
+
+    // Pin a forked child to the first CPU it may run on: it must see
+    // exactly one usable CPU, however many the host has online.
+    constexpr int kRefused = 77;
+    const pid_t child = fork();
+    ASSERT_GE(child, 0);
+    if (child == 0) {
+        int cpu = 0;
+        while (!CPU_ISSET(cpu, &mask))
+            ++cpu;
+        cpu_set_t one;
+        CPU_ZERO(&one);
+        CPU_SET(cpu, &one);
+        if (sched_setaffinity(0, sizeof one, &one) != 0)
+            _exit(kRefused);
+        _exit(ThreadPool::hardwareThreads() == 1 ? 0 : 1);
+    }
+    int status = 0;
+    ASSERT_EQ(waitpid(child, &status, 0), child);
+    ASSERT_TRUE(WIFEXITED(status));
+    if (WEXITSTATUS(status) == kRefused)
+        GTEST_SKIP() << "sched_setaffinity is not permitted here";
+    EXPECT_EQ(WEXITSTATUS(status), 0)
+        << "a child pinned to one CPU saw more than one";
+}
+#endif
 
 TEST(ParallelRunner, MapCollectsResultsByIndex)
 {

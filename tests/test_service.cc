@@ -33,6 +33,7 @@
 #include <thread>
 #include <vector>
 
+#include "exec/thread_pool.hh"
 #include "service/client.hh"
 #include "service/daemon.hh"
 #include "service/journal.hh"
@@ -455,6 +456,34 @@ TEST(DaemonPaths, AreCanonical)
               "st/job-12/merged.jsonl");
 }
 
+// ------------------------------------------------------- core share
+
+TEST(DaemonCoreShare, SplitsTheHostShareAcrossTheJobsWorkers)
+{
+    // 4 CPUs, two jobs at a time: a job gets 2 cores, split across
+    // its workers and never below one thread each.
+    EXPECT_EQ(jobWorkerThreads(4, 2, 1), 2u);
+    EXPECT_EQ(jobWorkerThreads(4, 2, 2), 1u);
+    EXPECT_EQ(jobWorkerThreads(4, 2, 3), 1u);
+    // One job at a time (the default): a lone worker gets every core.
+    EXPECT_EQ(jobWorkerThreads(4, 1, 1), 4u);
+    EXPECT_EQ(jobWorkerThreads(4, 1, 2), 2u);
+    // More running jobs than CPUs still leaves each worker a thread.
+    EXPECT_EQ(jobWorkerThreads(2, 4, 1), 1u);
+    EXPECT_EQ(jobWorkerThreads(1, 1, 8), 1u);
+}
+
+TEST(DaemonCoreShare, OnlyASpecWithoutThreadsTakesTheShare)
+{
+    // The runner fills in the share only where the parsed spec left
+    // threads at 0; an explicit --threads, 0 included, resolves here.
+    const std::string base = "--n=4 --m=4 --p=1";
+    EXPECT_EQ(parseSweepSpecString(base).threads, 0u);
+    EXPECT_EQ(parseSweepSpecString(base + " --threads=1").threads, 1u);
+    EXPECT_EQ(parseSweepSpecString(base + " --threads=0").threads,
+              ThreadPool::hardwareThreads());
+}
+
 // ---------------------------------------------------- daemon metrics
 
 TEST(Protocol, MetricsRequestRoundTrips)
@@ -667,8 +696,13 @@ TEST(DaemonRoundTrip, ResultsRepliesNeverWaitForADelayedAck)
     DaemonClient client(stateDir);
     Request submit;
     submit.kind = RequestKind::Submit;
+    // One worker thread: run in one process with the other suites,
+    // this test forks the daemon from a process that already holds
+    // pool threads, and ThreadSanitizer kills any descendant of such
+    // a fork that starts a thread. tool_sweepd_core_share covers the
+    // daemon's multi-threaded workers.
     submit.spec = "--kernel=faststat --n=4 --m=8 --p=0.2,0.4,0.6,0.8 "
-                  "--warmup=500 --measure=5000";
+                  "--warmup=500 --measure=5000 --threads=1";
     const ClientResponse ack = client.call(submit);
     ASSERT_TRUE(ack.ok()) << ack.errorCode();
     const auto job = static_cast<std::uint64_t>(ack.number("job"));

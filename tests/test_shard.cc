@@ -551,6 +551,39 @@ TEST(SweepPoints, SubsetEmitsGlobalIndicesInOrder)
     }
 }
 
+TEST(SweepPoints, AdaptiveReplicationsRunWithoutLatency)
+{
+    SystemConfig cfg = testSpec().materialize().front();
+    cfg.kernel = KernelKind::FastStat;
+    cfg.collectLatency = true;
+    const SystemConfig replication = adaptiveReplicationConfig(cfg, 7);
+    EXPECT_FALSE(replication.collectLatency);
+    SystemConfig reseeded = cfg;
+    reseeded.seed = 7;
+    EXPECT_EQ(configFingerprint(replication), configFingerprint(reseeded));
+
+    // Dropping the histograms must not move a byte: an adaptive record
+    // carries no latency, and FastStat's streams ignore the flag.
+    const std::string flags =
+        "--kernel=faststat --adaptive --n=4 --m=4 --r=2,4 --p=0.3,1.0 "
+        "--warmup=200 --measure=2000 --initial=2 --cap=4 --threads=2";
+    std::vector<std::string> lines[2];
+    for (const bool latency : {false, true}) {
+        const SweepRunOptions opt =
+            parseSweepSpecString(flags + (latency ? " --latency" : ""));
+        const std::vector<SystemConfig> points = opt.spec.materialize();
+        std::vector<std::size_t> every(points.size());
+        std::iota(every.begin(), every.end(), std::size_t{0});
+        runSweepPoints(opt, points, every,
+                       [&](const PointRecord &record) {
+                           lines[latency].push_back(
+                               formatRecord(record));
+                       });
+    }
+    ASSERT_EQ(lines[0].size(), 4u);
+    EXPECT_EQ(lines[1], lines[0]);
+}
+
 TEST(SweepPointsDeathTest, RejectsOutOfRangeAndNonIncreasingSubsets)
 {
     const std::vector<SystemConfig> points = testSpec().materialize();
