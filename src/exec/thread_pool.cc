@@ -15,6 +15,15 @@ ThreadPool::ThreadPool(unsigned threads) : ownerPid_(getpid())
     workers_.reserve(threads);
     for (unsigned i = 0; i < threads; ++i)
         workers_.emplace_back([this] { workerLoop(); });
+    // Fork safety: a thread that has not reached workerLoop() may
+    // still be in its runtime's start-up code, and ASan's allocates
+    // there under its allocator's lock. GCC 12's ASan does not take
+    // that lock around fork(), so a fork() made then hands the child
+    // a lock no thread will release, and the child's first new
+    // threads block on it. Once every worker waits in workerLoop(),
+    // an idle pool holds no such lock.
+    std::unique_lock<std::mutex> lock(mutex_);
+    cv_.wait(lock, [this, threads] { return started_ == threads; });
 }
 
 ThreadPool::~ThreadPool()
@@ -54,6 +63,11 @@ ThreadPool::post(std::function<void()> task)
 void
 ThreadPool::workerLoop()
 {
+    {
+        std::lock_guard<std::mutex> lock(mutex_);
+        ++started_;
+    }
+    cv_.notify_all();
     while (true) {
         std::function<void()> task;
         {

@@ -27,13 +27,15 @@ namespace sbn {
 /**
  * Fixed set of worker threads draining a shared task queue.
  *
+ * Construction returns once every worker is running its loop.
  * Destruction drains every task already posted, then joins the
  * workers; post() after shutdown began is a programming error.
  */
 class ThreadPool
 {
   public:
-    /** Spawn @p threads workers. @pre threads >= 1 */
+    /** Spawn @p threads workers and wait until each has started.
+     *  @pre threads >= 1 */
     explicit ThreadPool(unsigned threads);
 
     ThreadPool(const ThreadPool &) = delete;
@@ -66,6 +68,7 @@ class ThreadPool
     std::mutex mutex_;
     std::condition_variable cv_;
     bool stopping_ = false;
+    unsigned started_ = 0; //!< workers that reached workerLoop()
     pid_t ownerPid_; //!< fork detection; see ~ThreadPool()
 };
 
