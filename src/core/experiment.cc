@@ -2,6 +2,7 @@
 
 #include "core/faststat.hh"
 #include "exec/parallel_runner.hh"
+#include "util/logging.hh"
 
 namespace sbn {
 
@@ -36,20 +37,42 @@ runPointSample(const SystemConfig &config)
     return sample;
 }
 
+namespace {
+
+/** The shared runner for a helper's @p threads argument. */
+ParallelRunner &
+helperRunner(unsigned threads)
+{
+    return sharedParallelRunner(threads != 0 ? threads
+                                             : defaultExecThreads());
+}
+
+/** runOnce(point) with a replication seed, reduced to @p metric. */
+double
+metricAtSeed(const SystemConfig &point, std::uint64_t seed,
+             const std::function<double(const Metrics &)> &metric)
+{
+    SystemConfig c = point;
+    c.seed = seed;
+    return metric(runOnce(c));
+}
+
+} // namespace
+
 Estimate
 replicate(const SystemConfig &config, unsigned replications,
           const std::function<double(const Metrics &)> &metric,
           unsigned threads)
 {
-    ParallelRunner &runner = sharedParallelRunner(
-        threads != 0 ? threads : defaultExecThreads());
-    return runner.runReplications(
-        [&](std::uint64_t seed) {
-            SystemConfig c = config;
-            c.seed = seed;
-            return metric(runOnce(c));
-        },
-        replications, config.seed);
+    sbn_assert(replications >= 1, "need at least one replication");
+    ReplicationRounds rounds(config.seed);
+    const std::vector<std::uint64_t> seeds =
+        rounds.seedsForExtension(replications);
+    rounds.accept(helperRunner(threads).map<double>(
+        seeds.size(), [&](std::size_t i) {
+            return metricAtSeed(config, seeds[i], metric);
+        }));
+    return rounds.estimate();
 }
 
 Estimate
@@ -67,16 +90,14 @@ replicateToPrecision(const SystemConfig &config,
                      const std::function<double(const Metrics &)> &metric,
                      const RoundSchedule &schedule, unsigned threads)
 {
-    ParallelRunner &runner = sharedParallelRunner(
-        threads != 0 ? threads : defaultExecThreads());
-    const AdaptiveReplicator replicator(runner, target, schedule);
-    return replicator.run(
-        [&](std::uint64_t seed) {
-            SystemConfig c = config;
-            c.seed = seed;
-            return metric(runOnce(c));
-        },
-        config.seed);
+    const AdaptiveReplicator replicator(helperRunner(threads), target,
+                                        schedule);
+    return replicator
+        .runPoints({config},
+                   [&](const SystemConfig &point, std::uint64_t seed) {
+                       return metricAtSeed(point, seed, metric);
+                   })
+        .front();
 }
 
 AdaptiveEstimate

@@ -14,7 +14,7 @@
 #include "core/metrics.hh"
 #include "core/system.hh"
 #include "exec/adaptive.hh"
-#include "stats/batch_means.hh"
+#include "stats/replication.hh"
 
 namespace sbn {
 

@@ -2,7 +2,6 @@
 
 #include <cmath>
 
-#include "stats/replication.hh"
 #include "telemetry/telemetry.hh"
 #include "trace/span.hh"
 #include "util/logging.hh"
@@ -52,33 +51,6 @@ AdaptiveReplicator::AdaptiveReplicator(ParallelRunner &runner,
     // Validate the schedule eagerly so a bad configuration fails at
     // construction, not in the middle of a sweep.
     (void)schedule_.targetAfterRound(0);
-}
-
-AdaptiveEstimate
-AdaptiveReplicator::run(
-    const std::function<double(std::uint64_t)> &experiment,
-    std::uint64_t master_seed) const
-{
-    ReplicationRounds rounds(master_seed, target_.level);
-    AdaptiveEstimate out;
-    for (unsigned round = 0;; ++round) {
-        const unsigned target = schedule_.targetAfterRound(round);
-        const std::vector<std::uint64_t> seeds =
-            rounds.seedsForExtension(target);
-        rounds.accept(runner_.map<double>(
-            seeds.size(),
-            [&](std::size_t i) { return experiment(seeds[i]); }));
-        out.rounds = round + 1;
-        out.estimate = rounds.estimate();
-        out.converged = target_.met(out.estimate);
-        if (out.converged || rounds.completed() >= schedule_.cap) {
-            // Grown rounds are decided serially per point, so the
-            // count is invariant to the worker thread partition.
-            telemetryAdd(TelemetryCounter::AdaptiveRoundsGrown,
-                         out.rounds - 1);
-            return out;
-        }
-    }
 }
 
 std::vector<AdaptiveEstimate>

@@ -28,7 +28,7 @@
 
 #include "core/config.hh"
 #include "exec/parallel_runner.hh"
-#include "stats/batch_means.hh"
+#include "stats/replication.hh"
 
 namespace sbn {
 
@@ -92,16 +92,6 @@ class AdaptiveReplicator
     const RoundSchedule &schedule() const { return schedule_; }
 
     /**
-     * Adaptive estimate of one experiment: replications use the same
-     * seed-derivation stream as runReplications(master_seed), so the
-     * final estimate equals a one-shot run with the same replication
-     * count, bit for bit, at any thread count.
-     */
-    AdaptiveEstimate
-    run(const std::function<double(std::uint64_t)> &experiment,
-        std::uint64_t master_seed = 1) const;
-
-    /**
      * Ordered streaming callback for runPoints(): invoked once per
      * point, in list order, as soon as the point and all its
      * predecessors have finalized (converged or capped). Points
@@ -118,14 +108,17 @@ class AdaptiveReplicator
      * per-replication seed. Every round fans the still-unconverged
      * points' new replications across the pool as one flat work list,
      * so late-converging points keep all workers busy. Result i
-     * corresponds to points[i].
+     * corresponds to points[i]. A one-point list is the single-
+     * configuration form (replicateToPrecision()).
      *
-     * A point's round schedule, seed stream and convergence decision
-     * depend only on that point's own config, never on which other
-     * points share the list - so any sub-list (a shard, a steal
-     * slice) estimates each point bit-identically to the full grid,
-     * at any thread count. The sharded-sweep merge layer relies on
-     * this.
+     * Each point's final estimate equals a one-shot run of the count
+     * it ended with (replicate()), bit for bit: its ReplicationRounds
+     * derive seeds and fold values as one extension would. A point's
+     * round schedule, seed stream and convergence decision depend
+     * only on that point's own config, never on which other points
+     * share the list - so any sub-list (a shard, a steal slice)
+     * estimates each point bit-identically to the full grid, at any
+     * thread count. The sharded-sweep merge layer relies on this.
      */
     std::vector<AdaptiveEstimate>
     runPoints(const std::vector<SystemConfig> &points,

@@ -10,30 +10,9 @@
 #include <map>
 #include <mutex>
 
-#include "stats/accumulator.hh"
 #include "util/logging.hh"
-#include "util/random.hh"
 
 namespace sbn {
-
-namespace {
-
-std::atomic<unsigned> g_default_threads_override{0};
-
-unsigned
-threadsFromEnvironment()
-{
-    static const unsigned cached = [] {
-        const char *env = std::getenv("SBN_THREADS");
-        if (env == nullptr)
-            return 1u;
-        const unsigned parsed = parseThreadsSpec(env);
-        return parsed != 0 ? parsed : ThreadPool::hardwareThreads();
-    }();
-    return cached;
-}
-
-} // namespace
 
 unsigned
 parseThreadsSpec(const char *spec)
@@ -68,17 +47,14 @@ parseThreadsSpec(const char *spec)
 unsigned
 defaultExecThreads()
 {
-    const unsigned override_value =
-        g_default_threads_override.load(std::memory_order_relaxed);
-    return override_value != 0 ? override_value
-                               : threadsFromEnvironment();
-}
-
-void
-setDefaultExecThreads(unsigned threads)
-{
-    g_default_threads_override.store(threads,
-                                     std::memory_order_relaxed);
+    static const unsigned cached = [] {
+        const char *env = std::getenv("SBN_THREADS");
+        if (env == nullptr)
+            return 1u;
+        const unsigned parsed = parseThreadsSpec(env);
+        return parsed != 0 ? parsed : ThreadPool::hardwareThreads();
+    }();
+    return cached;
 }
 
 ParallelRunner::ParallelRunner(unsigned threads)
@@ -151,38 +127,6 @@ ParallelRunner::forEachIndex(std::size_t count,
     state.done.wait(lock, [&] { return state.pending == 0; });
     if (state.error)
         std::rethrow_exception(state.error);
-}
-
-Estimate
-ParallelRunner::runReplications(
-    const std::function<double(std::uint64_t)> &experiment,
-    unsigned replications, std::uint64_t master_seed, double level)
-{
-    sbn_assert(replications >= 1, "need at least one replication");
-
-    // Derive every replication seed up front, in the exact stream
-    // order the serial path uses; the parallel phase then only maps
-    // seed[i] -> value[i], and the reduction below runs in index
-    // order. This is what makes results thread-count invariant.
-    RandomGenerator seeder(master_seed);
-    std::vector<std::uint64_t> seeds(replications);
-    for (auto &seed : seeds)
-        seed = seeder.deriveSeed();
-
-    const std::vector<double> values = map<double>(
-        replications,
-        [&](std::size_t i) { return experiment(seeds[i]); });
-
-    Accumulator acc;
-    for (double value : values)
-        acc.add(value);
-
-    Estimate e;
-    e.mean = acc.mean();
-    e.halfWidth =
-        replications >= 2 ? acc.confidenceHalfWidth(level) : 0.0;
-    e.samples = acc.count();
-    return e;
 }
 
 namespace {

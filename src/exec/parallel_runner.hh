@@ -14,30 +14,24 @@
 #ifndef SBN_EXEC_PARALLEL_RUNNER_HH
 #define SBN_EXEC_PARALLEL_RUNNER_HH
 
-#include <cstdint>
 #include <functional>
 #include <memory>
 #include <mutex>
 #include <vector>
 
 #include "exec/thread_pool.hh"
-#include "stats/batch_means.hh"
 
 namespace sbn {
 
 /**
- * Process-wide default worker count used by runReplications() and the
- * replicate() helpers when no explicit count is given. Resolution:
- * the last setDefaultExecThreads() value if set, else the SBN_THREADS
- * environment variable, else 1 (serial). The serial default keeps
- * single-threaded semantics - including callback invocation order -
- * for existing callers; opt into parallelism per call site or via the
- * environment.
+ * Process-wide default worker count used by the replicate() helpers
+ * and sweeps when no explicit count is given: the SBN_THREADS
+ * environment variable, read once, else 1 (serial). The serial
+ * default keeps single-threaded semantics - including callback
+ * invocation order - for existing callers; opt into parallelism per
+ * call site or via the environment.
  */
 unsigned defaultExecThreads();
-
-/** Override the default; 0 restores "resolve from environment". */
-void setDefaultExecThreads(unsigned threads);
 
 /**
  * Parse an SBN_THREADS-style worker-count spec. Accepts a positive
@@ -138,20 +132,6 @@ class ParallelRunner
         return results;
     }
 
-    /**
-     * Parallel independent replications, bit-identical to the serial
-     * runReplications() path: the per-replication seeds are derived
-     * from @p master_seed up front (same derivation stream as serial),
-     * experiments run concurrently, and the accumulator consumes the
-     * results in replication order.
-     *
-     * With one replication the half-width is reported as 0 (no CI).
-     */
-    Estimate runReplications(
-        const std::function<double(std::uint64_t)> &experiment,
-        unsigned replications, std::uint64_t master_seed = 1,
-        double level = 0.95);
-
   private:
     unsigned threads_;
     std::unique_ptr<ThreadPool> pool_; // null when threads_ == 1
@@ -159,10 +139,10 @@ class ParallelRunner
 
 /**
  * Process-wide shared runner with @p threads workers (0 = hardware),
- * created on first use and kept for the process lifetime. The stats-
- * and core-layer replication helpers route through this so repeated
- * calls at the same worker count reuse one pool instead of spawning
- * and joining threads per call. Safe for concurrent top-level use
+ * created on first use and kept for the process lifetime. The
+ * core-layer replication helpers route through this so repeated calls
+ * at the same worker count reuse one pool instead of spawning and
+ * joining threads per call. Safe for concurrent top-level use
  * (callers share the pool); the no-nesting rule still applies.
  * Fork-safe: a forked child starts with no shared runners and builds
  * its own, so a runner obtained before fork() must not be used in

@@ -47,7 +47,6 @@
 #include "shard/runner.hh"
 #include "shard/supervisor.hh"
 #include "stats/accumulator.hh"
-#include "stats/batch_means.hh"
 #include "stats/histogram.hh"
 #include "stats/replication.hh"
 #include "util/cli.hh"

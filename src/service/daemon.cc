@@ -585,30 +585,15 @@ void
 Daemon::handleStatus(Client &client, const Request &request)
 {
     if (!request.hasJob) {
-        std::size_t done = 0, failed = 0, cancelled = 0;
-        for (const auto &pair : jobs_) {
-            switch (pair.second.entry.state) {
-            case JobState::Done:
-                ++done;
-                break;
-            case JobState::Failed:
-                ++failed;
-                break;
-            case JobState::Cancelled:
-                ++cancelled;
-                break;
-            default:
-                break;
-            }
-        }
+        const DaemonMetricsSnapshot m = collectMetrics();
         respond(client,
-                "{\"ok\":true,\"queued\":" +
-                    std::to_string(queuedCount()) + ",\"running\":" +
-                    std::to_string(runningCount()) + ",\"done\":" +
-                    std::to_string(done) + ",\"failed\":" +
-                    std::to_string(failed) + ",\"cancelled\":" +
-                    std::to_string(cancelled) + ",\"draining\":" +
-                    (draining_ ? "true" : "false") + "}");
+                "{\"ok\":true,\"queued\":" + std::to_string(m.queued) +
+                    ",\"running\":" + std::to_string(m.running) +
+                    ",\"done\":" + std::to_string(m.done) +
+                    ",\"failed\":" + std::to_string(m.failed) +
+                    ",\"cancelled\":" + std::to_string(m.cancelled) +
+                    ",\"draining\":" + (m.draining ? "true" : "false") +
+                    "}");
         return;
     }
     const Job *job = findJob(request.job);

@@ -232,35 +232,6 @@ parseFlatJsonObject(const std::string &line, JsonObject &out,
     return true;
 }
 
-std::string
-jsonEscape(const std::string &text)
-{
-    std::string out;
-    out.reserve(text.size());
-    for (const char c : text) {
-        switch (c) {
-        case '"':
-            out += "\\\"";
-            break;
-        case '\\':
-            out += "\\\\";
-            break;
-        case '\n':
-            out += "\\n";
-            break;
-        case '\t':
-            out += "\\t";
-            break;
-        case '\r':
-            out += "\\r";
-            break;
-        default:
-            out += c;
-        }
-    }
-    return out;
-}
-
 const char *
 requestKindName(RequestKind kind)
 {

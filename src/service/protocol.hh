@@ -40,6 +40,8 @@
 #include <map>
 #include <string>
 
+#include "util/json.hh" // jsonEscape, for every protocol writer
+
 namespace sbn {
 
 /**
@@ -86,9 +88,6 @@ using JsonObject = std::map<std::string, JsonScalar>;
  */
 bool parseFlatJsonObject(const std::string &line, JsonObject &out,
                          std::string &error);
-
-/** JSON string escaping for the characters the protocol can carry. */
-std::string jsonEscape(const std::string &text);
 
 /** What a parsed request asks for. */
 enum class RequestKind

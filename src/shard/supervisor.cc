@@ -25,6 +25,7 @@
 #include "shard/fault.hh"
 #include "telemetry/telemetry.hh"
 #include "shard/result_io.hh"
+#include "util/json.hh"
 #include "util/logging.hh"
 
 namespace sbn {
@@ -795,8 +796,8 @@ writeMissingPointsManifest(const std::string &path,
             body += ",\"shard\":";
             body += std::to_string(owner);
             body += ",\"file\":\"";
-            body += shardFilePath(check.dir,
-                                  {owner, check.shardCount});
+            body += jsonEscape(
+                shardFilePath(check.dir, {owner, check.shardCount}));
             body += '"';
         }
         body += '}';

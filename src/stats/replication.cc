@@ -1,9 +1,16 @@
 #include "stats/replication.hh"
 
-#include "exec/parallel_runner.hh"
+#include <cmath>
+
 #include "util/logging.hh"
 
 namespace sbn {
+
+bool
+Estimate::covers(double value, double slack) const
+{
+    return std::abs(value - mean) <= halfWidth + slack;
+}
 
 ReplicationRounds::ReplicationRounds(std::uint64_t master_seed,
                                      double level)
@@ -45,22 +52,6 @@ ReplicationRounds::estimate() const
         acc_.count() >= 2 ? acc_.confidenceHalfWidth(level_) : 0.0;
     e.samples = acc_.count();
     return e;
-}
-
-Estimate
-runReplications(const std::function<double(std::uint64_t)> &experiment,
-                unsigned replications, std::uint64_t master_seed,
-                double level)
-{
-    sbn_assert(replications >= 1, "need at least one replication");
-
-    // Route through the execution layer. The default worker count is 1
-    // unless configured (SBN_THREADS / setDefaultExecThreads), which
-    // preserves strict serial semantics - results are bit-identical at
-    // any worker count, but side effects inside @p experiment observe
-    // replication order only when serial.
-    return sharedParallelRunner(defaultExecThreads())
-        .runReplications(experiment, replications, master_seed, level);
 }
 
 } // namespace sbn

@@ -2,39 +2,52 @@
  * @file
  * Independent-replications estimator.
  *
- * Runs a seeded experiment K times with derived seeds and reports a
- * Student-t confidence interval across the replication results. This
- * complements BatchMeans: replications remove initialization bias
- * concerns at the cost of repeated warmups.
+ * A seeded experiment runs once per replication with a seed derived
+ * from a master stream; a Student-t confidence interval across the
+ * replication results is the estimate. Replications remove
+ * initialization-bias concerns at the cost of repeated warmups.
  */
 
 #ifndef SBN_STATS_REPLICATION_HH
 #define SBN_STATS_REPLICATION_HH
 
 #include <cstdint>
-#include <functional>
 #include <vector>
 
-#include "stats/batch_means.hh"
+#include "stats/accumulator.hh"
 #include "util/random.hh"
 
 namespace sbn {
 
+/** Confidence interval summary produced by estimators. */
+struct Estimate
+{
+    double mean = 0.0;      //!< point estimate
+    double halfWidth = 0.0; //!< CI half width at the requested level
+    std::uint64_t samples = 0;
+
+    double lower() const { return mean - halfWidth; }
+    double upper() const { return mean + halfWidth; }
+
+    /** True if |other - mean| <= halfWidth + slack. */
+    bool covers(double value, double slack = 0.0) const;
+};
+
 /**
- * Round-based replication accumulation that reuses prior
- * replications.
+ * The one replication rule: seeds in order from the master stream,
+ * values folded in replication order, a half-width only from two or
+ * more replications.
  *
- * Adaptive-precision runs grow a replication count in rounds: each
- * round extends the same experiment with a few more replications and
- * re-evaluates the confidence interval over *all* replications so
- * far, never discarding earlier work. This class owns the per-round
+ * A fixed-count run is one extension to its count; an adaptive run
+ * grows in rounds, each extending the same experiment with a few more
+ * replications and re-evaluating the interval over *all* replications
+ * so far, never discarding earlier work. This class owns the
  * bookkeeping:
  *
  *  - the seed stream: seedsForExtension(k) hands out the seeds for
  *    replications [completed, k) from the master derivation stream,
  *    so replication i receives the *same* seed whether the run grows
- *    in rounds or derives all k seeds in one shot (the
- *    runReplications stream);
+ *    in rounds or derives all k seeds in one shot;
  *  - the accumulator: accept() folds the extension's results in, in
  *    replication order, so the running estimate after k replications
  *    is bit-identical to a one-shot k-replication run.
@@ -73,9 +86,10 @@ class ReplicationRounds
     void accept(const std::vector<double> &values);
 
     /**
-     * Estimate over every replication accepted so far; matches the
-     * runReplications() conventions (halfWidth 0 with fewer than two
-     * replications).
+     * Estimate over every replication accepted so far. A single
+     * replication carries its result as the mean with halfWidth 0 (no
+     * confidence interval - use >= 2 replications for one); samples
+     * is the replication count.
      */
     Estimate estimate() const;
 
@@ -85,31 +99,6 @@ class ReplicationRounds
     unsigned derived_ = 0; //!< seeds handed out so far
     double level_;
 };
-
-/**
- * Run @p experiment once per replication with a deterministic derived
- * seed and summarize the scalar results.
- *
- * A single replication (replications == 1) is accepted: the estimate
- * then carries the lone result as its mean with halfWidth 0 (no
- * confidence interval - use >= 2 replications for one) and samples
- * always reports the replication count actually run.
- *
- * Execution is delegated to the exec layer: replications run on
- * defaultExecThreads() workers (serial unless configured), with
- * results bit-identical to serial execution at any worker count.
- *
- * @param experiment    callable mapping a seed to a scalar result;
- *                      must be safe to call concurrently when the
- *                      default worker count is raised above 1
- * @param replications  number of independent runs (>= 1)
- * @param master_seed   seed for the seed-derivation stream
- * @param level         confidence level for the interval
- */
-Estimate runReplications(
-    const std::function<double(std::uint64_t)> &experiment,
-    unsigned replications, std::uint64_t master_seed = 1,
-    double level = 0.95);
 
 } // namespace sbn
 

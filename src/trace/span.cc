@@ -11,6 +11,7 @@
 #include <mutex>
 
 #include "core/fingerprint.hh"
+#include "util/json.hh"
 #include "util/logging.hh"
 
 namespace sbn {
@@ -61,32 +62,6 @@ nextSpanId()
     while (id == 0)
         id = fingerprintMix(salt, ++counter);
     return id;
-}
-
-/** JSON string escaping for span names and attribute values. */
-std::string
-escapeJson(const std::string &text)
-{
-    std::string out;
-    out.reserve(text.size());
-    for (const char c : text) {
-        switch (c) {
-        case '"': out += "\\\""; break;
-        case '\\': out += "\\\\"; break;
-        case '\n': out += "\\n"; break;
-        case '\r': out += "\\r"; break;
-        case '\t': out += "\\t"; break;
-        default:
-            if (static_cast<unsigned char>(c) < 0x20) {
-                char buf[8];
-                std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-                out += buf;
-            } else {
-                out += c;
-            }
-        }
-    }
-    return out;
 }
 
 /**
@@ -284,9 +259,9 @@ traceEmitSpanWithId(const TraceContext &trace, std::uint64_t span,
     line += "\",\"parent\":\"";
     line += formatHex64(parent);
     line += "\",\"kind\":\"";
-    line += escapeJson(kind);
+    line += jsonEscape(kind);
     line += "\",\"name\":\"";
-    line += escapeJson(name);
+    line += jsonEscape(name);
     line += "\",\"pid\":";
     line += std::to_string(::getpid());
     line += ",\"start_us\":";
@@ -295,9 +270,9 @@ traceEmitSpanWithId(const TraceContext &trace, std::uint64_t span,
     line += std::to_string(end_us);
     for (const TraceAttr &attr : attrs) {
         line += ",\"a_";
-        line += escapeJson(attr.first);
+        line += jsonEscape(attr.first);
         line += "\":\"";
-        line += escapeJson(attr.second);
+        line += jsonEscape(attr.second);
         line += '"';
     }
     line += "}\n";

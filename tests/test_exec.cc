@@ -22,6 +22,7 @@
 #include "exec/parallel_runner.hh"
 #include "exec/sweep.hh"
 #include "exec/thread_pool.hh"
+#include "stats/accumulator.hh"
 #include "stats/replication.hh"
 #include "util/random.hh"
 
@@ -137,15 +138,60 @@ noisyExperiment(std::uint64_t seed)
     return acc;
 }
 
+/**
+ * The replication rule written out serially, independent of
+ * ReplicationRounds: seeds in order from the master stream, values
+ * folded in replication order, a half-width only from two or more
+ * replications.
+ */
+Estimate
+serialReplications(const std::function<double(std::uint64_t)> &experiment,
+                   unsigned replications, std::uint64_t master_seed)
+{
+    RandomGenerator seeder(master_seed);
+    Accumulator acc;
+    for (unsigned i = 0; i < replications; ++i)
+        acc.add(experiment(seeder.deriveSeed()));
+    Estimate e;
+    e.mean = acc.mean();
+    e.halfWidth =
+        replications >= 2 ? acc.confidenceHalfWidth(0.95) : 0.0;
+    e.samples = acc.count();
+    return e;
+}
+
+/** A small simulated system for the replicate() tests. */
+SystemConfig
+smallSystem(std::uint64_t seed)
+{
+    SystemConfig cfg;
+    cfg.numProcessors = 4;
+    cfg.numModules = 4;
+    cfg.memoryRatio = 4;
+    cfg.warmupCycles = 100;
+    cfg.measureCycles = 2000;
+    cfg.seed = seed;
+    return cfg;
+}
+
+/** runEbw() of @p cfg with its seed replaced by @p seed. */
+double
+ebwAtSeed(SystemConfig cfg, std::uint64_t seed)
+{
+    cfg.seed = seed;
+    return runEbw(cfg);
+}
+
 TEST(ParallelRunner, ReplicationsBitIdenticalToSerialPath)
 {
-    // Reference: the serial stats-layer path (default threads = 1).
-    const Estimate serial = runReplications(noisyExperiment, 11, 424242);
+    const SystemConfig cfg = smallSystem(424242);
+    const Estimate serial = serialReplications(
+        [&](std::uint64_t seed) { return ebwAtSeed(cfg, seed); }, 11,
+        cfg.seed);
 
     for (unsigned threads : {1u, 2u, 8u}) {
-        ParallelRunner runner(threads);
-        const Estimate parallel =
-            runner.runReplications(noisyExperiment, 11, 424242);
+        const Estimate parallel = replicate(
+            cfg, 11, [](const Metrics &m) { return m.ebw; }, threads);
         // Exact floating-point equality, not NEAR: the contract is
         // bit-identical results at any thread count.
         EXPECT_EQ(parallel.mean, serial.mean) << threads << " threads";
@@ -175,35 +221,67 @@ TEST(ParallelRunner, SimulationReplicationsBitIdenticalAcrossThreads)
     }
 }
 
+/** Never met: an adaptive run with it always grows to its cap. */
+PrecisionTarget
+neverMet()
+{
+    PrecisionTarget target;
+    target.relative = 0.0;
+    target.absolute = 0.0;
+    return target;
+}
+
+/** AdaptiveReplicator::runPoints over one point with master seed
+    @p seed, running noisyExperiment. */
+AdaptiveEstimate
+adaptiveNoisy(const AdaptiveReplicator &replicator, std::uint64_t seed)
+{
+    SystemConfig point;
+    point.seed = seed;
+    return replicator
+        .runPoints({point},
+                   [](const SystemConfig &, std::uint64_t s) {
+                       return noisyExperiment(s);
+                   })
+        .front();
+}
+
 TEST(ParallelRunner, SeedsMatchTheSerialDerivationStream)
 {
-    // The seeds handed to a parallel run must be exactly the ones the
-    // serial path would derive, in replication order.
+    // The seeds handed to the experiment must be exactly the ones the
+    // derivation stream yields, in replication order, across the
+    // round boundaries of a 2 -> 4 -> 5 schedule.
     RandomGenerator seeder(7);
     std::vector<std::uint64_t> expected(5);
     for (auto &s : expected)
         s = seeder.deriveSeed();
 
-    std::vector<std::uint64_t> seen(5, 0);
-    std::size_t slot = 0;
+    RoundSchedule schedule;
+    schedule.initial = 2;
+    schedule.cap = 5;
     ParallelRunner runner(1); // serial so the capture below is ordered
-    runner.runReplications(
-        [&](std::uint64_t seed) {
-            seen[slot++] = seed;
+    const AdaptiveReplicator replicator(runner, neverMet(), schedule);
+    SystemConfig point;
+    point.seed = 7;
+    std::vector<std::uint64_t> seen;
+    const AdaptiveEstimate a = replicator.runPoints(
+        {point}, [&](const SystemConfig &, std::uint64_t seed) {
+            seen.push_back(seed);
             return 0.0;
-        },
-        5, 7);
+        }).front();
+    EXPECT_EQ(a.rounds, 3u);
     EXPECT_EQ(seen, expected);
 }
 
 TEST(ParallelRunner, SingleReplicationHasZeroHalfWidth)
 {
-    ParallelRunner runner(2);
-    const Estimate e =
-        runner.runReplications(noisyExperiment, 1, 123);
+    const SystemConfig cfg = smallSystem(123);
+    const Estimate e = replicate(
+        cfg, 1, [](const Metrics &m) { return m.ebw; }, 2);
     EXPECT_EQ(e.samples, 1u);
     EXPECT_EQ(e.halfWidth, 0.0);
-    EXPECT_EQ(e.mean, noisyExperiment(RandomGenerator(123).deriveSeed()));
+    EXPECT_EQ(e.mean,
+              ebwAtSeed(cfg, RandomGenerator(cfg.seed).deriveSeed()));
 }
 
 TEST(SweepSpec, EmptyAxesYieldTheBasePoint)
@@ -443,8 +521,7 @@ TEST(AdaptiveReplicator, TargetMetOrCapReached)
     const AdaptiveReplicator replicator(runner, target, schedule);
 
     for (std::uint64_t seed : {1ull, 7ull, 99ull, 424242ull}) {
-        const AdaptiveEstimate a =
-            replicator.run(noisyExperiment, seed);
+        const AdaptiveEstimate a = adaptiveNoisy(replicator, seed);
         EXPECT_GE(a.estimate.samples, 2u);
         EXPECT_LE(a.estimate.samples, 40u);
         EXPECT_GE(a.rounds, 1u);
@@ -469,7 +546,7 @@ TEST(AdaptiveReplicator, TighteningTheTargetNeverShrinksTheRun)
         PrecisionTarget target;
         target.relative = relative;
         const AdaptiveReplicator replicator(runner, target, schedule);
-        const AdaptiveEstimate a = replicator.run(noisyExperiment, 5);
+        const AdaptiveEstimate a = adaptiveNoisy(replicator, 5);
         EXPECT_GE(a.estimate.samples, previous_samples)
             << "relative target " << relative;
         previous_samples = a.estimate.samples;
@@ -486,13 +563,13 @@ TEST(AdaptiveReplicator, BitIdenticalAcrossThreadCounts)
 
     ParallelRunner serial_runner(1);
     const AdaptiveReplicator serial(serial_runner, target, schedule);
-    const AdaptiveEstimate reference = serial.run(noisyExperiment, 7);
+    const AdaptiveEstimate reference = adaptiveNoisy(serial, 7);
 
     for (unsigned threads :
          {2u, ThreadPool::hardwareThreads() + 1}) {
         ParallelRunner runner(threads);
         const AdaptiveReplicator replicator(runner, target, schedule);
-        const AdaptiveEstimate a = replicator.run(noisyExperiment, 7);
+        const AdaptiveEstimate a = adaptiveNoisy(replicator, 7);
         // Exact equality: the adaptive determinism contract.
         EXPECT_EQ(a.estimate.mean, reference.estimate.mean)
             << threads << " threads";
@@ -513,9 +590,9 @@ TEST(AdaptiveReplicator, FinalEstimateMatchesOneShotReplications)
     PrecisionTarget target;
     target.relative = 0.05;
     const AdaptiveReplicator replicator(runner, target, {});
-    const AdaptiveEstimate a = replicator.run(noisyExperiment, 31);
+    const AdaptiveEstimate a = adaptiveNoisy(replicator, 31);
 
-    const Estimate one_shot = runner.runReplications(
+    const Estimate one_shot = serialReplications(
         noisyExperiment, static_cast<unsigned>(a.estimate.samples), 31);
     EXPECT_EQ(a.estimate.mean, one_shot.mean);
     EXPECT_EQ(a.estimate.halfWidth, one_shot.halfWidth);
@@ -686,9 +763,12 @@ TEST(ParallelRunner, StaysUsableAfterWorkerException)
         for (std::size_t i = 0; i < squares.size(); ++i)
             EXPECT_EQ(squares[i], static_cast<int>(i * i));
 
-        const Estimate e =
-            runner.runReplications(noisyExperiment, 5, 11);
-        EXPECT_EQ(e.samples, 5u);
+        RoundSchedule one_round;
+        one_round.initial = 5;
+        one_round.cap = 5;
+        const AdaptiveEstimate a = adaptiveNoisy(
+            AdaptiveReplicator(runner, neverMet(), one_round), 11);
+        EXPECT_EQ(a.estimate.samples, 5u);
     }
 }
 
@@ -722,16 +802,6 @@ TEST(ParallelRunner, SharedRunnerWorksInAForkedChild)
     ASSERT_TRUE(WIFEXITED(status))
         << "child killed by signal " << WTERMSIG(status);
     EXPECT_EQ(WEXITSTATUS(status), 0);
-}
-
-TEST(Exec, DefaultThreadsOverrideRoundTrips)
-{
-    const unsigned before = defaultExecThreads();
-    setDefaultExecThreads(3);
-    EXPECT_EQ(defaultExecThreads(), 3u);
-    setDefaultExecThreads(0); // back to environment resolution
-    EXPECT_EQ(defaultExecThreads(), before);
-    EXPECT_GE(defaultExecThreads(), 1u);
 }
 
 TEST(Exec, ParseThreadsSpecAcceptsSaneValues)

@@ -402,8 +402,11 @@ TEST(Supervisor, SingleFaultKillMatrixConvergesByteIdentically)
                 fault += ",truncate_tail=40";
             const EnvGuard guard(kFaultEnvVar, fault);
 
-            ShardSupervisor supervisor(testConfig(dir, check, 4),
-                                       sweepBody(points));
+            SupervisorConfig config = testConfig(dir, check, 4);
+            // A split could take shard 1's second point before the
+            // k = 2 kill fires, leaving no respawn to count.
+            config.workStealing = false;
+            ShardSupervisor supervisor(config, sweepBody(points));
             const SupervisorReport report = supervisor.run();
 
             ASSERT_TRUE(report.complete) << fault;
@@ -670,6 +673,24 @@ TEST(Supervisor, ExhaustionDegradesToPartialResultAndManifest)
     EXPECT_NE(manifest.find("\"shard\":1"), std::string::npos);
     EXPECT_NE(manifest.find(shardFilePath(dir, {1, 4})),
               std::string::npos);
+}
+
+TEST(Supervisor, MissingPointsManifestEscapesTheDirectory)
+{
+    // A --dir holding a quote and a backslash must still give a
+    // manifest that JSON readers accept.
+    MergeCheck check = structuralMergeCheck(4);
+    check.shardCount = 2;
+    check.layout = ShardLayout::Contiguous;
+    check.dir = "fleet/q\"d\\x";
+
+    const std::string path = tempDir("manifest-escape") + "/m.json";
+    writeMissingPointsManifest(path, check, {3});
+    EXPECT_EQ(fileBytes(path),
+              "{\"type\":\"sbn.missing.v1\",\"grid\":4,\"shards\":2,"
+              "\"layout\":\"contiguous\",\"count\":1,\"missing\":["
+              "{\"i\":3,\"shard\":1,"
+              "\"file\":\"fleet/q\\\"d\\\\x/shard-1-of-2.jsonl\"}]}\n");
 }
 
 TEST(Supervisor, InterruptKillsWorkersAndReportsTheSignal)

@@ -117,6 +117,14 @@ TEST(FlatJson, EscapeRoundTrips)
     EXPECT_EQ(object["k"].text, nasty);
 }
 
+TEST(FlatJson, EscapeWritesOtherControlCharactersAsUnicode)
+{
+    // Valid JSON for every reader; the protocol parser itself still
+    // refuses \u escapes, as it refuses raw control characters.
+    EXPECT_EQ(jsonEscape(std::string("a\x01" "b\x1f", 4)),
+              "a\\u0001b\\u001f");
+}
+
 // ------------------------------------------------------- requests
 
 TEST(Protocol, RequestRoundTrips)

@@ -14,6 +14,7 @@
 
 #include <cstdio>
 #include <fstream>
+#include <limits>
 #include <numeric>
 #include <set>
 #include <sstream>
@@ -217,16 +218,30 @@ TEST(PointRecordIo, RoundTripsBitExactly)
 
 TEST(PointRecordIo, RoundTripsAwkwardDoubles)
 {
+    // Non-finite values are real record content: a point with no
+    // completed requests (p = 0) writes its latency quantiles as nan.
     SystemConfig cfg;
     for (const double value :
-         {0.0, -0.0, 1.0 / 3.0, 1e-308, 6.3e303, 0.1}) {
-        const PointRecord record =
-            makeSweepRecord(0, cfg, PointSample{value, false, {}});
-        PointRecord parsed;
-        std::string error;
-        ASSERT_TRUE(parseRecord(formatRecord(record), parsed, error))
-            << error;
-        EXPECT_TRUE(parsed.bitIdentical(record)) << value;
+         {0.0, -0.0, 1.0 / 3.0, 1e-308, 6.3e303, 0.1,
+          std::numeric_limits<double>::quiet_NaN(),
+          std::numeric_limits<double>::infinity(),
+          -std::numeric_limits<double>::infinity()}) {
+        LatencySummary latency;
+        latency.waitP50 = latency.waitP90 = latency.waitP99 = value;
+        latency.waitMax = latency.residenceP50 = value;
+        latency.residenceP90 = latency.residenceP99 = value;
+        latency.residenceMax = value;
+        for (const bool with_latency : {false, true}) {
+            const PointRecord record = makeSweepRecord(
+                0, cfg, PointSample{value, with_latency, latency});
+            const std::string line = formatRecord(record);
+            PointRecord parsed;
+            std::string error;
+            ASSERT_TRUE(parseRecord(line, parsed, error))
+                << error << ": " << line;
+            EXPECT_TRUE(parsed.bitIdentical(record)) << line;
+            EXPECT_EQ(formatRecord(parsed), line);
+        }
     }
 }
 

@@ -1,7 +1,7 @@
 /**
  * @file
  * Unit tests for the statistics package: accumulator moments, merge,
- * Student-t intervals, batch means and the histogram.
+ * Student-t intervals, replication rounds and the histogram.
  */
 
 #include <gtest/gtest.h>
@@ -11,7 +11,6 @@
 #include <vector>
 
 #include "stats/accumulator.hh"
-#include "stats/batch_means.hh"
 #include "stats/histogram.hh"
 #include "stats/replication.hh"
 #include "util/random.hh"
@@ -104,40 +103,6 @@ TEST(Estimate, CoversItsMean)
     EXPECT_TRUE(e.covers(5.6, 0.2));
     EXPECT_DOUBLE_EQ(e.lower(), 4.5);
     EXPECT_DOUBLE_EQ(e.upper(), 5.5);
-}
-
-TEST(BatchMeans, GrandMeanMatchesStream)
-{
-    BatchMeans bm(10);
-    double sum = 0.0;
-    for (int i = 0; i < 1000; ++i) {
-        bm.add(static_cast<double>(i % 7));
-        sum += static_cast<double>(i % 7);
-    }
-    EXPECT_EQ(bm.batches(), 100u);
-    EXPECT_NEAR(bm.mean(), sum / 1000.0, 1e-9);
-}
-
-TEST(BatchMeans, IntervalShrinksWithData)
-{
-    RandomGenerator rng(7);
-    BatchMeans small(50), large(50);
-    for (int i = 0; i < 1000; ++i)
-        small.add(rng.uniformReal());
-    for (int i = 0; i < 50000; ++i)
-        large.add(rng.uniformReal());
-    EXPECT_LT(large.estimate().halfWidth, small.estimate().halfWidth);
-    EXPECT_TRUE(large.estimate().covers(0.5, 0.01));
-}
-
-TEST(BatchMeans, PartialBatchIgnored)
-{
-    BatchMeans bm(10);
-    for (int i = 0; i < 15; ++i)
-        bm.add(1.0);
-    EXPECT_EQ(bm.batches(), 1u);
-    bm.reset();
-    EXPECT_EQ(bm.batches(), 0u);
 }
 
 TEST(Histogram, MeanTracksAllSamples)
@@ -355,21 +320,31 @@ TEST(Histogram, FlatJsonIsInsertionOrderInvariant)
               "\"sum\":1048588,\"counts\":\"0:1 12:2\"}");
 }
 
+/** A fixed-count run: one extension of @p rounds, mapped serially. */
+template <typename Experiment>
+Estimate
+replicateSerially(ReplicationRounds &rounds, unsigned replications,
+                  Experiment experiment)
+{
+    std::vector<double> values;
+    for (std::uint64_t seed : rounds.seedsForExtension(replications))
+        values.push_back(experiment(seed));
+    rounds.accept(values);
+    return rounds.estimate();
+}
+
 TEST(Replication, DeterministicSeedDerivation)
 {
     std::vector<std::uint64_t> seen_a, seen_b;
-    auto run_a = runReplications(
-        [&](std::uint64_t s) {
-            seen_a.push_back(s);
-            return static_cast<double>(s % 100);
-        },
-        5, 42);
-    auto run_b = runReplications(
-        [&](std::uint64_t s) {
-            seen_b.push_back(s);
-            return static_cast<double>(s % 100);
-        },
-        5, 42);
+    ReplicationRounds rounds_a(42), rounds_b(42);
+    auto run_a = replicateSerially(rounds_a, 5, [&](std::uint64_t s) {
+        seen_a.push_back(s);
+        return static_cast<double>(s % 100);
+    });
+    auto run_b = replicateSerially(rounds_b, 5, [&](std::uint64_t s) {
+        seen_b.push_back(s);
+        return static_cast<double>(s % 100);
+    });
     EXPECT_EQ(seen_a, seen_b);
     EXPECT_DOUBLE_EQ(run_a.mean, run_b.mean);
     EXPECT_EQ(run_a.samples, 5u);
@@ -378,15 +353,14 @@ TEST(Replication, DeterministicSeedDerivation)
 TEST(Replication, IntervalCoversTrueMean)
 {
     // Experiment returns seed-dependent noise around 10.
-    auto est = runReplications(
-        [](std::uint64_t s) {
-            RandomGenerator rng(s);
-            double acc = 0.0;
-            for (int i = 0; i < 1000; ++i)
-                acc += rng.uniformReal();
-            return 10.0 + (acc / 1000.0 - 0.5);
-        },
-        10, 7);
+    ReplicationRounds rounds(7);
+    auto est = replicateSerially(rounds, 10, [](std::uint64_t s) {
+        RandomGenerator rng(s);
+        double acc = 0.0;
+        for (int i = 0; i < 1000; ++i)
+            acc += rng.uniformReal();
+        return 10.0 + (acc / 1000.0 - 0.5);
+    });
     EXPECT_TRUE(est.covers(10.0, 0.02));
     EXPECT_GT(est.halfWidth, 0.0);
 }
