@@ -127,11 +127,9 @@ class OccupancyChain
  * cached result thereafter. Chain construction enumerates every
  * transition (the expensive part); sweeps and model cross-checks hit
  * the same handful of shapes over and over, so the analytic model
- * entry points route through this cache.
- *
- * When SBN_CACHE_DIR is set the solve also persists to disk
- * (analytic/disk_cache.hh), so repeated bench *invocations* skip the
- * transition enumeration and linear solve too.
+ * entry points route through this cache. Nothing caches solves
+ * across processes: the largest paper-scale chain (n = m = cap = 16)
+ * solves in tens of milliseconds (docs/performance.md).
  *
  * Thread-safe; the returned reference lives for the process.
  */

@@ -185,7 +185,8 @@ DaemonClient::call(const Request &request)
                   std::strerror(errno));
 
     ClientResponse response;
-    const std::string header = readLine();
+    response.header = readLine();
+    const std::string &header = response.header;
     std::string error;
     if (!parseFlatJsonObject(header, response.fields, error))
         sbn_fatal("malformed daemon response '", header,

@@ -18,6 +18,7 @@ namespace sbn {
 /** One parsed daemon response (+ raw results payload when present). */
 struct ClientResponse
 {
+    std::string header;  //!< the response line as received, no newline
     JsonObject fields;   //!< the flat header/response object
     std::string payload; //!< results: the raw merged JSONL bytes
 

@@ -236,10 +236,9 @@ supervisorBackoffSeconds(const SupervisorConfig &config,
     sbn_assert(failures >= 1,
                "backoff is only defined after a failure");
     return std::min(
-        config.backoffCapSeconds,
+        kBackoffCapSeconds,
         config.backoffInitialSeconds *
-            std::pow(config.backoffGrowth,
-                     static_cast<double>(failures - 1)));
+            std::pow(kBackoffGrowth, static_cast<double>(failures - 1)));
 }
 
 /** One supervised process slot (a shard or a thief). */

@@ -143,9 +143,7 @@ struct SupervisorConfig
     std::vector<std::uint64_t> expectedRunFp;
 
     unsigned maxRetries = 2;    //!< respawns allowed per shard
-    double backoffInitialSeconds = 0.25;
-    double backoffGrowth = 2.0;
-    double backoffCapSeconds = 5.0;
+    double backoffInitialSeconds = 0.25; //!< delay before the 1st retry
 
     /** Seconds without record-file growth before a running worker is
      *  declared hung and killed. 0 disables liveness detection. */
@@ -159,14 +157,19 @@ struct SupervisorConfig
  *  work itself keeps failing. */
 constexpr std::size_t kStealLaunchesPerShard = 4;
 
+/** Factor by which each further failure of a shard multiplies the
+ *  retry delay, and the delay's ceiling in seconds. */
+constexpr double kBackoffGrowth = 2.0;
+constexpr double kBackoffCapSeconds = 5.0;
+
 /**
  * The capped-exponential retry delay before a shard's next relaunch,
  * as a pure function of the policy and how many launches of that
  * shard have already failed (@p failures >= 1 - the first failure is
  * failure 1):
  *
- *     min(backoffCapSeconds,
- *         backoffInitialSeconds * backoffGrowth^(failures - 1))
+ *     min(kBackoffCapSeconds,
+ *         backoffInitialSeconds * kBackoffGrowth^(failures - 1))
  *
  * Factored out of the supervision loop so the schedule is unit-
  * testable against a deterministic clock (tests/test_supervisor.cc)

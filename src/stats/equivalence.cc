@@ -58,13 +58,4 @@ ciOverlapTest(const std::vector<double> &a,
     return out;
 }
 
-bool
-ciContains(const std::vector<double> &values, double reference,
-           double level, double slack)
-{
-    const CiSummary s = summarizeSamples(values, level);
-    const double pad = std::abs(reference) * slack;
-    return s.lo() - pad <= reference && reference <= s.hi() + pad;
-}
-
 } // namespace sbn

@@ -67,15 +67,6 @@ EquivalenceResult ciOverlapTest(const std::vector<double> &a,
                                 const std::vector<double> &b,
                                 double level = 0.95);
 
-/**
- * Whether a sample's CI (optionally widened by @p slack on each side,
- * as a fraction of the reference value) contains @p reference. Used
- * against analytic anchors, where a small finite-window simulation
- * bias is expected and quantified by the slack.
- */
-bool ciContains(const std::vector<double> &values, double reference,
-                double level = 0.95, double slack = 0.0);
-
 } // namespace sbn
 
 #endif // SBN_STATS_EQUIVALENCE_HH

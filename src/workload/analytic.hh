@@ -72,9 +72,9 @@ WeightedChainResult solveWeightedOccupancyChain(
     int n, int m, int cap, const std::vector<double> &q);
 
 /**
- * Memoized + disk-cached (SBN_CACHE_DIR, see analytic/disk_cache.hh)
- * front end of solveWeightedOccupancyChain. Thread-safe; the
- * returned reference lives for the process.
+ * Memoized front end of solveWeightedOccupancyChain: one solve per
+ * (n, m, cap, q) per process, like solveOccupancyChainCached.
+ * Thread-safe; the returned reference lives for the process.
  */
 const WeightedChainResult &solveWeightedOccupancyChainCached(
     int n, int m, int cap, const std::vector<double> &q);

@@ -114,7 +114,6 @@ testConfig(const std::string &dir, const MergeCheck &check,
     config.layout = ShardLayout::Contiguous;
     config.expectedRunFp = check.expectedRunFp;
     config.backoffInitialSeconds = 0.02;
-    config.backoffCapSeconds = 0.1;
     return config;
 }
 

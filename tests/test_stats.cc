@@ -387,9 +387,14 @@ TEST(ReplicationRounds, SeedStreamIgnoresRoundBoundaries)
 
 TEST(ReplicationRounds, RoundGrowthMatchesOneShotAccumulation)
 {
+    // A sum of 250 draws per replication, so that the fold's last
+    // bits depend on the order it adds the values in.
     const auto experiment = [](std::uint64_t s) {
         RandomGenerator rng(s);
-        return rng.uniformReal() * 5.0 - 1.0;
+        double acc = 0.0;
+        for (int i = 0; i < 250; ++i)
+            acc += rng.uniformReal() * 3.7 - 1.2;
+        return acc;
     };
 
     // One-shot reference over 10 replications.
@@ -398,19 +403,28 @@ TEST(ReplicationRounds, RoundGrowthMatchesOneShotAccumulation)
     for (int i = 0; i < 10; ++i)
         reference.add(experiment(seeder.deriveSeed()));
 
-    // The same 10 replications grown in three rounds.
+    // The same 10 replications grown in three rounds, and each
+    // round's values also folded in reverse.
     ReplicationRounds rounds(99, 0.95);
+    Accumulator reversed;
     for (unsigned target : {2u, 5u, 10u}) {
         std::vector<double> values;
         for (std::uint64_t seed : rounds.seedsForExtension(target))
             values.push_back(experiment(seed));
         rounds.accept(values);
+        for (auto it = values.rbegin(); it != values.rend(); ++it)
+            reversed.add(*it);
     }
 
     const Estimate est = rounds.estimate();
     EXPECT_EQ(est.samples, 10u);
     EXPECT_EQ(est.mean, reference.mean());
     EXPECT_EQ(est.halfWidth, reference.confidenceHalfWidth(0.95));
+    // The reversed fold lands elsewhere, so the checks above would
+    // catch an accept() that reorders a round.
+    EXPECT_TRUE(reversed.mean() != reference.mean() ||
+                reversed.confidenceHalfWidth(0.95) !=
+                    reference.confidenceHalfWidth(0.95));
 }
 
 TEST(ReplicationRounds, FewerThanTwoReplicationsHaveNoInterval)

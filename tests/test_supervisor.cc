@@ -24,7 +24,7 @@ namespace {
 
 TEST(SupervisorBackoff, DefaultScheduleDoublesToTheCap)
 {
-    // Defaults: initial 0.25 s, growth 2, cap 5 s. Failure k waits
+    // Initial 0.25 s by default, growth 2, cap 5 s. Failure k waits
     // min(5, 0.25 * 2^(k-1)).
     const SupervisorConfig config;
     EXPECT_DOUBLE_EQ(supervisorBackoffSeconds(config, 1), 0.25);
@@ -40,15 +40,16 @@ TEST(SupervisorBackoff, DefaultScheduleDoublesToTheCap)
 
 TEST(SupervisorBackoff, HonorsCustomInitialGrowthAndCap)
 {
+    // A custom initial delay (--backoff) grows by the fixed factor
+    // and stops at the fixed cap.
     SupervisorConfig config;
     config.backoffInitialSeconds = 0.02;
-    config.backoffGrowth = 3.0;
-    config.backoffCapSeconds = 0.5;
     EXPECT_DOUBLE_EQ(supervisorBackoffSeconds(config, 1), 0.02);
-    EXPECT_DOUBLE_EQ(supervisorBackoffSeconds(config, 2), 0.06);
-    EXPECT_DOUBLE_EQ(supervisorBackoffSeconds(config, 3), 0.18);
-    EXPECT_DOUBLE_EQ(supervisorBackoffSeconds(config, 4), 0.5);
-    EXPECT_DOUBLE_EQ(supervisorBackoffSeconds(config, 5), 0.5);
+    EXPECT_DOUBLE_EQ(supervisorBackoffSeconds(config, 2), 0.04);
+    EXPECT_DOUBLE_EQ(supervisorBackoffSeconds(config, 3), 0.08);
+    EXPECT_DOUBLE_EQ(supervisorBackoffSeconds(config, 8), 2.56);
+    EXPECT_DOUBLE_EQ(supervisorBackoffSeconds(config, 9), 5.0);
+    EXPECT_DOUBLE_EQ(supervisorBackoffSeconds(config, 10), 5.0);
 }
 
 TEST(SupervisorBackoff, ZeroInitialMeansImmediateRetries)

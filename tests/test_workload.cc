@@ -4,27 +4,21 @@
  * generalized (non-uniform) occupancy-chain cross-check against both
  * the lumped uniform chain and the simulator, golden Metrics pins
  * for every workload class, determinism across thread counts and
- * shard layouts, sweep workload axes, and the SBN_CACHE_DIR disk
- * cache for analytic solves. See docs/workloads.md.
+ * shard layouts, sweep workload axes, and the per-process memo of
+ * weighted-chain solves. See docs/workloads.md.
  */
 
 #include <gtest/gtest.h>
 
-#include <sys/stat.h>
 #include <unistd.h>
-#include <utime.h>
 
 #include <cmath>
-#include <ctime>
 #include <cstdio>
-#include <cstdlib>
-#include <filesystem>
 #include <fstream>
 #include <sstream>
 #include <string>
 #include <vector>
 
-#include "analytic/disk_cache.hh"
 #include "analytic/memprio.hh"
 #include "analytic/occupancy_chain.hh"
 #include "core/experiment.hh"
@@ -515,176 +509,30 @@ TEST(WorkloadDeterminism, ShardLayoutsMergeByteIdenticalToSerial)
     std::remove(serial.c_str());
 }
 
-// --------------------------------------------------- disk solve cache
+// ------------------------------------------------------ solve memo
 
-TEST(AnalyticDiskCache, RoundTripsBitExactly)
+TEST(WeightedChain, MemoizedSolveMatchesADirectSolveBitForBit)
 {
-    const std::string dir = tempPath("cache_roundtrip");
-    ASSERT_EQ(::setenv("SBN_CACHE_DIR", dir.c_str(), 1), 0);
-
-    const std::vector<double> values{1.0 / 3.0, 0.0, -0.0, 6.3e303,
-                                     1e-308};
-    storeCachedSolve("test", 0x1234, values);
-
-    std::vector<double> loaded;
-    ASSERT_TRUE(loadCachedSolve("test", 0x1234, values.size(), loaded));
-    ASSERT_EQ(loaded.size(), values.size());
-    for (std::size_t i = 0; i < values.size(); ++i)
-        EXPECT_EQ(doubleFingerprintBits(loaded[i]),
-                  doubleFingerprintBits(values[i]));
-
-    // Wrong fingerprint or count: miss, not a wrong answer.
-    EXPECT_FALSE(loadCachedSolve("test", 0x9999, values.size(), loaded));
-    EXPECT_FALSE(loadCachedSolve("test", 0x1234, 2, loaded));
-
-    ASSERT_EQ(::unsetenv("SBN_CACHE_DIR"), 0);
-}
-
-TEST(AnalyticDiskCache, RejectsCorruptedFilesAndResolves)
-{
-    const std::string dir = tempPath("cache_corrupt");
-    ASSERT_EQ(::setenv("SBN_CACHE_DIR", dir.c_str(), 1), 0);
-
-    const std::vector<double> values{2.5, 3.5};
-    storeCachedSolve("test", 0xabcd, values);
-
-    // Locate and tamper with the stored file's first value line.
-    const std::string path =
-        dir + "/test-" + formatFingerprint(0xabcd) + ".txt";
-    {
-        std::ifstream in(path);
-        ASSERT_TRUE(in.good());
-        std::stringstream edited;
-        std::string line;
-        int line_no = 0;
-        while (std::getline(in, line)) {
-            if (++line_no == 4)
-                line[0] = '9'; // decimal no longer matches the bits
-            edited << line << '\n';
-        }
-        std::ofstream out(path);
-        out << edited.str();
-    }
-    std::vector<double> loaded;
-    EXPECT_FALSE(loadCachedSolve("test", 0xabcd, 2, loaded));
-
-    ASSERT_EQ(::unsetenv("SBN_CACHE_DIR"), 0);
-}
-
-TEST(AnalyticDiskCache, WeightedChainSolvesPersistAndReload)
-{
-    const std::string dir = tempPath("cache_wocc");
-    ASSERT_EQ(::setenv("SBN_CACHE_DIR", dir.c_str(), 1), 0);
-
     // An unusual q so no other test's in-process memo covers it.
     const std::vector<double> q{0.55, 0.25, 0.2};
-    const WeightedChainResult &cached =
+    const WeightedChainResult &memo =
         solveWeightedOccupancyChainCached(3, 3, 2, q);
+    EXPECT_EQ(&solveWeightedOccupancyChainCached(3, 3, 2, q), &memo);
 
-    // The solve landed on disk (one wocc-<fingerprint>.txt entry)...
-    std::size_t wocc_files = 0;
-    for (const auto &entry :
-         std::filesystem::directory_iterator(dir)) {
-        const std::string name = entry.path().filename().string();
-        if (name.rfind("wocc-", 0) == 0)
-            ++wocc_files;
-    }
-    EXPECT_EQ(wocc_files, 1u);
-
-    // ...and agrees exactly with an uncached solve.
     const WeightedChainResult fresh =
         solveWeightedOccupancyChain(3, 3, 2, q);
-    EXPECT_EQ(doubleFingerprintBits(cached.meanBusy),
+    EXPECT_EQ(doubleFingerprintBits(memo.meanBusy),
               doubleFingerprintBits(fresh.meanBusy));
-    EXPECT_EQ(doubleFingerprintBits(cached.meanServiced),
+    EXPECT_EQ(doubleFingerprintBits(memo.meanServiced),
               doubleFingerprintBits(fresh.meanServiced));
-
-    ASSERT_EQ(::unsetenv("SBN_CACHE_DIR"), 0);
-}
-
-TEST(AnalyticDiskCache, EvictsOldestEntriesFirstWhenOverTheCap)
-{
-    const std::string dir = tempPath("cache_gc");
-    ASSERT_EQ(::setenv("SBN_CACHE_DIR", dir.c_str(), 1), 0);
-
-    const std::vector<double> values{1.5, 2.5, 3.5};
-    storeCachedSolve("old", 0x111, values);
-    storeCachedSolve("new", 0x222, values);
-    const std::string old_path =
-        dir + "/old-" + formatFingerprint(0x111) + ".txt";
-    const std::string new_path =
-        dir + "/new-" + formatFingerprint(0x222) + ".txt";
-
-    // Backdate the first entry (mtime granularity is a second, so
-    // two quick stores would otherwise tie) and cap the cache just
-    // below the pair's total: exactly the oldest entry must go.
-    struct utimbuf old_times;
-    old_times.actime = old_times.modtime = std::time(nullptr) - 100;
-    ASSERT_EQ(::utime(old_path.c_str(), &old_times), 0);
-    struct stat a, b;
-    ASSERT_EQ(::stat(old_path.c_str(), &a), 0);
-    ASSERT_EQ(::stat(new_path.c_str(), &b), 0);
-    const std::string cap =
-        std::to_string(a.st_size + b.st_size - 1);
-    ASSERT_EQ(::setenv("SBN_CACHE_MAX_BYTES", cap.c_str(), 1), 0);
-
-    EXPECT_EQ(enforceCacheSizeCap(), 1u);
-    struct stat info;
-    EXPECT_NE(::stat(old_path.c_str(), &info), 0)
-        << "oldest entry survived";
-    EXPECT_EQ(::stat(new_path.c_str(), &info), 0)
-        << "newest entry evicted";
-
-    // The evicted key misses cleanly; the survivor still loads.
-    std::vector<double> loaded;
-    EXPECT_FALSE(loadCachedSolve("old", 0x111, values.size(), loaded));
-    EXPECT_TRUE(loadCachedSolve("new", 0x222, values.size(), loaded));
-
-    // Under the cap nothing is evicted.
-    EXPECT_EQ(enforceCacheSizeCap(), 0u);
-
-    ASSERT_EQ(::unsetenv("SBN_CACHE_MAX_BYTES"), 0);
-    ASSERT_EQ(::unsetenv("SBN_CACHE_DIR"), 0);
-}
-
-TEST(AnalyticDiskCache, EvictionNeverCorruptsAConcurrentReader)
-{
-    const std::string dir = tempPath("cache_gc_reader");
-    ASSERT_EQ(::setenv("SBN_CACHE_DIR", dir.c_str(), 1), 0);
-
-    const std::vector<double> values{0.25, 0.75};
-    storeCachedSolve("held", 0x333, values);
-    const std::string path =
-        dir + "/held-" + formatFingerprint(0x333) + ".txt";
-    std::string before;
-    {
-        std::ifstream in(path, std::ios::binary);
-        std::ostringstream os;
-        os << in.rdbuf();
-        before = os.str();
-    }
-
-    // A reader opens the entry, then eviction unlinks it. POSIX
-    // keeps the open file's contents intact for the reader: it sees
-    // the complete old entry, never a torn one.
-    std::ifstream reader(path, std::ios::binary);
-    ASSERT_TRUE(reader.good());
-    ASSERT_EQ(::setenv("SBN_CACHE_MAX_BYTES", "1", 1), 0);
-    EXPECT_GE(enforceCacheSizeCap(), 1u);
-    struct stat info;
-    EXPECT_NE(::stat(path.c_str(), &info), 0) << "entry survived";
-
-    std::ostringstream still;
-    still << reader.rdbuf();
-    EXPECT_EQ(still.str(), before);
-
-    // New lookups miss cleanly rather than seeing a partial entry.
-    std::vector<double> loaded;
-    EXPECT_FALSE(loadCachedSolve("held", 0x333, values.size(),
-                                 loaded));
-
-    ASSERT_EQ(::unsetenv("SBN_CACHE_MAX_BYTES"), 0);
-    ASSERT_EQ(::unsetenv("SBN_CACHE_DIR"), 0);
+    ASSERT_EQ(memo.busyPmf.size(), fresh.busyPmf.size());
+    for (std::size_t x = 0; x < fresh.busyPmf.size(); ++x)
+        EXPECT_EQ(doubleFingerprintBits(memo.busyPmf[x]),
+                  doubleFingerprintBits(fresh.busyPmf[x]));
+    ASSERT_EQ(memo.moduleBusy.size(), fresh.moduleBusy.size());
+    for (std::size_t j = 0; j < fresh.moduleBusy.size(); ++j)
+        EXPECT_EQ(doubleFingerprintBits(memo.moduleBusy[j]),
+                  doubleFingerprintBits(fresh.moduleBusy[j]));
 }
 
 } // namespace

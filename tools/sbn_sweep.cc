@@ -292,36 +292,6 @@ callDaemon(const std::string &endpoint, const Request &request)
     return client.call(request);
 }
 
-/** Re-serialize a parsed flat object (key order = map order). */
-std::string
-formatFlatObject(const JsonObject &fields)
-{
-    std::string out = "{";
-    bool first = true;
-    for (const auto &pair : fields) {
-        if (!first)
-            out += ',';
-        first = false;
-        out += '"' + pair.first + "\":";
-        switch (pair.second.kind) {
-        case JsonScalar::Kind::String:
-            out += '"' + jsonEscape(pair.second.text) + '"';
-            break;
-        case JsonScalar::Kind::Number:
-            out += pair.second.text;
-            break;
-        case JsonScalar::Kind::Bool:
-            out += pair.second.boolean ? "true" : "false";
-            break;
-        case JsonScalar::Kind::Null:
-            out += "null";
-            break;
-        }
-    }
-    out += '}';
-    return out;
-}
-
 /** Print a protocol-level failure and exit nonzero. */
 [[noreturn]] void
 dieOnErrorResponse(const char *what, const ClientResponse &response)
@@ -468,7 +438,7 @@ runClientMode(const CommandLine &cli, const std::string &endpoint)
             dieOnErrorResponse("metrics", response);
         // One flat-JSON line, same shape as --status: machine
         // consumers parse it, humans can read it.
-        std::printf("%s\n", formatFlatObject(response.fields).c_str());
+        std::printf("%s\n", response.header.c_str());
         std::exit(kExitOk);
     }
 
@@ -484,7 +454,7 @@ runClientMode(const CommandLine &cli, const std::string &endpoint)
     if (!response.ok())
         dieOnErrorResponse("status", response);
     // The status line is already machine-readable; pass it through.
-    std::printf("%s\n", formatFlatObject(response.fields).c_str());
+    std::printf("%s\n", response.header.c_str());
     std::exit(kExitOk);
 }
 
