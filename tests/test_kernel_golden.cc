@@ -1,6 +1,6 @@
 /**
  * @file
- * Golden pinned Metrics for the CycleSkip kernel.
+ * Golden pinned Metrics for both simulation kernels.
  *
  * The kernel-differential suite used to prove CycleSkip == Classic
  * for every configuration class; the Classic kernel is now retired
@@ -31,6 +31,7 @@
 
 #include <cstdio>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/experiment.hh"
@@ -137,6 +138,93 @@ TEST(GoldenKernelMetrics, CycleSkipPinnedPolicyVariants)
         }
     }
     checkExactGolden("kernel_metrics_policies", computed);
+}
+
+/**
+ * FastStat's exact trajectories. FastStat is validated statistically
+ * against CycleSkip (tests/test_faststat.cc), but a fixed config still
+ * yields a fixed trajectory, and sweep records and e2ebench's
+ * `ebw_rel_err` depend on it. One contended shape (more processors
+ * than modules) x both policies x both selection rules x three
+ * organizations x a low and a saturated p, so every grant path runs
+ * on FastStat's draws, plus one hot-spot and one favorite workload for
+ * the alias sampler. Regenerate only with a stated reason why FastStat
+ * trajectories move.
+ */
+TEST(GoldenKernelMetrics, FastStatPinnedGrid)
+{
+    std::vector<std::pair<std::string, SystemConfig>> cases;
+    SystemConfig base;
+    base.kernel = KernelKind::FastStat;
+    base.numProcessors = 8;
+    base.numModules = 4;
+    base.memoryRatio = 4;
+    base.warmupCycles = 500;
+    base.measureCycles = 5000;
+    base.seed = 20260727;
+    for (const ArbitrationPolicy policy :
+         {ArbitrationPolicy::ProcessorPriority,
+          ArbitrationPolicy::MemoryPriority}) {
+        for (const SelectionRule selection :
+             {SelectionRule::Random, SelectionRule::OldestFirst}) {
+            for (const int organization : {0, 1, 2}) {
+                for (const double p : {0.3, 1.0}) {
+                    SystemConfig cfg = base;
+                    cfg.policy = policy;
+                    cfg.selection = selection;
+                    cfg.buffered = organization != 0;
+                    if (organization == 2) {
+                        cfg.inputCapacity = 1;
+                        cfg.outputCapacity = 1;
+                    }
+                    cfg.requestProbability = p;
+                    char label[64];
+                    std::snprintf(
+                        label, sizeof label, "%s %s %s p=%.1f",
+                        policy == ArbitrationPolicy::ProcessorPriority
+                            ? "procprio"
+                            : "memprio",
+                        selection == SelectionRule::Random ? "random"
+                                                           : "oldest",
+                        organization == 0   ? "unbuf"
+                        : organization == 1 ? "buf"
+                                            : "buf_cap1",
+                        p);
+                    cases.emplace_back(label, cfg);
+                }
+            }
+        }
+    }
+    {
+        SystemConfig cfg = base;
+        cfg.requestProbability = 0.5;
+        cfg.workload.pattern = ReferencePattern::HotSpot;
+        cfg.workload.hotFraction = 0.5;
+        cfg.workload.hotModule = 1;
+        cases.emplace_back("hotspot_h05_m1 p=0.5", cfg);
+    }
+    {
+        SystemConfig cfg = base;
+        cfg.requestProbability = 0.5;
+        cfg.workload.pattern = ReferencePattern::Favorite;
+        cfg.workload.favoriteFraction = 0.6;
+        cases.emplace_back("favorite_f06 p=0.5", cfg);
+    }
+
+    std::vector<GoldenLine> computed;
+    for (const auto &[key, cfg] : cases) {
+        const Metrics metrics = runOnce(cfg);
+        computed.push_back(
+            {key + " completed", exact(metrics.completedRequests)});
+        computed.push_back(
+            {key + " issued", exact(metrics.issuedRequests)});
+        computed.push_back(
+            {key + " busBusy", exact(metrics.busBusyCycles)});
+        computed.push_back({key + " ebw", exact(metrics.ebw)});
+        computed.push_back(
+            {key + " meanWait", exact(metrics.meanWaitCycles)});
+    }
+    checkExactGolden("kernel_metrics_faststat", computed);
 }
 
 } // namespace
