@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <limits>
 
 #include "core/fingerprint.hh"
 #include "telemetry/telemetry.hh"
@@ -10,19 +9,16 @@
 
 namespace sbn {
 
-namespace {
-
-constexpr Tick kNever = std::numeric_limits<Tick>::max();
-
-} // namespace
-
 FastStatSystem::FastStatSystem(const SystemConfig &config)
     : cfg_(config),
       // cfg_ precedes workload_ in declaration order; validate before
       // the workload model builds alias tables from the raw fields.
       workload_((cfg_.validate(), cfg_.workload), cfg_.numProcessors,
                 cfg_.numModules, cfg_.requestProbability),
-      pc_(static_cast<Tick>(cfg_.processorCycle())), collector_(cfg_)
+      pc_(static_cast<Tick>(cfg_.processorCycle())),
+      completions_(static_cast<std::size_t>(cfg_.numModules),
+                   static_cast<Tick>(cfg_.memoryRatio)),
+      arbiter_(cfg_), collector_(cfg_)
 {
     // Stream family keyed by the full config fingerprint (seed
     // included): streams 0..n-1 drive the processors, stream n the
@@ -52,93 +48,22 @@ FastStatSystem::FastStatSystem(const SystemConfig &config)
     outputQueues_.resize(m);
 
     arbAt_ = kNever;
-    compRing_.resize(m + 1);
     thinkHeap_.reserve(n);
-
-    candProcSet_.resize(n);
-    candModSet_.resize(m);
-    waiterSets_.assign(m, IndexSet(n));
-    modCanAccept_.assign(m, 1u);
-    modHasResponse_.assign(m, 0u);
-}
-
-bool
-FastStatSystem::moduleCanAcceptRequest(int module) const
-{
-    if (!cfg_.buffered)
-        return modState_[static_cast<std::size_t>(module)] ==
-               ModState::Idle;
-
-    // No reservation term: grants enqueue their request immediately
-    // (delivery is fused into the grant), so the input queue alone is
-    // the occupancy.
-    const auto idx = static_cast<std::size_t>(module);
-    const int occupied = static_cast<int>(inputQueues_[idx].size());
-    if (cfg_.inputCapacity == 0)
-        return true;
-    if (!modAccessing_[idx] && occupied == 0)
-        return true;
-    return occupied < cfg_.inputCapacity;
-}
-
-bool
-FastStatSystem::moduleHasResponse(int module) const
-{
-    const auto idx = static_cast<std::size_t>(module);
-    if (!cfg_.buffered)
-        return modState_[idx] == ModState::HoldingResponse;
-    return !outputQueues_[idx].empty();
-}
-
-void
-FastStatSystem::procBecomesWaiting(int proc, int target)
-{
-    waiterSets_[static_cast<std::size_t>(target)].insert(
-        static_cast<std::size_t>(proc));
-    if (modCanAccept_[static_cast<std::size_t>(target)])
-        candProcSet_.insert(static_cast<std::size_t>(proc));
 }
 
 void
 FastStatSystem::refreshModule(int module)
 {
+    // As in the exact kernel, a request to an idle, empty module takes
+    // the server, not a buffer slot. No reservation term: grants
+    // enqueue their request immediately (delivery is fused into the
+    // grant), so the input queue alone is the occupancy.
     const auto idx = static_cast<std::size_t>(module);
-    const bool accept = moduleCanAcceptRequest(module);
-    if (accept != static_cast<bool>(modCanAccept_[idx])) {
-        modCanAccept_[idx] = accept ? 1 : 0;
-        if (!waiterSets_[idx].empty()) {
-            if (accept)
-                candProcSet_.insertAll(waiterSets_[idx]);
-            else
-                candProcSet_.eraseAll(waiterSets_[idx]);
-        }
-    }
-    const bool response = moduleHasResponse(module);
-    if (response != static_cast<bool>(modHasResponse_[idx])) {
-        modHasResponse_[idx] = response ? 1 : 0;
-        if (response)
-            candModSet_.insert(idx);
-        else
-            candModSet_.erase(idx);
-    }
-}
-
-void
-FastStatSystem::scheduleCompletion(int module, Tick due)
-{
-    sbn_debug_assert(compCount_ < compRing_.size(),
-               "completion ring overflow");
-    // Fixed-stride calendar: every access lasts exactly memoryRatio
-    // ticks and starts at the current (monotone) tick, so pushes
-    // arrive in due order and a plain FIFO ring is a full calendar.
-    sbn_debug_assert(due >= lastCompletionDue_,
-               "completion calendar lost its FIFO order");
-    lastCompletionDue_ = due;
-    std::size_t slot = compHead_ + compCount_;
-    if (slot >= compRing_.size())
-        slot -= compRing_.size();
-    compRing_[slot] = Completion{due, module};
-    ++compCount_;
+    const int occupied = static_cast<int>(inputQueues_[idx].size());
+    const bool accept = cfg_.inputCapacity == 0 ||
+                        (!modAccessing_[idx] && occupied == 0) ||
+                        occupied < cfg_.inputCapacity;
+    arbiter_.refresh(module, accept, !outputQueues_[idx].empty());
 }
 
 void
@@ -187,7 +112,7 @@ FastStatSystem::issue(int proc, Tick now)
     procTarget_[idx] = target;
     procIssueTick_[idx] = now;
     collector_.issue(target, now);
-    procBecomesWaiting(proc, target);
+    arbiter_.waiting(proc, target);
 }
 
 template <bool Buffered>
@@ -201,8 +126,7 @@ FastStatSystem::memoryCompletion(int module, Tick now)
         // Accessing -> HoldingResponse: the response flag flips on;
         // acceptance stays off.
         modState_[idx] = ModState::HoldingResponse;
-        modHasResponse_[idx] = 1;
-        candModSet_.insert(idx);
+        arbiter_.setResponse(module, true);
         collector_.accessSpan(module, modAccessStart_[idx], now);
     } else {
         outputQueues_[idx].push_back(Response{modServing_[idx], now});
@@ -231,8 +155,7 @@ FastStatSystem::maybeStartBufferedAccess(int module, Tick now)
     modAccessStart_[idx] = now;
     collector_.serviceStart(modServing_[idx], now);
     collector_.dequeue(module, now);
-    scheduleCompletion(module,
-                       now + static_cast<Tick>(cfg_.memoryRatio));
+    completions_.push(now, module);
     refreshModule(module);
 }
 
@@ -244,59 +167,30 @@ FastStatSystem::arbitrate(Tick now)
     // bus-flight stages are fused away: the chosen transfer's delivery
     // effects apply immediately with next-tick timestamps, because the
     // flight lasts exactly one tick and nothing arbitrates mid-air.
-    const bool any_proc = !candProcSet_.empty();
-    const bool any_mod = !candModSet_.empty();
-    if (!any_proc && !any_mod) {
+    // Random skips the draw for a single candidate.
+    const BusArbiter::Choice choice = arbiter_.select(
+        [&](std::size_t count) {
+            return count == 1 ? std::size_t{0} : arbRng_.pickIndex(count);
+        },
+        [&](int proc) {
+            return procIssueTick_[static_cast<std::size_t>(proc)];
+        },
+        [&](int module) {
+            const auto idx = static_cast<std::size_t>(module);
+            if constexpr (Buffered)
+                return outputQueues_[idx].front().readyTick;
+            else
+                return modAccessStart_[idx] +
+                       static_cast<Tick>(cfg_.memoryRatio);
+        });
+    if (choice.proc < 0 && choice.module < 0) {
         arbAt_ = kNever; // re-armed by the next event tick
         return;
     }
-
-    const bool procs_first =
-        cfg_.policy == ArbitrationPolicy::ProcessorPriority;
-    if (any_proc && (procs_first || !any_mod)) {
-        int chosen;
-        if (cfg_.selection == SelectionRule::Random) {
-            // A singleton set has nothing to tie-break; skip the draw.
-            const std::size_t count = candProcSet_.count();
-            chosen = static_cast<int>(candProcSet_.nth(
-                count == 1 ? 0 : arbRng_.pickIndex(count)));
-        } else {
-            int best = -1;
-            candProcSet_.forEach([&](std::size_t p) {
-                const int proc = static_cast<int>(p);
-                if (best < 0 ||
-                    procIssueTick_[p] <
-                        procIssueTick_[static_cast<std::size_t>(best)])
-                    best = proc;
-            });
-            chosen = best;
-        }
-        grantRequest<Buffered>(chosen, now);
-    } else {
-        int chosen;
-        if (cfg_.selection == SelectionRule::Random) {
-            const std::size_t count = candModSet_.count();
-            chosen = static_cast<int>(candModSet_.nth(
-                count == 1 ? 0 : arbRng_.pickIndex(count)));
-        } else {
-            auto ready = [&](int m) {
-                const auto idx = static_cast<std::size_t>(m);
-                if constexpr (Buffered)
-                    return outputQueues_[idx].front().readyTick;
-                else
-                    return modAccessStart_[idx] +
-                           static_cast<Tick>(cfg_.memoryRatio);
-            };
-            int best = -1;
-            candModSet_.forEach([&](std::size_t m) {
-                const int mod = static_cast<int>(m);
-                if (best < 0 || ready(mod) < ready(best))
-                    best = mod;
-            });
-            chosen = best;
-        }
-        grantResponse<Buffered>(chosen, now);
-    }
+    if (choice.proc >= 0)
+        grantRequest<Buffered>(choice.proc, now);
+    else
+        grantResponse<Buffered>(choice.module, now);
 
     collector_.busGrant(now);
     arbAt_ = now + 1;
@@ -311,9 +205,7 @@ FastStatSystem::grantRequest(int proc, Tick now)
     const auto tgt = static_cast<std::size_t>(target);
     const Tick arrive = now + 1;
     procState_[idx] = ProcState::WaitingResponse;
-
-    waiterSets_[tgt].erase(idx);
-    candProcSet_.erase(idx);
+    arbiter_.granted(proc, target);
 
     if constexpr (!Buffered) {
         sbn_debug_assert(modState_[tgt] == ModState::Idle,
@@ -321,18 +213,13 @@ FastStatSystem::grantRequest(int proc, Tick now)
         // The request leaves the queue for the (dedicated) server;
         // buffered grants stay queued until the module starts them.
         collector_.dequeue(target, now);
-        // Idle -> Accessing at the arrival tick: acceptance flips
-        // off and the module's remaining waiters leave the candidate
-        // set; the access completes a fixed stride later.
+        // Idle -> Accessing at the arrival tick: acceptance flips off.
         modState_[tgt] = ModState::Accessing;
-        modCanAccept_[tgt] = 0;
-        if (!waiterSets_[tgt].empty())
-            candProcSet_.eraseAll(waiterSets_[tgt]);
+        arbiter_.setAccept(target, false);
         modServing_[tgt] = proc;
         modAccessStart_[tgt] = arrive;
         collector_.serviceStart(proc, arrive);
-        scheduleCompletion(
-            target, arrive + static_cast<Tick>(cfg_.memoryRatio));
+        completions_.push(arrive, target);
     } else {
         inputQueues_[tgt].push_back(proc);
         refreshModule(target);
@@ -356,11 +243,8 @@ FastStatSystem::grantResponse(int module, Tick now)
         proc = modServing_[idx];
         modServing_[idx] = -1;
         modState_[idx] = ModState::Idle;
-        modHasResponse_[idx] = 0;
-        candModSet_.erase(idx);
-        modCanAccept_[idx] = 1;
-        if (!waiterSets_[idx].empty())
-            candProcSet_.insertAll(waiterSets_[idx]);
+        arbiter_.setResponse(module, false);
+        arbiter_.setAccept(module, true);
     } else {
         proc = outputQueues_[idx].front().proc;
         outputQueues_[idx].pop_front();
@@ -417,21 +301,16 @@ FastStatSystem::runLoop()
     // per event and allocation-free in steady state.
     for (;;) {
         Tick next = arbAt_;
-        if (compCount_ != 0 && compRing_[compHead_].due < next)
-            next = compRing_[compHead_].due;
+        if (completions_.nextDue() < next)
+            next = completions_.nextDue();
         if (!thinkHeap_.empty() && thinkHeap_.front().first < next)
             next = thinkHeap_.front().first;
         if (next >= collector_.windowEnd())
             break;
 
         const Tick now = next;
-        while (compCount_ != 0 && compRing_[compHead_].due == now) {
-            const int module = compRing_[compHead_].module;
-            if (++compHead_ == compRing_.size())
-                compHead_ = 0;
-            --compCount_;
-            memoryCompletion<Buffered>(module, now);
-        }
+        while (completions_.nextDue() == now)
+            memoryCompletion<Buffered>(completions_.pop(), now);
         while (!thinkHeap_.empty() &&
                thinkHeap_.front().first == now) {
             std::pop_heap(thinkHeap_.begin(), thinkHeap_.end(),

@@ -3,10 +3,11 @@
  * FastStat: the statistical fast-path kernel.
  *
  * Simulates the same stochastic process as the exact CycleSkip kernel
- * (core/system.hh) - identical state machines, arbitration rules and
- * metric accounting (one shared RunCollector, core/collector.hh) - but
- * deliberately breaks the shared-RNG draw-order contract that pins
- * CycleSkip to the classic kernel's trajectories. What that buys:
+ * (core/system.hh) - identical state machines, the same bus arbiter
+ * and completion ring (core/arbiter.hh) and the same metric accounting
+ * (core/collector.hh) - but deliberately breaks the shared-RNG
+ * draw-order contract that pins CycleSkip to the classic kernel's
+ * trajectories. What that buys:
  *
  *  - **O(1) think intervals.** Each processor owns a counter-based
  *    RNG stream (CounterRng, keyed by the config fingerprint and the
@@ -14,14 +15,8 @@
  *    think span in one inversion instead of one Bernoulli per
  *    processor cycle; in the saturated regime (p = 1) the draw is
  *    free and the think structures are never touched at all.
- *  - **Fixed-stride completion calendar.** Every memory access
- *    completes exactly memoryRatio ticks after it starts, and starts
- *    are issued at the monotone loop tick - so pending completions
- *    form a FIFO ring of at most numModules entries, and no event
- *    heap is needed.
- *  - **SoA processor state.** The arbitration scan walks parallel
- *    arrays (state / target / issue tick) plus the incremental
- *    IndexSet candidate bitsets, not an array of structs.
+ *  - **SoA processor state.** Processor and module state are parallel
+ *    arrays (state / target / issue tick), not an array of structs.
  *
  * The cost is bit-compatibility: FastStat trajectories differ from
  * CycleSkip's for the same seed, so golden Metrics pins do not apply.
@@ -44,10 +39,10 @@
 #include <limits>
 #include <vector>
 
+#include "core/arbiter.hh"
 #include "core/collector.hh"
 #include "core/config.hh"
 #include "core/metrics.hh"
-#include "util/index_set.hh"
 #include "util/random.hh"
 #include "workload/workload.hh"
 
@@ -101,13 +96,6 @@ class FastStatSystem
         Tick readyTick;
     };
 
-    /** Fixed-stride calendar entry: module's access done at due. */
-    struct Completion
-    {
-        Tick due;
-        int module;
-    };
-
     // --- behaviour ---------------------------------------------------
     // The per-event chain is templated on the buffered/unbuffered
     // split: the driver loop instantiates each variant once, so the
@@ -122,12 +110,9 @@ class FastStatSystem
     template <bool Buffered> void grantRequest(int proc, Tick now);
     template <bool Buffered> void grantResponse(int module, Tick now);
 
-    bool moduleCanAcceptRequest(int module) const;
-    bool moduleHasResponse(int module) const;
-    void procBecomesWaiting(int proc, int target);
+    /** Report a buffered module's flags to the arbiter; the
+     *  unbuffered machine sets them directly at each transition. */
     void refreshModule(int module);
-
-    void scheduleCompletion(int module, Tick due);
     void pushThinkWake(Tick due, int proc);
 
     // --- bookkeeping -------------------------------------------------
@@ -155,30 +140,19 @@ class FastStatSystem
     std::vector<ModState> modState_;
     std::vector<std::int32_t> modServing_;
     std::vector<Tick> modAccessStart_;
-    // Flag arrays are uint32_t, not char: char stores may legally
-    // alias anything, so each one would force the optimizer to reload
-    // every cached pointer in the flattened driver loop.
+    // uint32_t flags, not char: see BusArbiter's flags.
     std::vector<std::uint32_t> modAccessing_; //!< buffered: server busy
     std::vector<std::deque<int>> inputQueues_;
     std::vector<std::deque<Response>> outputQueues_;
 
     /**
      * Next tick the bus can grant: now + 1 after a grant (the
-     * transfer occupies one tick), the max Tick when the bus is idle
-     * with no candidates (any event tick re-arbitrates).
+     * transfer occupies one tick), kNever when the bus is idle with
+     * no candidates (any event tick re-arbitrates).
      */
     Tick arbAt_;
 
-    /**
-     * Completion calendar: FIFO ring of at most numModules entries.
-     * Accesses start at the monotone loop tick and all take exactly
-     * memoryRatio ticks, so push order == due order and a heap is
-     * unnecessary.
-     */
-    std::vector<Completion> compRing_;
-    std::size_t compHead_ = 0;
-    std::size_t compCount_ = 0;
-    Tick lastCompletionDue_ = 0; //!< FIFO-order invariant check
+    CompletionRing completions_;
 
     /**
      * Pending think wake-ups (tick, proc), a binary min-heap over a
@@ -187,12 +161,7 @@ class FastStatSystem
      */
     std::vector<std::pair<Tick, int>> thinkHeap_;
 
-    // Incremental arbitration eligibility (as in the exact kernel).
-    IndexSet candProcSet_;
-    IndexSet candModSet_;
-    std::vector<IndexSet> waiterSets_;
-    std::vector<std::uint32_t> modCanAccept_;
-    std::vector<std::uint32_t> modHasResponse_;
+    BusArbiter arbiter_;
 
     /** Passive measurement: window, counters, per-module and latency
      *  collection (core/collector.hh). */

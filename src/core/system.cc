@@ -11,7 +11,9 @@ SingleBusSystem::SingleBusSystem(const SystemConfig &config)
       // the workload model builds alias tables from the raw fields.
       workload_((cfg_.validate(), cfg_.workload), cfg_.numProcessors,
                 cfg_.numModules, cfg_.requestProbability),
-      collector_(cfg_)
+      completions_(static_cast<std::size_t>(cfg_.numModules),
+                   static_cast<Tick>(cfg_.memoryRatio)),
+      arbiter_(cfg_), collector_(cfg_)
 {
     procs_.resize(cfg_.numProcessors);
     mods_.resize(cfg_.numModules);
@@ -24,18 +26,8 @@ SingleBusSystem::SingleBusSystem(const SystemConfig &config)
     for (auto &bucket : thinkBuckets_)
         bucket.reserve(static_cast<std::size_t>(cfg_.numProcessors));
     thinkBucketDue_.assign(pc, 0);
-    compRing_.resize(static_cast<std::size_t>(cfg_.numModules));
     thinkMaskUsable_ = pc <= 63;
     thinkMaskAll_ = thinkMaskUsable_ ? (1ull << pc) - 1 : 0;
-    candProcSet_.resize(static_cast<std::size_t>(cfg_.numProcessors));
-    candModSet_.resize(static_cast<std::size_t>(cfg_.numModules));
-    waiterSets_.assign(
-        static_cast<std::size_t>(cfg_.numModules),
-        IndexSet(static_cast<std::size_t>(cfg_.numProcessors)));
-    // Every module starts idle and empty: accepting, no response.
-    modCanAccept_.assign(static_cast<std::size_t>(cfg_.numModules), 1);
-    modHasResponse_.assign(static_cast<std::size_t>(cfg_.numModules),
-                           0);
 }
 
 std::vector<std::size_t>
@@ -44,84 +36,28 @@ SingleBusSystem::scratchCapacities() const
     std::vector<std::size_t> caps;
     for (const auto &bucket : thinkBuckets_)
         caps.push_back(bucket.capacity());
-    caps.push_back(compRing_.capacity());
+    caps.push_back(completions_.capacity());
     collector_.appendCapacities(caps);
     return caps;
-}
-
-bool
-SingleBusSystem::moduleCanAcceptRequest(const Module &mod) const
-{
-    if (!cfg_.buffered)
-        return mod.state == ModState::Idle;
-
-    // A request heading to an idle, empty module occupies the server,
-    // not a buffer slot; otherwise it needs a free input slot.
-    const int occupied =
-        static_cast<int>(mod.inputQueue.size()) + mod.reservedInput;
-    if (cfg_.inputCapacity == 0)
-        return true;
-    if (!mod.accessing && occupied == 0)
-        return true;
-    return occupied < cfg_.inputCapacity;
-}
-
-bool
-SingleBusSystem::moduleHasResponse(const Module &mod) const
-{
-    if (!cfg_.buffered)
-        return mod.state == ModState::HoldingResponse;
-    return !mod.outputQueue.empty();
-}
-
-void
-SingleBusSystem::procBecomesWaiting(int proc, int target)
-{
-    waiterSets_[target].insert(proc);
-    if (modCanAccept_[target])
-        candProcSet_.insert(proc);
 }
 
 void
 SingleBusSystem::refreshModule(int module)
 {
     const Module &mod = mods_[module];
-    const bool accept = moduleCanAcceptRequest(mod);
-    if (accept != static_cast<bool>(modCanAccept_[module])) {
-        modCanAccept_[module] = accept ? 1 : 0;
-        if (!waiterSets_[module].empty()) {
-            if (accept)
-                candProcSet_.insertAll(waiterSets_[module]);
-            else
-                candProcSet_.eraseAll(waiterSets_[module]);
-        }
+    if (!cfg_.buffered) {
+        arbiter_.refresh(module, mod.state == ModState::Idle,
+                         mod.state == ModState::HoldingResponse);
+        return;
     }
-    const bool response = moduleHasResponse(mod);
-    if (response != static_cast<bool>(modHasResponse_[module])) {
-        modHasResponse_[module] = response ? 1 : 0;
-        if (response)
-            candModSet_.insert(module);
-        else
-            candModSet_.erase(module);
-    }
-}
-
-void
-SingleBusSystem::scheduleCompletion(int module)
-{
-    // Every access lasts exactly memoryRatio ticks and starts at the
-    // monotone current tick, so pushes arrive in due order.
-    const Tick due = now_ + static_cast<Tick>(cfg_.memoryRatio);
-    sbn_assert(compCount_ < compRing_.size(), "completion ring overflow");
-    std::size_t tail = compHead_ + compCount_;
-    if (tail >= compRing_.size())
-        tail -= compRing_.size();
-    const std::size_t last = tail == 0 ? compRing_.size() - 1 : tail - 1;
-    sbn_assert(due > now_ && (compCount_ == 0 || compRing_[last].due <= due),
-               "completion due at ", due, " is in the past or out of FIFO "
-               "order (now ", now_, ")");
-    compRing_[tail] = Completion{due, module};
-    ++compCount_;
+    // A request heading to an idle, empty module occupies the server,
+    // not a buffer slot; otherwise it needs a free input slot.
+    const int occupied =
+        static_cast<int>(mod.inputQueue.size()) + mod.reservedInput;
+    const bool accept = cfg_.inputCapacity == 0 ||
+                        (!mod.accessing && occupied == 0) ||
+                        occupied < cfg_.inputCapacity;
+    arbiter_.refresh(module, accept, !mod.outputQueue.empty());
 }
 
 void
@@ -139,7 +75,7 @@ SingleBusSystem::requestArbitration(Tick at)
         return;
     // With incrementally maintained candidate sets an empty-handed
     // arbitration is knowable in advance (no RNG, no state change).
-    if (candProcSet_.empty() && candModSet_.empty())
+    if (!arbiter_.hasCandidates())
         return;
     sbn_assert(at >= now_, "arbitration scheduled in the past: ", at,
                " < now ", now_);
@@ -157,8 +93,8 @@ SingleBusSystem::drawProcessor(int proc, Tick now)
         p.target = workload_.sampleTarget(proc, rng_);
         p.issueTick = now;
         collector_.issue(p.target, now);
-        procBecomesWaiting(proc, p.target);
-        if (modCanAccept_[p.target])
+        arbiter_.waiting(proc, p.target);
+        if (arbiter_.accepts(p.target))
             requestArbitration(now);
         return true;
     }
@@ -318,7 +254,7 @@ SingleBusSystem::maybeStartBufferedAccess(int module)
     mod.accessStart = now;
     collector_.serviceStart(mod.servingProc, now);
     collector_.dequeue(module, now);
-    scheduleCompletion(module);
+    completions_.push(now, module);
     refreshModule(module);
     // An input slot freed: a waiting processor may now be eligible.
     requestArbitration(now);
@@ -340,7 +276,7 @@ SingleBusSystem::transferDone()
             mod.servingProc = xfer.proc;
             mod.accessStart = now;
             collector_.serviceStart(xfer.proc, now);
-            scheduleCompletion(xfer.module);
+            completions_.push(now, xfer.module);
             refreshModule(xfer.module);
         } else {
             --mod.reservedInput;
@@ -372,61 +308,6 @@ SingleBusSystem::transferDone()
 }
 
 void
-SingleBusSystem::selectIncremental(int &chosen_proc, int &chosen_mod)
-{
-    if (candProcSet_.empty() && candModSet_.empty())
-        return;
-
-    const bool procs_first =
-        cfg_.policy == ArbitrationPolicy::ProcessorPriority;
-    const bool grant_proc =
-        !candProcSet_.empty() && (procs_first || candModSet_.empty());
-
-    // The sets iterate in ascending index order, FCFS keeps the
-    // strict-< lowest-index tie-break, and Random draws pickIndex
-    // over the candidate count - the historical scan order exactly.
-    if (grant_proc) {
-        int chosen;
-        if (cfg_.selection == SelectionRule::Random) {
-            chosen = static_cast<int>(
-                candProcSet_.nth(rng_.pickIndex(candProcSet_.count())));
-        } else {
-            int best = -1;
-            candProcSet_.forEach([&](std::size_t p) {
-                const int proc = static_cast<int>(p);
-                if (best < 0 ||
-                    procs_[proc].issueTick < procs_[best].issueTick)
-                    best = proc;
-            });
-            chosen = best;
-        }
-        chosen_proc = chosen;
-    } else {
-        int chosen;
-        if (cfg_.selection == SelectionRule::Random) {
-            chosen = static_cast<int>(
-                candModSet_.nth(rng_.pickIndex(candModSet_.count())));
-        } else {
-            auto ready = [&](int m) {
-                const Module &mod = mods_[m];
-                return cfg_.buffered ? mod.outputQueue.front().readyTick
-                                     : mod.accessStart +
-                                           static_cast<Tick>(
-                                               cfg_.memoryRatio);
-            };
-            int best = -1;
-            candModSet_.forEach([&](std::size_t m) {
-                const int mod = static_cast<int>(m);
-                if (best < 0 || ready(mod) < ready(best))
-                    best = mod;
-            });
-            chosen = best;
-        }
-        chosen_mod = chosen;
-    }
-}
-
-void
 SingleBusSystem::arbitrate()
 {
     const Tick now = now_;
@@ -434,20 +315,27 @@ SingleBusSystem::arbitrate()
                "arbitrating while the bus is busy");
     inArbitration_ = true;
 
-    int chosen_proc = -1;
-    int chosen_mod = -1;
-    selectIncremental(chosen_proc, chosen_mod);
-
-    if (chosen_proc < 0 && chosen_mod < 0) {
+    // Random draws pickIndex even for a single candidate: the golden
+    // pins hold that draw.
+    const BusArbiter::Choice choice = arbiter_.select(
+        [&](std::size_t count) { return rng_.pickIndex(count); },
+        [&](int proc) { return procs_[proc].issueTick; },
+        [&](int module) {
+            const Module &mod = mods_[module];
+            if (cfg_.buffered)
+                return mod.outputQueue.front().readyTick;
+            return mod.accessStart + static_cast<Tick>(cfg_.memoryRatio);
+        });
+    if (choice.proc < 0 && choice.module < 0) {
         // Bus goes idle; a future state change reschedules us.
         inArbitration_ = false;
         return;
     }
 
-    if (chosen_proc >= 0)
-        grantRequest(chosen_proc);
+    if (choice.proc >= 0)
+        grantRequest(choice.proc);
     else
-        grantResponse(chosen_mod);
+        grantResponse(choice.module);
 
     collector_.busGrant(now);
     // One coalesced bus cycle replaces the transfer-done/arbitrate
@@ -464,9 +352,7 @@ SingleBusSystem::grantRequest(int proc)
     Processor &p = procs_[proc];
     Module &mod = mods_[p.target];
     p.state = ProcState::WaitingResponse;
-
-    waiterSets_[p.target].erase(proc);
-    candProcSet_.erase(proc);
+    arbiter_.granted(proc, p.target);
 
     if (!cfg_.buffered) {
         sbn_assert(mod.state == ModState::Idle,
@@ -550,10 +436,8 @@ SingleBusSystem::runCycleSkip()
     //  - Only three kinds of event are scheduled, and none is ever
     //    cancelled: one completion per accessing module at now + r,
     //    one coalesced bus cycle at now + 1, one arbitration at now.
-    //  - Every completion has the same delay r and is scheduled at the
-    //    monotone current tick, so due order is schedule order and a
-    //    FIFO ring of at most m entries is the whole completion
-    //    calendar (as in FastStat, core/faststat.hh).
+    //  - Completions are due in schedule order, the CompletionRing's
+    //    FIFO order (core/arbiter.hh).
     //  - A completion due at t was scheduled at t - r; the bus cycle
     //    due at t by the last statement of arbitrate() at t - 1. Even
     //    at r = 1 every same-tick completion is the older event and
@@ -574,8 +458,8 @@ SingleBusSystem::runCycleSkip()
     const Tick window_end = collector_.windowEnd();
     while (true) {
         Tick now = thinkingCount_ > 0 ? thinkNextDue_ : kNever;
-        if (compCount_ != 0 && compRing_[compHead_].due < now)
-            now = compRing_[compHead_].due;
+        if (completions_.nextDue() < now)
+            now = completions_.nextDue();
         if (busCycleAt_ < now)
             now = busCycleAt_;
         if (arbitrationAt_ < now)
@@ -586,13 +470,9 @@ SingleBusSystem::runCycleSkip()
 
         if (thinkingCount_ > 0 && thinkNextDue_ == now)
             processThinkTick(now, thinkNextIdx_);
-        while (compCount_ != 0 && compRing_[compHead_].due == now) {
-            const int module = compRing_[compHead_].module;
-            if (++compHead_ == compRing_.size())
-                compHead_ = 0;
-            --compCount_;
+        while (completions_.nextDue() == now) {
             ++eventsExecuted_;
-            memoryCompletion(module);
+            memoryCompletion(completions_.pop());
         }
         if (busCycleAt_ == now) {
             // Coalesced bus cycle: the transfer completes, then the

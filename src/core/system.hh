@@ -29,12 +29,12 @@
  * tests/golden/kernel_metrics*.txt are the regression net now):
  * thinking processors sit in a calendar of processorCycle()
  * tick-buckets, so a think redraw costs one Bernoulli and O(1) bucket
- * work; memory completions sit in a FIFO ring and the bus cycle and
- * arbitration in one slot each, so no event heap is needed (the
- * argument is at runCycleSkip()); arbitration candidates are bit-sets
- * maintained incrementally at the state transitions that change
- * eligibility; and the post-grant transfer-done/arbitrate pair shares
- * one coalesced bus cycle.
+ * work; memory completions sit in the CompletionRing and the bus cycle
+ * and arbitration in one slot each, so no event heap is needed (the
+ * argument is at runCycleSkip()); the BusArbiter keeps the grant
+ * candidates and applies the grant rule (both shared with FastStat,
+ * core/arbiter.hh); and the post-grant transfer-done/arbitrate pair
+ * shares one coalesced bus cycle.
  *
  * Which module a request targets and how eagerly each processor
  * issues is owned by the WorkloadModel (workload/workload.hh). The
@@ -47,14 +47,13 @@
 #define SBN_CORE_SYSTEM_HH
 
 #include <deque>
-#include <limits>
 #include <vector>
 
+#include "core/arbiter.hh"
 #include "core/collector.hh"
 #include "core/config.hh"
 #include "core/metrics.hh"
 #include "core/tick.hh"
-#include "util/index_set.hh"
 #include "util/random.hh"
 #include "workload/workload.hh"
 
@@ -91,8 +90,6 @@ class SingleBusSystem
     std::vector<std::size_t> scratchCapacities() const;
 
   private:
-    static constexpr Tick kNever = std::numeric_limits<Tick>::max();
-
     /** What a processor is doing. */
     enum class ProcState
     {
@@ -139,13 +136,6 @@ class SingleBusSystem
         Tick accessStart = 0;
     };
 
-    /** Completion calendar entry: module's access is done at due. */
-    struct Completion
-    {
-        Tick due;
-        int module;
-    };
-
     /** The transfer currently occupying the bus. */
     struct BusTransfer
     {
@@ -160,11 +150,9 @@ class SingleBusSystem
     void transferDone();
     void arbitrate();
 
-    void scheduleCompletion(int module);
     void requestArbitration(Tick at);
-    bool moduleCanAcceptRequest(const Module &mod) const;
-    bool moduleHasResponse(const Module &mod) const;
     void maybeStartBufferedAccess(int module);
+    void refreshModule(int module); //!< report flags to the arbiter
 
     void grantRequest(int proc);
     void grantResponse(int module);
@@ -182,10 +170,6 @@ class SingleBusSystem
     void refreshNextThink(Tick now, std::size_t r0);
     void enterThinking(int proc, Tick now);
 
-    void procBecomesWaiting(int proc, int target);
-    void refreshModule(int module);
-    void selectIncremental(int &chosen_proc, int &chosen_mod);
-
     // --- bookkeeping --------------------------------------------------
     void recordCompletion(int proc, Tick grant_tick);
 
@@ -200,16 +184,13 @@ class SingleBusSystem
     BusTransfer busTransfer_;
 
     /**
-     * The scheduled-event calendar: a FIFO ring of pending memory
-     * completions, at most one per module, pre-sized to numModules;
-     * and one slot per single-instance event, holding its due tick or
-     * kNever. busCycleAt_ (the coalesced transfer-done + arbitrate)
-     * stays set through its transfer phase, so requestArbitration()
-     * sees the arbitration that ends it.
+     * The scheduled-event calendar: the ring of pending memory
+     * completions, and one slot per single-instance event, holding its
+     * due tick or kNever. busCycleAt_ (the coalesced transfer-done +
+     * arbitrate) stays set through its transfer phase, so
+     * requestArbitration() sees the arbitration that ends it.
      */
-    std::vector<Completion> compRing_;
-    std::size_t compHead_ = 0;
-    std::size_t compCount_ = 0;
+    CompletionRing completions_;
     Tick busCycleAt_ = kNever;
     Tick arbitrationAt_ = kNever; //!< idle-bus wakeup
     std::uint64_t eventsExecuted_ = 0;
@@ -247,17 +228,9 @@ class SingleBusSystem
     Tick thinkNextDue_ = 0;
     std::size_t thinkNextIdx_ = 0;
 
-    /**
-     * Incremental arbitration eligibility, kept in lockstep with
-     * processor/module state transitions:
-     * candProcSet_ = waiting processors whose target can accept,
-     * candModSet_ = modules holding a deliverable response.
-     */
-    IndexSet candProcSet_;
-    IndexSet candModSet_;
-    std::vector<IndexSet> waiterSets_; //!< per module: waiting procs
-    std::vector<char> modCanAccept_;   //!< cached acceptance flags
-    std::vector<char> modHasResponse_; //!< cached response flags
+    /** Grant candidates, kept in lockstep with the processor and
+     *  module state transitions, and the grant rule. */
+    BusArbiter arbiter_;
 
     /** Passive measurement: window, counters, per-module and latency
      *  collection (core/collector.hh). */

@@ -7,6 +7,7 @@
 #define SBN_CORE_TICK_HH
 
 #include <cstdint>
+#include <limits>
 
 namespace sbn {
 
@@ -15,6 +16,9 @@ namespace sbn {
  * to the bus cycle t, so one tick is one bus cycle.
  */
 using Tick = std::uint64_t;
+
+/** A tick no event reaches: the due tick of an empty calendar. */
+inline constexpr Tick kNever = std::numeric_limits<Tick>::max();
 
 } // namespace sbn
 
