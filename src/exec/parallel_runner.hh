@@ -34,15 +34,16 @@ namespace sbn {
 unsigned defaultExecThreads();
 
 /**
- * Parse an SBN_THREADS-style worker-count spec. Accepts a positive
- * decimal integer (surrounding whitespace allowed), capped at 4096;
- * "0" means "every usable CPU" (ThreadPool::hardwareThreads()) and
- * resolves to 0. Anything else (empty, non-numeric, negative,
+ * Parse a worker-count spec read from @p source (the flag or
+ * environment variable, e.g. "--threads" or "SBN_THREADS"). Accepts a
+ * positive decimal integer (surrounding whitespace allowed), capped at
+ * 4096; "0" means "every usable CPU" (ThreadPool::hardwareThreads())
+ * and resolves to 0. Anything else (empty, non-numeric, negative,
  * trailing junk) is a configuration error and calls sbn_fatal with a
- * message naming the bad value -- a typo must not silently degrade a
- * sweep to serial execution.
+ * message naming the source and the bad value -- a typo must not
+ * silently degrade a sweep to serial execution.
  */
-unsigned parseThreadsSpec(const char *spec);
+unsigned parseThreadsSpec(const char *spec, const char *source);
 
 /**
  * Runs independent work items across a worker pool, deterministically.

@@ -225,8 +225,8 @@ parseSweepRunOptions(const CommandLine &cli)
     opt.schedule.cap = static_cast<unsigned>(cap);
 
     if (cli.has("threads")) {
-        opt.threads =
-            parseThreadsSpec(cli.getString("threads", "1").c_str());
+        opt.threads = parseThreadsSpec(
+            cli.getString("threads", "1").c_str(), "--threads");
         // parseThreadsSpec keeps "0 = every usable CPU" symbolic;
         // resolve it here so 0 never reaches runSweepPoints, where 0
         // means "defaultExecThreads()" (serial unless SBN_THREADS is

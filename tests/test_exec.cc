@@ -806,26 +806,35 @@ TEST(ParallelRunner, SharedRunnerWorksInAForkedChild)
 
 TEST(Exec, ParseThreadsSpecAcceptsSaneValues)
 {
-    EXPECT_EQ(parseThreadsSpec("1"), 1u);
-    EXPECT_EQ(parseThreadsSpec("16"), 16u);
-    EXPECT_EQ(parseThreadsSpec("4096"), 4096u);
-    EXPECT_EQ(parseThreadsSpec(" 8 "), 8u);
-    EXPECT_EQ(parseThreadsSpec("0"), 0u); // 0 = all hardware threads
+    auto parse = [](const char *spec) {
+        return parseThreadsSpec(spec, "SBN_THREADS");
+    };
+    EXPECT_EQ(parse("1"), 1u);
+    EXPECT_EQ(parse("16"), 16u);
+    EXPECT_EQ(parse("4096"), 4096u);
+    EXPECT_EQ(parse(" 8 "), 8u);
+    EXPECT_EQ(parse("0"), 0u); // 0 = all hardware threads
 }
 
 TEST(Exec, ParseThreadsSpecRejectsGarbageLoudly)
 {
     // A typo in SBN_THREADS must fail fast with a clear message, not
     // silently fall back to serial execution.
-    EXPECT_DEATH((void)parseThreadsSpec(""), "empty value");
-    EXPECT_DEATH((void)parseThreadsSpec("   "), "empty value");
-    EXPECT_DEATH((void)parseThreadsSpec("four"), "not a number");
-    EXPECT_DEATH((void)parseThreadsSpec("8x"), "not a number");
-    EXPECT_DEATH((void)parseThreadsSpec("2.5"), "not a number");
-    EXPECT_DEATH((void)parseThreadsSpec("-4"), "negative");
-    EXPECT_DEATH((void)parseThreadsSpec("5000"), "out of range");
-    EXPECT_DEATH((void)parseThreadsSpec("99999999999999999999"),
-                 "out of range");
+    auto parse = [](const char *spec) {
+        return parseThreadsSpec(spec, "SBN_THREADS");
+    };
+    EXPECT_DEATH((void)parse(""), "empty value");
+    EXPECT_DEATH((void)parse("   "), "empty value");
+    EXPECT_DEATH((void)parse("four"), "not a number");
+    EXPECT_DEATH((void)parse("8x"), "not a number");
+    EXPECT_DEATH((void)parse("2.5"), "not a number");
+    EXPECT_DEATH((void)parse("-4"), "negative");
+    EXPECT_DEATH((void)parse("5000"), "out of range");
+    EXPECT_DEATH((void)parse("99999999999999999999"), "out of range");
+    // Every message names where the value came from.
+    EXPECT_DEATH((void)parse("four"), "SBN_THREADS: 'four' is not");
+    EXPECT_DEATH((void)parseThreadsSpec("", "--threads"),
+                 "--threads: empty value");
 }
 
 } // namespace

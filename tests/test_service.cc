@@ -409,6 +409,14 @@ TEST(SpecParse, ParsesAFullSpecIncludingSpawn)
     EXPECT_EQ(opt.layout, ShardLayout::Strided);
 }
 
+TEST(SpecParseDeathTest, ThreadsErrorsNameTheFlag)
+{
+    // The daemon validates submitted specs with this parser too, so a
+    // bad --threads must not be reported as the SBN_THREADS variable.
+    EXPECT_DEATH((void)parseSweepSpecString("--threads=abc"),
+                 "--threads: 'abc' is not a number");
+}
+
 TEST(SpecParse, ValidationForksSoBadSpecsCannotKillTheCaller)
 {
     EXPECT_TRUE(specParsesCleanly("--n=8 --m=16 --p=0.5"));
