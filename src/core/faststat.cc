@@ -167,9 +167,9 @@ FastStatSystem::arbitrate(Tick now)
     // bus-flight stages are fused away: the chosen transfer's delivery
     // effects apply immediately with next-tick timestamps, because the
     // flight lasts exactly one tick and nothing arbitrates mid-air.
-    // Random skips the draw for a single candidate.
     const BusArbiter::Choice choice = arbiter_.select(
         [&](std::size_t count) {
+            // A single candidate has nothing to tie-break: no draw.
             return count == 1 ? std::size_t{0} : arbRng_.pickIndex(count);
         },
         [&](int proc) {

@@ -45,19 +45,20 @@ void
 SingleBusSystem::refreshModule(int module)
 {
     const Module &mod = mods_[module];
-    if (!cfg_.buffered) {
-        arbiter_.refresh(module, mod.state == ModState::Idle,
-                         mod.state == ModState::HoldingResponse);
-        return;
+    bool accept = mod.state == ModState::Idle;
+    bool response = mod.state == ModState::HoldingResponse;
+    if (cfg_.buffered) {
+        // A request to an idle, empty module takes the server, not a
+        // buffer slot; otherwise it needs a free input slot.
+        const int occupied =
+            static_cast<int>(mod.inputQueue.size()) + mod.reservedInput;
+        accept = cfg_.inputCapacity == 0 ||
+                 (!mod.accessing && occupied == 0) ||
+                 occupied < cfg_.inputCapacity;
+        response = !mod.outputQueue.empty();
     }
-    // A request heading to an idle, empty module occupies the server,
-    // not a buffer slot; otherwise it needs a free input slot.
-    const int occupied =
-        static_cast<int>(mod.inputQueue.size()) + mod.reservedInput;
-    const bool accept = cfg_.inputCapacity == 0 ||
-                        (!mod.accessing && occupied == 0) ||
-                        occupied < cfg_.inputCapacity;
-    arbiter_.refresh(module, accept, !mod.outputQueue.empty());
+    // One call site: the flattened loop inlines every copy of its set updates.
+    arbiter_.refresh(module, accept, response);
 }
 
 void
@@ -315,8 +316,7 @@ SingleBusSystem::arbitrate()
                "arbitrating while the bus is busy");
     inArbitration_ = true;
 
-    // Random draws pickIndex even for a single candidate: the golden
-    // pins hold that draw.
+    // Random draws even for a single candidate: the golden pins hold it.
     const BusArbiter::Choice choice = arbiter_.select(
         [&](std::size_t count) { return rng_.pickIndex(count); },
         [&](int proc) { return procs_[proc].issueTick; },
