@@ -191,7 +191,7 @@ benchSweep(SweepRunOptions opt, const std::vector<SystemConfig> &points,
 {
     ShardMode &mode = shardMode();
     if (!mode.active) {
-        opt.threads = ThreadPool::hardwareThreads();
+        opt.threads = hardwareThreads();
         std::vector<std::size_t> every(points.size());
         std::iota(every.begin(), every.end(), std::size_t{0});
         runSweepPoints(opt, points, every, onRecord);

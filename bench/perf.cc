@@ -22,7 +22,6 @@
 #include "core/system.hh"
 #include "exec/parallel_runner.hh"
 #include "exec/sweep.hh"
-#include "exec/thread_pool.hh"
 
 namespace {
 
@@ -341,7 +340,7 @@ BENCHMARK(BM_ParallelSweepScaling)
     ->Apply([](benchmark::internal::Benchmark *bench) {
         bench->Arg(1)->Arg(2);
         const auto hw =
-            static_cast<std::int64_t>(sbn::ThreadPool::hardwareThreads());
+            static_cast<std::int64_t>(sbn::hardwareThreads());
         if (hw > 2)
             bench->Arg(hw);
     })

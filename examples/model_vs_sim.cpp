@@ -16,7 +16,7 @@
 #include "analytic/mva.hh"
 #include "analytic/procprio.hh"
 #include "core/experiment.hh"
-#include "exec/thread_pool.hh"
+#include "exec/parallel_runner.hh"
 #include "util/cli.hh"
 #include "util/table.hh"
 
@@ -49,7 +49,7 @@ main(int argc, char **argv)
     }
     auto threads = static_cast<unsigned>(threads_arg);
     if (threads == 0)
-        threads = ThreadPool::hardwareThreads();
+        threads = hardwareThreads();
 
     if (rel <= 0.0 || cap_arg < 2 || cap_arg > 100000) {
         std::fprintf(stderr,

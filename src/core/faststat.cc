@@ -298,7 +298,9 @@ FastStatSystem::runLoop()
     // the arbitration observes the settled state, as in the exact
     // kernel (core/system.hh); grants already applied their delivery
     // effects at the previous tick. Every structure is O(1)/O(log n)
-    // per event and allocation-free in steady state.
+    // per event. Unbuffered runs are allocation-free in steady state;
+    // buffered runs are not, since each module's two std::deque
+    // queues allocate and free nodes as requests pass through.
     for (;;) {
         Tick next = arbAt_;
         if (completions_.nextDue() < next)

@@ -18,9 +18,11 @@ SingleBusSystem::SingleBusSystem(const SystemConfig &config)
     procs_.resize(cfg_.numProcessors);
     mods_.resize(cfg_.numModules);
 
-    // Pre-size every container the hot path touches so steady-state
-    // simulation performs no allocations (asserted by the perf tests
-    // via scratchCapacities()).
+    // Pre-size every container the hot path touches, so no pre-sized
+    // container reallocates in steady state (asserted by the perf
+    // tests via scratchCapacities()) and an unbuffered run allocates
+    // nothing. A buffered run still does: each module's two
+    // std::deque queues allocate and free nodes as requests pass.
     const auto pc = static_cast<std::size_t>(cfg_.processorCycle());
     thinkBuckets_.resize(pc);
     for (auto &bucket : thinkBuckets_)

@@ -1,18 +1,38 @@
 #include "exec/parallel_runner.hh"
 
 #include <pthread.h>
+#include <sched.h>
+#include <unistd.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cerrno>
-#include <condition_variable>
 #include <cstdlib>
 #include <exception>
 #include <map>
-#include <mutex>
+#include <memory>
 
 #include "util/logging.hh"
 
 namespace sbn {
+
+unsigned
+hardwareThreads()
+{
+#ifdef __linux__
+    // The CPUs this process may run on, not every online CPU: under
+    // taskset or a cpuset, threads beyond the mask only time-slice.
+    cpu_set_t mask;
+    CPU_ZERO(&mask);
+    if (::sched_getaffinity(0, sizeof mask, &mask) == 0) {
+        const int usable = CPU_COUNT(&mask);
+        if (usable >= 1)
+            return static_cast<unsigned>(usable);
+    }
+#endif
+    const unsigned hw = std::thread::hardware_concurrency();
+    return hw >= 1 ? hw : 1;
+}
 
 unsigned
 parseThreadsSpec(const char *spec, const char *source)
@@ -52,81 +72,146 @@ defaultExecThreads()
         if (env == nullptr)
             return 1u;
         const unsigned parsed = parseThreadsSpec(env, "SBN_THREADS");
-        return parsed != 0 ? parsed : ThreadPool::hardwareThreads();
+        return parsed != 0 ? parsed : hardwareThreads();
     }();
     return cached;
 }
 
-ParallelRunner::ParallelRunner(unsigned threads)
-    : threads_(threads != 0 ? threads : ThreadPool::hardwareThreads())
+namespace {
+
+/** The runner whose fan-out this thread is serving, as its caller or
+ *  as a helper; a work item that calls back into it is caught. */
+thread_local const ParallelRunner *t_serving = nullptr;
+
+} // namespace
+
+/** One forEachIndex call: items are claimed from an atomic cursor. */
+struct ParallelRunner::FanOut
 {
-    if (threads_ > 1)
-        pool_ = std::make_unique<ThreadPool>(threads_ - 1);
-}
+    const std::function<void(std::size_t)> &fn;
+    const std::size_t count;
+    std::atomic<std::size_t> next{0};
+    std::atomic<bool> failed{false};
+    std::exception_ptr error{}; //!< written once, by the first failure
 
-ParallelRunner::~ParallelRunner() = default;
-
-void
-ParallelRunner::forEachIndex(std::size_t count,
-                             const std::function<void(std::size_t)> &fn)
-{
-    if (count == 0)
-        return;
-    if (threads_ == 1 || count == 1) {
-        for (std::size_t i = 0; i < count; ++i)
-            fn(i);
-        return;
-    }
-
-    // Shared fan-out state: workers (pool + calling thread) claim
-    // indices from an atomic cursor; the calling thread then waits for
-    // the posted drainers to retire.
-    struct FanOut
+    void
+    drain()
     {
-        std::atomic<std::size_t> next{0};
-        std::atomic<bool> failed{false};
-        std::mutex mutex;
-        std::condition_variable done;
-        std::size_t pending = 0;
-        std::exception_ptr error;
-    } state;
-
-    auto drain = [&] {
-        while (!state.failed.load(std::memory_order_relaxed)) {
+        while (!failed.load(std::memory_order_relaxed)) {
             const std::size_t i =
-                state.next.fetch_add(1, std::memory_order_relaxed);
+                next.fetch_add(1, std::memory_order_relaxed);
             if (i >= count)
                 return;
             try {
                 fn(i);
             } catch (...) {
-                std::lock_guard<std::mutex> lock(state.mutex);
-                if (!state.error)
-                    state.error = std::current_exception();
-                state.failed.store(true, std::memory_order_relaxed);
+                if (!failed.exchange(true))
+                    error = std::current_exception();
                 return;
             }
         }
-    };
-
-    const std::size_t helpers =
-        std::min<std::size_t>(threads_ - 1, count - 1);
-    state.pending = helpers;
-    for (std::size_t w = 0; w < helpers; ++w) {
-        pool_->post([&] {
-            drain();
-            std::lock_guard<std::mutex> lock(state.mutex);
-            if (--state.pending == 0)
-                state.done.notify_one();
-        });
     }
+};
 
-    drain();
+ParallelRunner::ParallelRunner(unsigned threads)
+    : threads_(threads != 0 ? threads : hardwareThreads()),
+      ownerPid_(getpid())
+{
+    workers_.reserve(threads_ - 1);
+    for (unsigned w = 1; w < threads_; ++w)
+        workers_.emplace_back([this] { workerLoop(); });
+    // Fork safety: a worker that has not reached workerLoop() may
+    // still be in its runtime's start-up code, where ASan allocates
+    // under a lock that GCC 12's ASan does not take around fork(). A
+    // fork() then hands the child a lock no thread will release. Once
+    // every worker waits in workerLoop(), an idle runner holds none.
+    std::unique_lock<std::mutex> lock(mutex_);
+    idle_.wait(lock, [this] { return started_ == threads_ - 1; });
+}
 
-    std::unique_lock<std::mutex> lock(state.mutex);
-    state.done.wait(lock, [&] { return state.pending == 0; });
-    if (state.error)
-        std::rethrow_exception(state.error);
+ParallelRunner::~ParallelRunner()
+{
+    // Fork safety: a forked child (shard --spawn workers, death
+    // tests) has only the forking thread, and the mutex/condvar state
+    // is whatever the parent's threads left mid-flight. Touching it or
+    // joining the phantom threads would hang the child's exit, so
+    // detach the handles; the parent still joins the real threads.
+    if (getpid() != ownerPid_) {
+        for (auto &worker : workers_)
+            worker.detach();
+        return;
+    }
+    {
+        std::lock_guard<std::mutex> lock(mutex_);
+        stopping_ = true;
+    }
+    wake_.notify_all();
+    for (auto &worker : workers_)
+        worker.join();
+}
+
+void
+ParallelRunner::workerLoop()
+{
+    std::unique_lock<std::mutex> lock(mutex_);
+    ++started_;
+    idle_.notify_one();
+    while (true) {
+        wake_.wait(lock,
+                   [this] { return stopping_ || claimed_ < enlisted_; });
+        if (stopping_)
+            return;
+        ++claimed_;
+        FanOut &fan = *fanOut_;
+        lock.unlock();
+        t_serving = this;
+        fan.drain();
+        t_serving = nullptr;
+        lock.lock();
+        if (++finished_ == claimed_)
+            idle_.notify_one();
+    }
+}
+
+void
+ParallelRunner::forEachIndex(std::size_t count,
+                             const std::function<void(std::size_t)> &fn)
+{
+    sbn_assert(t_serving != this,
+               "ParallelRunner re-entered from one of its own work "
+               "items (a nested fan-out would deadlock)");
+    const ParallelRunner *const outer = t_serving;
+    t_serving = this;
+    FanOut fan{fn, count};
+    if (threads_ == 1 || count <= 1) {
+        fan.drain();
+    } else {
+        // Callers on other threads wait here for their turn. The
+        // caller drains alongside its helpers, then withdraws the
+        // slots no worker claimed (every index is taken by then) and
+        // waits for the helpers that did to finish.
+        std::lock_guard<std::mutex> turn(turn_);
+        const std::size_t helpers =
+            std::min<std::size_t>(threads_ - 1, count - 1);
+        {
+            std::lock_guard<std::mutex> lock(mutex_);
+            fanOut_ = &fan;
+            enlisted_ = helpers;
+            claimed_ = 0;
+            finished_ = 0;
+        }
+        for (std::size_t h = 0; h < helpers; ++h)
+            wake_.notify_one();
+
+        fan.drain();
+
+        std::unique_lock<std::mutex> lock(mutex_);
+        enlisted_ = claimed_;
+        idle_.wait(lock, [this] { return finished_ == claimed_; });
+    }
+    t_serving = outer;
+    if (fan.error)
+        std::rethrow_exception(fan.error);
 }
 
 namespace {
@@ -145,8 +230,8 @@ RunnerRegistry *g_registry = nullptr;
 std::once_flag g_registry_once;
 
 /**
- * pthread_atfork child handler. The inherited runners front pool
- * threads that do not exist in the child, so posting to them would
+ * pthread_atfork child handler. The inherited runners front worker
+ * threads that do not exist in the child, so a fan-out on them would
  * wait forever, and another parent thread may have held the inherited
  * mutex at fork time. The child therefore never locks, uses or
  * destroys the inherited registry: it sets it aside and starts an
@@ -175,7 +260,7 @@ sharedParallelRunner(unsigned threads)
     });
 
     const unsigned resolved =
-        threads != 0 ? threads : ThreadPool::hardwareThreads();
+        threads != 0 ? threads : hardwareThreads();
     RunnerRegistry &registry = *g_registry;
     std::lock_guard<std::mutex> lock(registry.mutex);
     auto &slot = registry.runners[resolved];

@@ -3,25 +3,33 @@
  * Deterministic parallel execution of independent experiments.
  *
  * ParallelRunner fans independent work items (replications, sweep
- * grid points) across a fixed-size ThreadPool and collects results
- * *by index*, so every reduction happens in the same order as the
- * serial code path. Combined with pre-derived per-replication seeds,
- * results are bit-identical to serial execution at any thread count
- * and under any scheduling interleaving (the determinism contract;
- * see docs/performance.md).
+ * grid points) across its own fixed set of worker threads and
+ * collects results *by index*, so every reduction happens in the same
+ * order as the serial code path. Combined with pre-derived
+ * per-replication seeds, results are bit-identical to serial execution
+ * at any thread count and under any scheduling interleaving (the
+ * determinism contract; see docs/performance.md).
  */
 
 #ifndef SBN_EXEC_PARALLEL_RUNNER_HH
 #define SBN_EXEC_PARALLEL_RUNNER_HH
 
+#include <sys/types.h>
+
+#include <condition_variable>
 #include <functional>
-#include <memory>
 #include <mutex>
+#include <thread>
 #include <vector>
 
-#include "exec/thread_pool.hh"
-
 namespace sbn {
+
+/**
+ * CPUs this process may run on: the count of its affinity mask
+ * (sched_getaffinity), else every online CPU
+ * (std::thread::hardware_concurrency()). Never less than 1.
+ */
+unsigned hardwareThreads();
 
 /**
  * Process-wide default worker count used by the replicate() helpers
@@ -37,27 +45,28 @@ unsigned defaultExecThreads();
  * Parse a worker-count spec read from @p source (the flag or
  * environment variable, e.g. "--threads" or "SBN_THREADS"). Accepts a
  * positive decimal integer (surrounding whitespace allowed), capped at
- * 4096; "0" means "every usable CPU" (ThreadPool::hardwareThreads())
- * and resolves to 0. Anything else (empty, non-numeric, negative,
- * trailing junk) is a configuration error and calls sbn_fatal with a
- * message naming the source and the bad value -- a typo must not
- * silently degrade a sweep to serial execution.
+ * 4096; "0" means "every usable CPU" (hardwareThreads()) and resolves
+ * to 0. Anything else (empty, non-numeric, negative, trailing junk) is
+ * a configuration error and calls sbn_fatal with a message naming the
+ * source and the bad value -- a typo must not silently degrade a sweep
+ * to serial execution.
  */
 unsigned parseThreadsSpec(const char *spec, const char *source);
 
 /**
- * Runs independent work items across a worker pool, deterministically.
+ * Runs independent work items across worker threads, deterministically.
  *
- * A runner with T threads uses T-1 pool workers plus the calling
- * thread; T = 1 degenerates to plain inline loops with no pool and no
- * synchronization. Runner methods must not be re-entered from inside
- * a work item (no nested parallelism).
+ * A runner with T threads owns T-1 worker threads and also runs items
+ * on the calling thread; T = 1 runs them inline, with no threads and
+ * no locks. The workers serve one fan-out at a time: callers on other
+ * threads take turns. A work item (or stream() callback) that calls
+ * back into the runner serving it dies on an assertion, at any T.
  */
 class ParallelRunner
 {
   public:
-    /** @param threads worker count; 0 means every usable CPU
-     *  (ThreadPool::hardwareThreads()). */
+    /** Start T-1 workers; return once each waits for work.
+     *  @param threads T; 0 means every usable CPU (hardwareThreads()). */
     explicit ParallelRunner(unsigned threads = 0);
 
     ~ParallelRunner();
@@ -65,7 +74,7 @@ class ParallelRunner
     ParallelRunner(const ParallelRunner &) = delete;
     ParallelRunner &operator=(const ParallelRunner &) = delete;
 
-    /** Total worker count (pool workers + calling thread). */
+    /** Total worker count (worker threads + calling thread). */
     unsigned threads() const { return threads_; }
 
     /**
@@ -134,17 +143,35 @@ class ParallelRunner
     }
 
   private:
+    struct FanOut;
+
+    void workerLoop();
+
     unsigned threads_;
-    std::unique_ptr<ThreadPool> pool_; // null when threads_ == 1
+    pid_t ownerPid_; //!< fork detection; see ~ParallelRunner()
+    std::mutex turn_; //!< held by the caller for a whole fan-out
+
+    // Guarded by mutex_: a fan-out offers enlisted_ helper slots, and
+    // each worker that wakes to a free slot claims one and drains
+    // *fanOut_ beside the caller.
+    std::mutex mutex_;
+    std::condition_variable wake_; //!< workers: a free slot, stopping_
+    std::condition_variable idle_; //!< caller: started_, finished_
+    FanOut *fanOut_ = nullptr;
+    std::size_t enlisted_ = 0, claimed_ = 0, finished_ = 0;
+    unsigned started_ = 0; //!< workers that reached workerLoop()
+    bool stopping_ = false;
+    std::vector<std::thread> workers_; // threads_ - 1, declared last
 };
 
 /**
  * Process-wide shared runner with @p threads workers (0 = hardware),
  * created on first use and kept for the process lifetime. The
  * core-layer replication helpers route through this so repeated calls
- * at the same worker count reuse one pool instead of spawning and
- * joining threads per call. Safe for concurrent top-level use
- * (callers share the pool); the no-nesting rule still applies.
+ * at the same worker count reuse one set of threads instead of
+ * spawning and joining threads per call. Safe for concurrent top-level
+ * use: callers on different threads take turns, one fan-out at a
+ * time. The no-re-entry rule still applies.
  * Fork-safe: a forked child starts with no shared runners and builds
  * its own, so a runner obtained before fork() must not be used in
  * the child.

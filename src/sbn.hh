@@ -38,7 +38,6 @@
 #include "exec/adaptive.hh"
 #include "exec/parallel_runner.hh"
 #include "exec/sweep.hh"
-#include "exec/thread_pool.hh"
 #include "markov/dtmc.hh"
 #include "shard/fault.hh"
 #include "shard/merge.hh"

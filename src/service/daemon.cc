@@ -30,7 +30,7 @@
 #include <string>
 #include <vector>
 
-#include "exec/thread_pool.hh"
+#include "exec/parallel_runner.hh"
 #include "service/journal.hh"
 #include "service/metrics.hh"
 #include "service/protocol.hh"
@@ -50,6 +50,11 @@ using Clock = std::chrono::steady_clock;
 
 /** Seconds between cancel's SIGTERM and the SIGKILL escalation. */
 constexpr double kKillGraceSeconds = 2.0;
+
+/** Relaunches allowed when a runner dies on a signal (a crash, not a
+ *  deterministic failure); each relaunch resumes from the job's
+ *  surviving shard records. */
+constexpr unsigned kJobRetries = 2;
 
 volatile std::sig_atomic_t g_terminateSignal = 0;
 
@@ -924,13 +929,11 @@ Daemon::runJobInRunner(const Job &job, int status_write_fd)
     setFaultProcessScope(kFaultNoShard, job.launches);
 
     SweepRunOptions opt = parseSweepSpecString(job.entry.spec);
-    const std::size_t shards = opt.spawnShards != 0
-                                   ? opt.spawnShards
-                                   : config_.defaultShards;
+    const std::size_t shards = std::max<std::size_t>(1, opt.spawnShards);
     // A spec without --threads gets this job's share of the host's
     // cores; an explicit --threads (0 included) always wins.
     if (opt.threads == 0)
-        opt.threads = jobWorkerThreads(ThreadPool::hardwareThreads(),
+        opt.threads = jobWorkerThreads(hardwareThreads(),
                                        config_.maxRunning, shards);
     const std::string dir =
         daemonJobDir(config_.stateDir, job.entry.job);
@@ -1046,10 +1049,10 @@ Daemon::runnerExited(Job &job, int status)
     // injection, OOM): relaunch with resume within the retry budget.
     // A nonzero *exit* is deterministic (bad spec, fatal) - retrying
     // would just repeat it.
-    if (!exited && job.launches <= config_.jobRetries) {
+    if (!exited && job.launches <= kJobRetries) {
         sbn_warn("job ", job.entry.job, " runner died (",
                  describeWaitStatus(status), "); relaunch ",
-                 job.launches, "/", config_.jobRetries,
+                 job.launches, "/", kJobRetries,
                  " with resume");
         pending_.push_front(job.entry.job);
         return;

@@ -63,12 +63,6 @@ struct DaemonConfig
      *  unless its spec names --threads. */
     std::size_t maxRunning = 1;
     double heartbeatSeconds = 1.0;
-    /** Relaunches allowed when a runner dies on a signal (a crash,
-     *  not a deterministic failure); each relaunch resumes from the
-     *  job's surviving shard records. */
-    unsigned jobRetries = 2;
-    /** Worker count for specs that carry no --spawn. */
-    std::size_t defaultShards = 1;
 };
 
 /**

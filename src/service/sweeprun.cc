@@ -232,7 +232,7 @@ parseSweepRunOptions(const CommandLine &cli)
         // means "defaultExecThreads()" (serial unless SBN_THREADS is
         // set) instead.
         if (opt.threads == 0)
-            opt.threads = ThreadPool::hardwareThreads();
+            opt.threads = hardwareThreads();
     }
     opt.layout =
         parseShardLayout(cli.getString("layout", "contiguous"));

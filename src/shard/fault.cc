@@ -9,7 +9,6 @@
 namespace sbn {
 
 const char *const kFaultEnvVar = "SBN_FAULT";
-const char *const kFaultAttemptEnvVar = "SBN_FAULT_ATTEMPT";
 
 namespace {
 

@@ -79,14 +79,6 @@ namespace sbn {
 /** Environment variable holding the fault grammar. */
 extern const char *const kFaultEnvVar;
 
-/**
- * Environment variable a manually-launched worker can set to declare
- * its attempt number (the supervisor sets the scope directly in the
- * forked child instead). Read once by setFaultProcessScope()'s
- * default path.
- */
-extern const char *const kFaultAttemptEnvVar;
-
 /** shard=any / attempt=any wildcard values. */
 constexpr std::size_t kFaultAnyShard =
     std::numeric_limits<std::size_t>::max();
@@ -136,7 +128,7 @@ FaultPlan currentFaultPlan();
  * Declare what this process is, for fault targeting: shard index (or
  * kFaultNoShard) and launch attempt. The supervisor calls this in the
  * forked child; sbn_sweep's --shard path calls it with the CLI spec
- * and the SBN_FAULT_ATTEMPT environment value.
+ * and attempt 0.
  */
 void setFaultProcessScope(std::size_t shard_index, unsigned attempt);
 

@@ -2,7 +2,6 @@
 
 #include <chrono>
 #include <cstdio>
-#include <mutex>
 
 #include "util/logging.hh"
 
@@ -31,61 +30,8 @@ const char *const kTimerNames[kTelemetryTimerCount] = {
     "tmr.shard.merge",
 };
 
-/**
- * Registry of live thread blocks plus the retired totals of exited
- * threads. Construct-on-first-use and deliberately leaked: worker
- * thread_local destructors may run after a static registry would have
- * been destroyed.
- */
-struct Registry
-{
-    std::mutex mutex;
-    std::vector<detail::TelemetryBlock *> live;
-    std::uint64_t retiredCounters[kTelemetryCounterCount] = {};
-    std::uint64_t retiredTimerNs[kTelemetryTimerCount] = {};
-    std::uint64_t retiredTimerCount[kTelemetryTimerCount] = {};
-};
-
-Registry &
-registry()
-{
-    static Registry *instance = new Registry;
-    return *instance;
-}
-
-/** Thread-exit hook: merge this thread's block and unregister it. */
-struct BlockOwner
-{
-    detail::TelemetryBlock block;
-
-    BlockOwner()
-    {
-        Registry &reg = registry();
-        std::lock_guard<std::mutex> lock(reg.mutex);
-        reg.live.push_back(&block);
-    }
-
-    ~BlockOwner()
-    {
-        Registry &reg = registry();
-        std::lock_guard<std::mutex> lock(reg.mutex);
-        for (unsigned i = 0; i < kTelemetryCounterCount; ++i)
-            reg.retiredCounters[i] +=
-                block.counters[i].load(std::memory_order_relaxed);
-        for (unsigned i = 0; i < kTelemetryTimerCount; ++i) {
-            reg.retiredTimerNs[i] +=
-                block.timerNs[i].load(std::memory_order_relaxed);
-            reg.retiredTimerCount[i] +=
-                block.timerCount[i].load(std::memory_order_relaxed);
-        }
-        for (auto it = reg.live.begin(); it != reg.live.end(); ++it) {
-            if (*it == &block) {
-                reg.live.erase(it);
-                break;
-            }
-        }
-    }
-};
+std::atomic<std::uint64_t> g_timerNs[kTelemetryTimerCount];
+std::atomic<std::uint64_t> g_timerCount[kTelemetryTimerCount];
 
 std::uint64_t
 monotonicNs()
@@ -101,13 +47,7 @@ monotonicNs()
 namespace detail {
 
 std::atomic<bool> g_telemetryEnabled{false};
-
-TelemetryBlock &
-telemetryBlock()
-{
-    thread_local BlockOwner owner;
-    return owner.block;
-}
+std::atomic<std::uint64_t> g_telemetryCounters[kTelemetryCounterCount];
 
 } // namespace detail
 
@@ -133,21 +73,11 @@ setTelemetryEnabled(bool enabled)
 void
 telemetryReset()
 {
-    Registry &reg = registry();
-    std::lock_guard<std::mutex> lock(reg.mutex);
-    for (unsigned i = 0; i < kTelemetryCounterCount; ++i)
-        reg.retiredCounters[i] = 0;
+    for (auto &cell : detail::g_telemetryCounters)
+        cell.store(0, std::memory_order_relaxed);
     for (unsigned i = 0; i < kTelemetryTimerCount; ++i) {
-        reg.retiredTimerNs[i] = 0;
-        reg.retiredTimerCount[i] = 0;
-    }
-    for (detail::TelemetryBlock *block : reg.live) {
-        for (unsigned i = 0; i < kTelemetryCounterCount; ++i)
-            block->counters[i].store(0, std::memory_order_relaxed);
-        for (unsigned i = 0; i < kTelemetryTimerCount; ++i) {
-            block->timerNs[i].store(0, std::memory_order_relaxed);
-            block->timerCount[i].store(0, std::memory_order_relaxed);
-        }
+        g_timerNs[i].store(0, std::memory_order_relaxed);
+        g_timerCount[i].store(0, std::memory_order_relaxed);
     }
 }
 
@@ -156,10 +86,9 @@ telemetryAddTimer(TelemetryTimer timer, std::uint64_t ns)
 {
     if (!telemetryEnabled())
         return;
-    detail::TelemetryBlock &block = detail::telemetryBlock();
     const auto i = static_cast<unsigned>(timer);
-    block.timerNs[i].fetch_add(ns, std::memory_order_relaxed);
-    block.timerCount[i].fetch_add(1, std::memory_order_relaxed);
+    g_timerNs[i].fetch_add(ns, std::memory_order_relaxed);
+    g_timerCount[i].fetch_add(1, std::memory_order_relaxed);
 }
 
 TelemetryTimerScope::TelemetryTimerScope(TelemetryTimer timer)
@@ -179,24 +108,13 @@ TelemetrySnapshot
 telemetrySnapshot()
 {
     TelemetrySnapshot out;
-    Registry &reg = registry();
-    std::lock_guard<std::mutex> lock(reg.mutex);
     for (unsigned i = 0; i < kTelemetryCounterCount; ++i)
-        out.counters[i] = reg.retiredCounters[i];
+        out.counters[i] = detail::g_telemetryCounters[i].load(
+            std::memory_order_relaxed);
     for (unsigned i = 0; i < kTelemetryTimerCount; ++i) {
-        out.timerNs[i] = reg.retiredTimerNs[i];
-        out.timerCount[i] = reg.retiredTimerCount[i];
-    }
-    for (const detail::TelemetryBlock *block : reg.live) {
-        for (unsigned i = 0; i < kTelemetryCounterCount; ++i)
-            out.counters[i] +=
-                block->counters[i].load(std::memory_order_relaxed);
-        for (unsigned i = 0; i < kTelemetryTimerCount; ++i) {
-            out.timerNs[i] +=
-                block->timerNs[i].load(std::memory_order_relaxed);
-            out.timerCount[i] +=
-                block->timerCount[i].load(std::memory_order_relaxed);
-        }
+        out.timerNs[i] = g_timerNs[i].load(std::memory_order_relaxed);
+        out.timerCount[i] =
+            g_timerCount[i].load(std::memory_order_relaxed);
     }
     return out;
 }

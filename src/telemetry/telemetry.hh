@@ -12,15 +12,14 @@
  * telemetry adds no per-event work and disabling it adds no
  * allocations (asserted by the scratch-capacity perf tests).
  *
- * Aggregation is thread-local: each thread owns a block of relaxed
- * atomic cells registered in a global list; a block merges into the
- * retired totals when its thread exits (join), and telemetrySnapshot()
- * sums retired totals plus every live block. Counter totals therefore
- * do not depend on the thread partition: the same config and seed
- * produce byte-identical counter dumps at any --threads value
- * (tests/test_telemetry.cc). Timers measure wall time and are NOT
- * deterministic; formatTelemetrySnapshot() can exclude them, and the
- * determinism tests do.
+ * Every counter and timer is one process-wide relaxed atomic: callers
+ * add a few times per kernel run, record or merge, never per event,
+ * so the cells see no contention worth a per-thread split. Counter
+ * totals are sums and do not depend on the thread partition: the same
+ * config and seed produce byte-identical counter dumps at any
+ * --threads value (tests/test_telemetry.cc). Timers measure wall time
+ * and are NOT deterministic; formatTelemetrySnapshot() can exclude
+ * them, and the determinism tests do.
  *
  * The dump format is one flat JSON object (scalar values only, the
  * same shape service/protocol.hh parses), tagged
@@ -34,7 +33,6 @@
 #include <atomic>
 #include <cstdint>
 #include <string>
-#include <vector>
 
 namespace sbn {
 
@@ -73,13 +71,8 @@ const char *telemetryTimerName(TelemetryTimer timer);
 
 namespace detail {
 extern std::atomic<bool> g_telemetryEnabled;
-struct TelemetryBlock
-{
-    std::atomic<std::uint64_t> counters[kTelemetryCounterCount];
-    std::atomic<std::uint64_t> timerNs[kTelemetryTimerCount];
-    std::atomic<std::uint64_t> timerCount[kTelemetryTimerCount];
-};
-TelemetryBlock &telemetryBlock();
+extern std::atomic<std::uint64_t>
+    g_telemetryCounters[kTelemetryCounterCount];
 } // namespace detail
 
 /** True when telemetry collection is on (default: off). */
@@ -92,8 +85,8 @@ telemetryEnabled()
 /** Turn collection on or off, process-wide. */
 void setTelemetryEnabled(bool enabled);
 
-/** Zero every counter and timer (live blocks and retired totals).
- *  For tests/tools; call only while instrumented work is quiescent. */
+/** Zero every counter and timer. For tests/tools; call only while
+ *  instrumented work is quiescent. */
 void telemetryReset();
 
 /** Add @p delta to @p counter; a cheap no-op when disabled. */
@@ -102,8 +95,7 @@ telemetryAdd(TelemetryCounter counter, std::uint64_t delta)
 {
     if (!telemetryEnabled())
         return;
-    detail::telemetryBlock()
-        .counters[static_cast<unsigned>(counter)]
+    detail::g_telemetryCounters[static_cast<unsigned>(counter)]
         .fetch_add(delta, std::memory_order_relaxed);
 }
 
@@ -130,7 +122,7 @@ class TelemetryTimerScope
     std::uint64_t startNs_ = 0;
 };
 
-/** A merged point-in-time view of every counter and timer. */
+/** A point-in-time view of every counter and timer. */
 struct TelemetrySnapshot
 {
     std::uint64_t counters[kTelemetryCounterCount] = {};
@@ -138,7 +130,7 @@ struct TelemetrySnapshot
     std::uint64_t timerCount[kTelemetryTimerCount] = {};
 };
 
-/** Sum retired totals plus every live thread block. */
+/** Read every counter and timer. */
 TelemetrySnapshot telemetrySnapshot();
 
 /**

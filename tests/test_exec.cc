@@ -1,6 +1,6 @@
 /**
  * @file
- * Tests for the execution layer: thread pool liveness, ordered
+ * Tests for the execution layer: the runner's fan-out engine, ordered
  * parallel map, and the determinism contract - replication and sweep
  * results must be bit-identical to serial execution at any thread
  * count.
@@ -15,13 +15,13 @@
 #include <atomic>
 #include <cmath>
 #include <stdexcept>
+#include <thread>
 #include <vector>
 
 #include "core/experiment.hh"
 #include "exec/adaptive.hh"
 #include "exec/parallel_runner.hh"
 #include "exec/sweep.hh"
-#include "exec/thread_pool.hh"
 #include "stats/accumulator.hh"
 #include "stats/replication.hh"
 #include "util/random.hh"
@@ -29,31 +29,18 @@
 namespace sbn {
 namespace {
 
-TEST(ThreadPool, RunsEveryPostedTask)
+TEST(Exec, HardwareThreadsIsPositive)
 {
-    std::atomic<int> count{0};
-    {
-        ThreadPool pool(4);
-        EXPECT_EQ(pool.threadCount(), 4u);
-        for (int i = 0; i < 1000; ++i)
-            pool.post([&] { ++count; });
-        // Destructor drains the queue before joining.
-    }
-    EXPECT_EQ(count.load(), 1000);
-}
-
-TEST(ThreadPool, HardwareThreadsIsPositive)
-{
-    EXPECT_GE(ThreadPool::hardwareThreads(), 1u);
+    EXPECT_GE(hardwareThreads(), 1u);
 }
 
 #ifdef __linux__
-TEST(ThreadPool, HardwareThreadsCountsTheAffinityMask)
+TEST(Exec, HardwareThreadsCountsTheAffinityMask)
 {
     cpu_set_t mask;
     CPU_ZERO(&mask);
     ASSERT_EQ(sched_getaffinity(0, sizeof mask, &mask), 0);
-    EXPECT_EQ(ThreadPool::hardwareThreads(),
+    EXPECT_EQ(hardwareThreads(),
               static_cast<unsigned>(CPU_COUNT(&mask)));
 
     // Pin a forked child to the first CPU it may run on: it must see
@@ -70,7 +57,7 @@ TEST(ThreadPool, HardwareThreadsCountsTheAffinityMask)
         CPU_SET(cpu, &one);
         if (sched_setaffinity(0, sizeof one, &one) != 0)
             _exit(kRefused);
-        _exit(ThreadPool::hardwareThreads() == 1 ? 0 : 1);
+        _exit(hardwareThreads() == 1 ? 0 : 1);
     }
     int status = 0;
     ASSERT_EQ(waitpid(child, &status, 0), child);
@@ -104,6 +91,73 @@ TEST(ParallelRunner, ForEachIndexVisitsEachIndexOnce)
                         [&](std::size_t i) { ++visits[i]; });
     for (const auto &v : visits)
         EXPECT_EQ(v.load(), 1);
+}
+
+TEST(ParallelRunner, BackToBackFanOutsVisitEachIndexOnce)
+{
+    // Counts 0..18 cover fan-outs below, at and above every T, so the
+    // helper slots offered, claimed and withdrawn vary from one
+    // fan-out to the next on the same workers. Items of uneven length
+    // record their visit last, so a fan-out that returned while a
+    // helper was still mid-item would show a missing visit.
+    std::vector<std::atomic<int>> visits(18);
+    const auto visit = [&](std::size_t i) {
+        for (volatile std::size_t spin = 0; spin < (i % 4) * 500; ++spin) {
+        }
+        ++visits[i];
+    };
+    for (unsigned threads : {2u, 3u, 8u}) {
+        ParallelRunner runner(threads);
+        for (int round = 0; round < 2000; ++round) {
+            const std::size_t count = static_cast<std::size_t>(round % 19);
+            for (auto &v : visits)
+                v.store(0);
+            runner.forEachIndex(count, visit);
+            for (std::size_t i = 0; i < visits.size(); ++i)
+                ASSERT_EQ(visits[i].load(), i < count ? 1 : 0)
+                    << threads << " threads, round " << round
+                    << ", index " << i;
+        }
+    }
+}
+
+TEST(ParallelRunner, ThreadsTakeTurnsAtASharedRunner)
+{
+    ParallelRunner &shared = sharedParallelRunner(4);
+    std::atomic<int> wrong{0};
+    const auto caller = [&](int salt) {
+        for (int round = 0; round < 500; ++round) {
+            const std::size_t count = 1 + static_cast<std::size_t>(round % 19);
+            const auto values = shared.map<int>(
+                count, [&](std::size_t i) {
+                    return salt * 1000 + static_cast<int>(i);
+                });
+            for (std::size_t i = 0; i < count; ++i)
+                if (values[i] != salt * 1000 + static_cast<int>(i))
+                    ++wrong;
+        }
+    };
+    std::vector<std::thread> callers;
+    for (int salt = 1; salt <= 3; ++salt)
+        callers.emplace_back(caller, salt);
+    for (auto &t : callers)
+        t.join();
+    EXPECT_EQ(wrong.load(), 0);
+}
+
+TEST(ParallelRunnerDeathTest, ReEntryFromAWorkItemDies)
+{
+    // Without the check the inner fan-out waits for the turn its own
+    // caller holds; the alarm turns that hang into a failed test.
+    EXPECT_DEATH(
+        {
+            alarm(5);
+            ParallelRunner runner(2);
+            runner.forEachIndex(2, [&](std::size_t) {
+                runner.forEachIndex(2, [](std::size_t) {});
+            });
+        },
+        "re-entered from one of its own work items");
 }
 
 TEST(ParallelRunner, ZeroItemsIsANoOp)
@@ -566,7 +620,7 @@ TEST(AdaptiveReplicator, BitIdenticalAcrossThreadCounts)
     const AdaptiveEstimate reference = adaptiveNoisy(serial, 7);
 
     for (unsigned threads :
-         {2u, ThreadPool::hardwareThreads() + 1}) {
+         {2u, hardwareThreads() + 1}) {
         ParallelRunner runner(threads);
         const AdaptiveReplicator replicator(runner, target, schedule);
         const AdaptiveEstimate a = adaptiveNoisy(replicator, 7);
@@ -637,7 +691,7 @@ TEST(AdaptiveReplicator, SweepStreamsFinalizedPointsInFlatOrder)
               reference.front().estimate.samples);
 
     for (unsigned threads :
-         {1u, 2u, ThreadPool::hardwareThreads() + 1}) {
+         {1u, 2u, hardwareThreads() + 1}) {
         ParallelRunner runner(threads);
         const AdaptiveReplicator replicator(runner, target, schedule);
         std::vector<std::size_t> order;
@@ -691,7 +745,7 @@ TEST(AdaptiveReplicator, SweepStressManyPointsThreadCountInvariant)
         serial.runPoints(points, pointExperiment);
     ASSERT_EQ(reference.size(), 32u);
 
-    ParallelRunner runner(ThreadPool::hardwareThreads() + 3);
+    ParallelRunner runner(hardwareThreads() + 3);
     const AdaptiveReplicator replicator(runner, target, schedule);
     const std::vector<AdaptiveEstimate> results =
         replicator.runPoints(points, pointExperiment);
@@ -710,35 +764,6 @@ TEST(AdaptiveReplicator, SweepStressManyPointsThreadCountInvariant)
             EXPECT_EQ(results[i].estimate.samples, 30u);
         }
     }
-}
-
-TEST(ThreadPool, ThrowingTaskDoesNotKillTheWorkers)
-{
-    std::atomic<int> ran{0};
-    {
-        ThreadPool pool(2);
-        for (int i = 0; i < 8; ++i) {
-            pool.post([] { throw std::runtime_error("task boom"); });
-            pool.post([] { throw 42; }); // non-std exceptions too
-            pool.post([&] { ++ran; });
-        }
-        // Destructor drains the queue; every non-throwing task must
-        // still have run on a live worker.
-    }
-    EXPECT_EQ(ran.load(), 8);
-}
-
-TEST(ThreadPool, CleanShutdownWithQueuedBacklog)
-{
-    std::atomic<int> ran{0};
-    {
-        ThreadPool pool(3);
-        // Far more tasks than workers, so a deep backlog is still
-        // queued when the destructor starts; shutdown must drain it.
-        for (int i = 0; i < 5000; ++i)
-            pool.post([&] { ++ran; });
-    }
-    EXPECT_EQ(ran.load(), 5000);
 }
 
 TEST(ParallelRunner, StaysUsableAfterWorkerException)

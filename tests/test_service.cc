@@ -33,7 +33,7 @@
 #include <thread>
 #include <vector>
 
-#include "exec/thread_pool.hh"
+#include "exec/parallel_runner.hh"
 #include "service/client.hh"
 #include "service/daemon.hh"
 #include "service/journal.hh"
@@ -497,7 +497,7 @@ TEST(DaemonCoreShare, OnlyASpecWithoutThreadsTakesTheShare)
     EXPECT_EQ(parseSweepSpecString(base).threads, 0u);
     EXPECT_EQ(parseSweepSpecString(base + " --threads=1").threads, 1u);
     EXPECT_EQ(parseSweepSpecString(base + " --threads=0").threads,
-              ThreadPool::hardwareThreads());
+              hardwareThreads());
 }
 
 // ---------------------------------------------------- daemon metrics

@@ -14,7 +14,7 @@
 #include <string>
 
 #include "core/experiment.hh"
-#include "exec/thread_pool.hh"
+#include "exec/parallel_runner.hh"
 #include "service/protocol.hh"
 #include "telemetry/telemetry.hh"
 
@@ -201,7 +201,7 @@ TEST(Telemetry, CounterDumpByteIdenticalAcrossThreadCounts)
               0.0);
 
     for (const unsigned threads :
-         {4u, ThreadPool::hardwareThreads()}) {
+         {4u, hardwareThreads()}) {
         const std::string parallel = adaptiveCounterDump(threads);
         EXPECT_EQ(parallel, serial) << threads << " threads";
     }

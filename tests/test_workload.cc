@@ -24,7 +24,6 @@
 #include "core/experiment.hh"
 #include "core/fingerprint.hh"
 #include "exec/parallel_runner.hh"
-#include "exec/thread_pool.hh"
 #include "golden_util.hh"
 #include "shard/merge.hh"
 #include "shard/result_io.hh"
@@ -456,7 +455,7 @@ TEST(WorkloadDeterminism, IdenticalAcrossThreadCounts)
     ASSERT_EQ(reference.size(), 6u);
 
     for (const unsigned threads :
-         {4u, ThreadPool::hardwareThreads()}) {
+         {4u, hardwareThreads()}) {
         ParallelRunner runner(threads);
         const std::vector<double> values =
             runner.map<double>(points.size(), evaluate);

@@ -61,7 +61,6 @@
 #include <time.h>
 #include <unistd.h>
 
-#include <cerrno>
 #include <cstdio>
 #include <cstdlib>
 #include <iostream>
@@ -520,23 +519,10 @@ main(int argc, char **argv)
         ensureWritableShardDir(opt.dir);
         const ShardSpec shard =
             ShardSpec::parse(cli.getString("shard", ""));
-        // Declare identity for the fault plane: a manually-launched
-        // worker is attempt 0 unless SBN_FAULT_ATTEMPT says otherwise
-        // (the supervisor sets the scope in its forked children
-        // directly).
-        unsigned attempt = 0;
-        if (const char *env = std::getenv(kFaultAttemptEnvVar);
-            env != nullptr && *env != '\0') {
-            char *end = nullptr;
-            errno = 0;
-            const unsigned long parsed = std::strtoul(env, &end, 10);
-            if (*end != '\0' || errno == ERANGE)
-                sbn_fatal(kFaultAttemptEnvVar,
-                          " must be a non-negative integer, got '",
-                          env, "'");
-            attempt = static_cast<unsigned>(parsed);
-        }
-        setFaultProcessScope(shard.index, attempt);
+        // Declare identity for the fault plane: a manually launched
+        // worker is attempt 0 (the supervisor sets the scope in its
+        // forked children directly).
+        setFaultProcessScope(shard.index, 0);
         runSweepShard(opt.run, shard, opt.dir, opt.resume);
     } else if (has_merge) {
         const std::vector<std::string> files =

@@ -3,8 +3,7 @@
  * sbn_sweepd: crash-safe sweep job daemon.
  *
  *   sbn_sweepd --state=DIR [--port=P] [--queue-limit=N]
- *              [--max-running=N] [--job-retries=N] [--heartbeat=S]
- *              [--shards=N]
+ *              [--max-running=N] [--heartbeat=S]
  *
  * Accepts sweep jobs over a line-delimited JSON TCP protocol
  * (docs/service.md), journals every job-state transition to
@@ -40,12 +39,8 @@ main(int argc, char **argv)
                         "queue_full (default 8)"},
         {"max-running", "max concurrent job runner processes "
                         "(default 1)"},
-        {"job-retries", "relaunches (with resume) when a runner dies "
-                        "on a signal (default 2)"},
         {"heartbeat", "seconds between heartbeat-file rewrites "
                       "(default 1)"},
-        {"shards", "worker count for specs without --spawn "
-                   "(default 1)"},
     };
     const CommandLine cli(argc, argv, known);
 
@@ -65,17 +60,9 @@ main(int argc, char **argv)
         sbn_fatal("--max-running must be >= 1 (got ", maxRunning,
                   ")");
     config.maxRunning = static_cast<std::size_t>(maxRunning);
-    const std::int64_t retries = cli.getInt("job-retries", 2);
-    if (retries < 0)
-        sbn_fatal("--job-retries must be >= 0 (got ", retries, ")");
-    config.jobRetries = static_cast<unsigned>(retries);
     config.heartbeatSeconds = cli.getDouble("heartbeat", 1.0);
     if (!(config.heartbeatSeconds > 0))
         sbn_fatal("--heartbeat must be > 0 seconds");
-    const std::int64_t shards = cli.getInt("shards", 1);
-    if (shards < 1)
-        sbn_fatal("--shards must be >= 1 (got ", shards, ")");
-    config.defaultShards = static_cast<std::size_t>(shards);
 
     return runSweepDaemon(config);
 }
