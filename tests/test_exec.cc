@@ -109,7 +109,7 @@ TEST(ParallelRunner, BackToBackFanOutsVisitEachIndexOnce)
     for (unsigned threads : {2u, 3u, 8u}) {
         ParallelRunner runner(threads);
         for (int round = 0; round < 2000; ++round) {
-            const std::size_t count = static_cast<std::size_t>(round % 19);
+            const auto count = static_cast<std::size_t>(round % 19);
             for (auto &v : visits)
                 v.store(0);
             runner.forEachIndex(count, visit);
@@ -127,7 +127,7 @@ TEST(ParallelRunner, ThreadsTakeTurnsAtASharedRunner)
     std::atomic<int> wrong{0};
     const auto caller = [&](int salt) {
         for (int round = 0; round < 500; ++round) {
-            const std::size_t count = 1 + static_cast<std::size_t>(round % 19);
+            const auto count = static_cast<std::size_t>(1 + round % 19);
             const auto values = shared.map<int>(
                 count, [&](std::size_t i) {
                     return salt * 1000 + static_cast<int>(i);
