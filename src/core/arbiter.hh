@@ -15,6 +15,10 @@
  * due order is push order, and a FIFO ring of at most m entries (one
  * per accessing module) is the whole calendar: no event heap.
  *
+ * ProcessorQueues holds the buffered organization's per-module input
+ * and output queues, linked through the processors that wait in
+ * them, so neither kernel allocates per request.
+ *
  * Header-only, like core/collector.hh, so the flattened driver loops
  * of CycleSkip (core/system.hh) and FastStat (core/faststat.hh) inline
  * every call. Neither type knows its caller: the kernel passes in the
@@ -62,18 +66,21 @@ class BusArbiter
 
     bool hasCandidates() const
     {
-        return !candProcs_.empty() || !candModules_.empty();
+        return (candProcs_.count() | candModules_.count()) != 0;
     }
     bool accepts(int module) const { return accepts_[idx(module)] != 0; }
     const IndexSet &processorCandidates() const { return candProcs_; }
     const IndexSet &moduleCandidates() const { return candModules_; }
 
-    /** @p proc issued a request to @p module and waits for the bus. */
-    void waiting(int proc, int module)
+    /** @p proc issued a request to @p module and waits for the bus;
+     *  returns whether it is a request candidate now. */
+    bool waiting(int proc, int module)
     {
         waiters_[idx(module)].insert(idx(proc));
-        if (accepts_[idx(module)])
-            candProcs_.insert(idx(proc));
+        if (!accepts_[idx(module)])
+            return false;
+        candProcs_.insert(idx(proc));
+        return true;
     }
 
     /** @p proc's request to @p module got the bus. */
@@ -184,8 +191,9 @@ class CompletionRing
 
     std::size_t capacity() const { return entries_.capacity(); }
 
-    /** Due tick of the oldest entry; kNever when empty. */
-    Tick nextDue() const { return count_ != 0 ? entries_[head_].due : kNever; }
+    /** Due tick of the oldest entry; kNever when empty. Cached, so the
+     *  driver loops read one member per pass. */
+    Tick nextDue() const { return headDue_; }
 
     /** @p module's access starts at @p start. */
     void push(Tick start, int module)
@@ -200,7 +208,8 @@ class CompletionRing
         if (tail >= entries_.size())
             tail -= entries_.size();
         entries_[tail] = Entry{due, module};
-        ++count_;
+        if (count_++ == 0)
+            headDue_ = due;
     }
 
     /** Remove the oldest entry and return its module. @pre nonempty */
@@ -210,7 +219,7 @@ class CompletionRing
         const int module = entries_[head_].module;
         if (++head_ == entries_.size())
             head_ = 0;
-        --count_;
+        headDue_ = --count_ != 0 ? entries_[head_].due : kNever;
         return module;
     }
 
@@ -225,7 +234,82 @@ class CompletionRing
     Tick stride_;
     std::size_t head_ = 0;
     std::size_t count_ = 0;
+    Tick headDue_ = kNever;
     Tick lastDue_ = 0;
+};
+
+/**
+ * The buffered organization's per-module request and response queues:
+ * FIFOs of processors threaded through one link per processor. A
+ * processor has at most one request outstanding, so it sits in at
+ * most one of the queues at any time, and every queue together needs
+ * one link and one ready tick per processor (the tick its response
+ * became deliverable, OldestFirst's key) and a head, tail and size
+ * per queue. Nothing allocates after construction. push() of a
+ * processor that is already queued, and pop() of an empty queue, die
+ * in debug builds.
+ */
+class ProcessorQueues
+{
+  public:
+    ProcessorQueues(std::size_t queues, std::size_t processors)
+        : queues_(queues), next_(processors, kUnlinked),
+          ready_(processors, 0)
+    {
+    }
+
+    std::size_t size(std::size_t queue) const { return queues_[queue].size; }
+    bool empty(std::size_t queue) const { return queues_[queue].size == 0; }
+
+    /** Ready tick of the oldest member of @p queue. @pre nonempty */
+    Tick frontReady(std::size_t queue) const
+    {
+        return ready_[static_cast<std::size_t>(queues_[queue].head)];
+    }
+
+    /** Append @p proc, which is in no queue, to @p queue. */
+    void push(std::size_t queue, int proc, Tick ready = 0)
+    {
+        const auto p = static_cast<std::size_t>(proc);
+        sbn_debug_assert(next_[p] == kUnlinked,
+                         "processor ", proc, " is already queued");
+        Queue &q = queues_[queue];
+        next_[p] = kEnd;
+        ready_[p] = ready;
+        if (q.size++ == 0)
+            q.head = proc;
+        else
+            next_[static_cast<std::size_t>(q.tail)] = proc;
+        q.tail = proc;
+    }
+
+    /** Remove and return the oldest member of @p queue. @pre nonempty */
+    int pop(std::size_t queue)
+    {
+        Queue &q = queues_[queue];
+        sbn_debug_assert(q.size != 0, "pop from an empty processor queue");
+        const int proc = q.head;
+        const auto p = static_cast<std::size_t>(proc);
+        q.head = next_[p];
+        next_[p] = kUnlinked;
+        --q.size;
+        return proc;
+    }
+
+  private:
+    static constexpr std::int32_t kEnd = -1;      //!< last in its queue
+    static constexpr std::int32_t kUnlinked = -2; //!< in no queue
+
+    struct Queue
+    {
+        std::int32_t head = kEnd;
+        std::int32_t tail = kEnd;
+        std::uint32_t size = 0;
+    };
+
+    std::vector<Queue> queues_;
+    std::vector<std::int32_t> next_; //!< per processor: next in queue
+    std::vector<Tick> ready_;        //!< per processor: ready tick
 };
 
 } // namespace sbn

@@ -175,15 +175,6 @@ class RunCollector
         }
     }
 
-    /** Capacities of the collector's scratch vectors (for the
-     *  zero-steady-state-allocation test). */
-    void appendCapacities(std::vector<std::size_t> &caps) const
-    {
-        caps.push_back(perProcCompleted_.capacity());
-        caps.push_back(modules_.capacity());
-        caps.push_back(serviceStart_.capacity());
-    }
-
   private:
     bool inWindow(Tick t) const
     {

@@ -15,7 +15,8 @@ SystemConfig::validate() const
         sbn_fatal("numModules must be >= 1, got ", numModules);
     if (memoryRatio < 1)
         sbn_fatal("memoryRatio (r) must be >= 1, got ", memoryRatio);
-    if (requestProbability < 0.0 || requestProbability > 1.0)
+    // NaN-safe: a NaN p fails both comparisons, so ask for the range.
+    if (!(requestProbability >= 0.0 && requestProbability <= 1.0))
         sbn_fatal("requestProbability must be in [0,1], got ",
                   requestProbability);
     if (inputCapacity < 0 || outputCapacity < 0)

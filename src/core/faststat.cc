@@ -16,6 +16,10 @@ FastStatSystem::FastStatSystem(const SystemConfig &config)
       workload_((cfg_.validate(), cfg_.workload), cfg_.numProcessors,
                 cfg_.numModules, cfg_.requestProbability),
       pc_(static_cast<Tick>(cfg_.processorCycle())),
+      queues_(cfg_.buffered ? 2 * static_cast<std::size_t>(cfg_.numModules)
+                            : 0,
+              cfg_.buffered ? static_cast<std::size_t>(cfg_.numProcessors)
+                            : 0),
       completions_(static_cast<std::size_t>(cfg_.numModules),
                    static_cast<Tick>(cfg_.memoryRatio)),
       arbiter_(cfg_), collector_(cfg_)
@@ -44,8 +48,6 @@ FastStatSystem::FastStatSystem(const SystemConfig &config)
     modServing_.assign(m, -1);
     modAccessStart_.assign(m, 0);
     modAccessing_.assign(m, 0u);
-    inputQueues_.resize(m);
-    outputQueues_.resize(m);
 
     arbAt_ = kNever;
     thinkHeap_.reserve(n);
@@ -59,11 +61,11 @@ FastStatSystem::refreshModule(int module)
     // enqueue their request immediately (delivery is fused into the
     // grant), so the input queue alone is the occupancy.
     const auto idx = static_cast<std::size_t>(module);
-    const int occupied = static_cast<int>(inputQueues_[idx].size());
+    const int occupied = static_cast<int>(queues_.size(inputQueue(module)));
     const bool accept = cfg_.inputCapacity == 0 ||
                         (!modAccessing_[idx] && occupied == 0) ||
                         occupied < cfg_.inputCapacity;
-    arbiter_.refresh(module, accept, !outputQueues_[idx].empty());
+    arbiter_.refresh(module, accept, !queues_.empty(outputQueue(module)));
 }
 
 void
@@ -129,7 +131,7 @@ FastStatSystem::memoryCompletion(int module, Tick now)
         arbiter_.setResponse(module, true);
         collector_.accessSpan(module, modAccessStart_[idx], now);
     } else {
-        outputQueues_[idx].push_back(Response{modServing_[idx], now});
+        queues_.push(outputQueue(module), modServing_[idx], now);
         modAccessing_[idx] = 0;
         modServing_[idx] = -1;
         collector_.accessSpan(module, modAccessStart_[idx], now);
@@ -142,15 +144,14 @@ void
 FastStatSystem::maybeStartBufferedAccess(int module, Tick now)
 {
     const auto idx = static_cast<std::size_t>(module);
-    if (modAccessing_[idx] || inputQueues_[idx].empty())
+    if (modAccessing_[idx] || queues_.empty(inputQueue(module)))
         return;
     if (cfg_.outputCapacity > 0 &&
-        static_cast<int>(outputQueues_[idx].size()) >=
+        static_cast<int>(queues_.size(outputQueue(module))) >=
             cfg_.outputCapacity)
         return; // blocked until a response drains
 
-    modServing_[idx] = inputQueues_[idx].front();
-    inputQueues_[idx].pop_front();
+    modServing_[idx] = queues_.pop(inputQueue(module));
     modAccessing_[idx] = 1;
     modAccessStart_[idx] = now;
     collector_.serviceStart(modServing_[idx], now);
@@ -178,7 +179,7 @@ FastStatSystem::arbitrate(Tick now)
         [&](int module) {
             const auto idx = static_cast<std::size_t>(module);
             if constexpr (Buffered)
-                return outputQueues_[idx].front().readyTick;
+                return queues_.frontReady(outputQueue(module));
             else
                 return modAccessStart_[idx] +
                        static_cast<Tick>(cfg_.memoryRatio);
@@ -221,7 +222,7 @@ FastStatSystem::grantRequest(int proc, Tick now)
         collector_.serviceStart(proc, arrive);
         completions_.push(arrive, target);
     } else {
-        inputQueues_[tgt].push_back(proc);
+        queues_.push(inputQueue(target), proc);
         refreshModule(target);
         maybeStartBufferedAccess(target, arrive);
     }
@@ -246,8 +247,7 @@ FastStatSystem::grantResponse(int module, Tick now)
         arbiter_.setResponse(module, false);
         arbiter_.setAccept(module, true);
     } else {
-        proc = outputQueues_[idx].front().proc;
-        outputQueues_[idx].pop_front();
+        proc = queues_.pop(outputQueue(module));
         refreshModule(module);
         // The output slot freed; a blocked module resumes at the
         // grant tick itself, matching the exact kernel (which calls
@@ -298,9 +298,8 @@ FastStatSystem::runLoop()
     // the arbitration observes the settled state, as in the exact
     // kernel (core/system.hh); grants already applied their delivery
     // effects at the previous tick. Every structure is O(1)/O(log n)
-    // per event. Unbuffered runs are allocation-free in steady state;
-    // buffered runs are not, since each module's two std::deque
-    // queues allocate and free nodes as requests pass through.
+    // per event, and none allocates after construction, in either
+    // organization (KernelGridExtras.SteadyStateArbitrationDoesNotReallocate).
     for (;;) {
         Tick next = arbAt_;
         if (completions_.nextDue() < next)

@@ -35,7 +35,6 @@
 #define SBN_CORE_FASTSTAT_HH
 
 #include <cstdint>
-#include <deque>
 #include <limits>
 #include <vector>
 
@@ -90,12 +89,6 @@ class FastStatSystem
         HoldingResponse,
     };
 
-    struct Response
-    {
-        int proc;
-        Tick readyTick;
-    };
-
     // --- behaviour ---------------------------------------------------
     // The per-event chain is templated on the buffered/unbuffered
     // split: the driver loop instantiates each variant once, so the
@@ -113,6 +106,16 @@ class FastStatSystem
     /** Report a buffered module's flags to the arbiter; the
      *  unbuffered machine sets them directly at each transition. */
     void refreshModule(int module);
+
+    /** The buffered queues of @p module in queues_. */
+    std::size_t inputQueue(int module) const
+    {
+        return static_cast<std::size_t>(module);
+    }
+    std::size_t outputQueue(int module) const
+    {
+        return static_cast<std::size_t>(cfg_.numModules + module);
+    }
     void pushThinkWake(Tick due, int proc);
 
     // --- bookkeeping -------------------------------------------------
@@ -136,14 +139,16 @@ class FastStatSystem
     std::vector<std::int32_t> procTarget_;
     std::vector<Tick> procIssueTick_;
 
-    // Module state (unbuffered machine + buffered queues).
+    // Module state (unbuffered machine + buffered server flag).
     std::vector<ModState> modState_;
     std::vector<std::int32_t> modServing_;
     std::vector<Tick> modAccessStart_;
     // uint32_t flags, not char: see BusArbiter's flags.
     std::vector<std::uint32_t> modAccessing_; //!< buffered: server busy
-    std::vector<std::deque<int>> inputQueues_;
-    std::vector<std::deque<Response>> outputQueues_;
+
+    /** Buffered: module j's input queue is queue j, its output queue
+     *  (ready tick = completion tick) queue m + j. */
+    ProcessorQueues queues_;
 
     /**
      * Next tick the bus can grant: now + 1 after a grant (the

@@ -32,9 +32,12 @@
  * work; memory completions sit in the CompletionRing and the bus cycle
  * and arbitration in one slot each, so no event heap is needed (the
  * argument is at runCycleSkip()); the BusArbiter keeps the grant
- * candidates and applies the grant rule (both shared with FastStat,
+ * candidates and applies the grant rule, and the buffered module
+ * queues are ProcessorQueues (all shared with FastStat,
  * core/arbiter.hh); and the post-grant transfer-done/arbitrate pair
- * shares one coalesced bus cycle.
+ * shares one coalesced bus cycle. The driver and its event chain are
+ * instantiated once per organization (template <bool Buffered>), and
+ * nothing allocates after construction.
  *
  * Which module a request targets and how eagerly each processor
  * issues is owned by the WorkloadModel (workload/workload.hh). The
@@ -46,7 +49,6 @@
 #ifndef SBN_CORE_SYSTEM_HH
 #define SBN_CORE_SYSTEM_HH
 
-#include <deque>
 #include <vector>
 
 #include "core/arbiter.hh"
@@ -82,29 +84,7 @@ class SingleBusSystem
     /** Bernoulli think/issue draws performed (perf accounting). */
     std::uint64_t thinkDraws() const { return thinkDraws_; }
 
-    /**
-     * Capacities of every scratch/eligibility container arbitration
-     * touches, in a fixed order (exposed for the zero-steady-state-
-     * allocation test: capacities must not change across run()).
-     */
-    std::vector<std::size_t> scratchCapacities() const;
-
   private:
-    /** What a processor is doing. */
-    enum class ProcState
-    {
-        Thinking,        //!< internal processing, no request
-        WaitingGrant,    //!< request issued, waiting for the bus
-        WaitingResponse, //!< request in the memory subsystem
-    };
-
-    struct Processor
-    {
-        ProcState state = ProcState::Thinking;
-        int target = -1;  //!< module of the outstanding request
-        Tick issueTick = 0;
-    };
-
     /** Unbuffered module service stages. */
     enum class ModState
     {
@@ -115,22 +95,14 @@ class SingleBusSystem
         ResponseInFlight //!< response on the bus
     };
 
-    struct Response
-    {
-        int proc;
-        Tick readyTick;
-    };
-
     struct Module
     {
         // Unbuffered state machine.
         ModState state = ModState::Idle;
         int servingProc = -1;
 
-        // Buffered organization (config.buffered).
-        bool accessing = false;
-        std::deque<int> inputQueue;      //!< waiting request procs
-        std::deque<Response> outputQueue; //!< waiting responses
+        // Buffered organization: the queues live in queues_.
+        std::uint32_t accessing = 0; //!< server busy
         int reservedInput = 0; //!< granted requests still on the bus
 
         Tick accessStart = 0;
@@ -145,28 +117,57 @@ class SingleBusSystem
     };
 
     // --- behaviour ---------------------------------------------------
-    void processorReady(int proc);
-    void memoryCompletion(int module);
-    void transferDone();
-    void arbitrate();
+    // The per-event chain is templated on the organization, as
+    // FastStat's is: each driver instantiation carries only its own
+    // module machine. Members that draw take the driver's local copy
+    // of rng_ (see runCycleSkip()).
+
+    /** A delivered response frees @p proc: one processor-cycle draw,
+     *  issue or think. */
+    void processorReady(int proc, Tick now, RandomGenerator &rng);
+    template <bool Buffered> void memoryCompletion(int module, Tick now);
+    template <bool Buffered>
+    void transferDone(Tick now, RandomGenerator &rng);
+    template <bool Buffered> void arbitrate(Tick now, RandomGenerator &rng);
+    template <bool Buffered> void grantRequest(int proc, Tick now);
+    template <bool Buffered> void grantResponse(int module, Tick now);
 
     void requestArbitration(Tick at);
-    void maybeStartBufferedAccess(int module);
-    void refreshModule(int module); //!< report flags to the arbiter
-
-    void grantRequest(int proc);
-    void grantResponse(int module);
+    /** Start @p module's next buffered access if it can; returns
+     *  whether it did (and so refreshed the module's flags). */
+    bool maybeStartBufferedAccess(int module, Tick now);
 
     /**
-     * One processor-cycle draw: issue (true) or think (false). The
-     * single place the simulator consumes processor RNG; target and
-     * think probability both come from the workload model.
+     * Report a buffered module's acceptance to the arbiter, after a
+     * change to its input occupancy or server; a no-op with unbounded
+     * input buffers. Its response flag, and the unbuffered machine's
+     * two flags, are set directly at the transitions that flip them.
      */
-    bool drawProcessor(int proc, Tick now);
+    void refreshAccept(int module);
+
+    /** The buffered queues of @p module in queues_. */
+    std::size_t inputQueue(int module) const
+    {
+        return static_cast<std::size_t>(module);
+    }
+    std::size_t outputQueue(int module) const
+    {
+        return static_cast<std::size_t>(cfg_.numModules + module);
+    }
+
+    /**
+     * @p proc issues its next request: the target draw (from the
+     * workload model) and the bookkeeping. Returns whether the
+     * request is a grant candidate at once. With the think draws of
+     * processorReady() and processThinkTick(), the only consumer of
+     * processor RNG.
+     */
+    bool issue(int proc, Tick now, RandomGenerator &rng);
 
     // --- cycle-skip kernel --------------------------------------------
-    void runCycleSkip();
-    void processThinkTick(Tick now, std::size_t bucket_idx);
+    template <bool Buffered> void runCycleSkip();
+    void processThinkTick(Tick now, std::size_t bucket_idx,
+                          RandomGenerator &rng);
     void refreshNextThink(Tick now, std::size_t r0);
     void enterThinking(int proc, Tick now);
 
@@ -175,11 +176,22 @@ class SingleBusSystem
 
     SystemConfig cfg_;
     Tick now_ = 0;
-    RandomGenerator rng_;
+    RandomGenerator rng_; //!< the seeded stream; run() draws on a copy
     WorkloadModel workload_;
 
-    std::vector<Processor> procs_;
+    // Processor state, one array per field: the module of the
+    // outstanding request, its issue tick, and the think draw's
+    // integer threshold (RandomGenerator::bernoulliThreshold of the
+    // processor's p, fixed for the run).
+    std::vector<int> procTarget_;
+    std::vector<Tick> procIssueTick_;
+    std::vector<std::uint64_t> thinkThreshold_;
+
     std::vector<Module> mods_;
+
+    /** Buffered: module j's input queue is queue j, its output queue
+     *  (ready tick = completion tick) queue m + j. */
+    ProcessorQueues queues_;
 
     BusTransfer busTransfer_;
 
@@ -194,36 +206,39 @@ class SingleBusSystem
     Tick busCycleAt_ = kNever;
     Tick arbitrationAt_ = kNever; //!< idle-bus wakeup
     std::uint64_t eventsExecuted_ = 0;
-    bool inArbitration_ = false; //!< guards re-entrant rescheduling
 
     /**
-     * Think calendar: bucket b holds, in event order, the thinking
-     * processors whose next draw is due at thinkBucketDue_[b] (always
-     * congruent to b mod processorCycle()). Redraw ticks advance in
-     * strides of exactly one processor cycle, so every pending entry
-     * of a bucket shares one due tick and a failed draw stays in its
-     * bucket in place.
+     * Think calendar: bucket b, the n slots from thinkSlots_[b * n]
+     * of which the first thinkSize_[b] are live, holds in event order
+     * the thinking processors whose next draw is due at
+     * thinkBucketDue_[b] (always congruent to b mod processorCycle()).
+     * Redraw ticks advance in strides of exactly one processor cycle,
+     * so every pending entry of a bucket shares one due tick and a
+     * failed draw stays in its bucket in place.
      */
-    std::vector<std::vector<int>> thinkBuckets_;
+    std::vector<int> thinkSlots_;
+    std::vector<std::uint32_t> thinkSize_;
     std::vector<Tick> thinkBucketDue_;
     int thinkingCount_ = 0;
     std::uint64_t thinkDraws_ = 0;
 
     /**
-     * Bit b set <=> thinkBuckets_[b] nonempty, for processor cycles
-     * of at most 63 ticks (thinkMaskUsable_). Buckets come due in
-     * cyclic residue order, so the next think tick is a rotate+ctz
-     * instead of an O(processorCycle) scan of the due array.
+     * Bit b set <=> bucket b nonempty, for processor cycles of at
+     * most 63 ticks (thinkMaskUsable_). Buckets come due in cyclic
+     * residue order, so the next think tick is a rotate+ctz instead
+     * of an O(processorCycle) scan of the due array.
      */
     std::uint64_t thinkMask_ = 0;
     std::uint64_t thinkMaskAll_ = 0; //!< low processorCycle() bits
     bool thinkMaskUsable_ = false;
+    std::uint64_t pcReciprocal_ = 0; //!< 2^64 / processorCycle(), rounded up
 
     /**
-     * Cached earliest pending think tick and its bucket, so the
-     * driver loop compares two integers instead of recomputing;
-     * maintained by processThinkTick (full refresh, residue already
-     * in hand) and enterThinking (min-update).
+     * Cached earliest pending think tick (kNever while no processor
+     * thinks) and its bucket, so the driver loop compares two
+     * integers instead of recomputing; maintained by processThinkTick
+     * (full refresh, residue already in hand) and enterThinking
+     * (min-update).
      */
     Tick thinkNextDue_ = 0;
     std::size_t thinkNextIdx_ = 0;

@@ -9,6 +9,8 @@
 #include <cstdint>
 #include <limits>
 
+#include "util/logging.hh"
+
 namespace sbn {
 
 /**
@@ -26,6 +28,42 @@ class Accumulator
 
     /** Add one sample. */
     void add(double sample);
+
+    /**
+     * @p a.add(@p a_sample) and @p b.add(@p b_sample), bit for bit,
+     * with both mean updates in one packed division. Inline, so a
+     * kernel's flattened loop that keeps two accumulators of equal
+     * count (CycleSkip's wait and service moments) pays one division
+     * per sample pair instead of two calls and two divisions. GCC's
+     * generic vector type, not x86 intrinsics: each lane is the same
+     * IEEE operation add() performs. @pre a.count() == b.count()
+     */
+    static void
+    addPair(Accumulator &a, double a_sample, Accumulator &b,
+            double b_sample)
+    {
+        typedef double Pair __attribute__((vector_size(16)));
+        sbn_debug_assert(a.count_ == b.count_,
+                         "addPair on accumulators of unequal count");
+        // Signed: the same value for any count below 2^63, converted
+        // in one instruction (an unsigned one needs a sign test).
+        const auto count = static_cast<double>(
+            static_cast<std::int64_t>(++a.count_));
+        ++b.count_;
+        const Pair sample = {a_sample, b_sample};
+        Pair mean = {a.mean_, b.mean_};
+        const Pair delta = sample - mean;
+        mean += delta / Pair{count, count};
+        const Pair m2 = Pair{a.m2_, b.m2_} + delta * (sample - mean);
+        a.mean_ = mean[0];
+        b.mean_ = mean[1];
+        a.m2_ = m2[0];
+        b.m2_ = m2[1];
+        a.min_ = a_sample < a.min_ ? a_sample : a.min_;
+        a.max_ = a.max_ < a_sample ? a_sample : a.max_;
+        b.min_ = b_sample < b.min_ ? b_sample : b.min_;
+        b.max_ = b.max_ < b_sample ? b_sample : b.max_;
+    }
 
     /** Merge another accumulator (parallel Welford combine). */
     void merge(const Accumulator &other);

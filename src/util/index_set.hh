@@ -23,10 +23,12 @@ namespace sbn {
 namespace detail {
 
 /** Select positions for every byte value: pos[b][k] is the bit index
- *  of the k-th set bit of b (0xff for k >= popcount(b)). */
+ *  of the k-th set bit of b (0xff for k >= popcount(b)), and count[b]
+ *  is popcount(b). */
 struct ByteSelect
 {
     std::uint8_t pos[256][8];
+    std::uint8_t count[256];
 };
 
 constexpr ByteSelect
@@ -38,6 +40,7 @@ makeByteSelect()
         for (unsigned bit = 0; bit < 8; ++bit)
             if ((byte >> bit) & 1u)
                 table.pos[byte][k++] = static_cast<std::uint8_t>(bit);
+        table.count[byte] = static_cast<std::uint8_t>(k);
         for (; k < 8; ++k)
             table.pos[byte][k] = 0xff;
     }
@@ -60,7 +63,10 @@ class IndexSet
     resize(std::size_t capacity)
     {
         capacity_ = capacity;
-        words_.assign((capacity + 63) / 64, 0);
+        numWords_ = (capacity + 63) / 64;
+        for (auto &word : inline_)
+            word = 0;
+        heap_.assign(numWords_ > kInlineWords ? numWords_ : 0, 0);
         count_ = 0;
     }
 
@@ -72,7 +78,7 @@ class IndexSet
     contains(std::size_t index) const
     {
         sbn_assert(index < capacity_, "IndexSet contains out of range");
-        return (words_[index / 64] >> (index % 64)) & 1u;
+        return (words()[index / 64] >> (index % 64)) & 1u;
     }
 
     /** Add @p index; returns true if it was not already a member. */
@@ -80,13 +86,11 @@ class IndexSet
     insert(std::size_t index)
     {
         sbn_assert(index < capacity_, "IndexSet insert out of range");
-        std::uint64_t &word = words_[index / 64];
-        const std::uint64_t bit = 1ull << (index % 64);
-        if (word & bit)
-            return false;
-        word |= bit;
-        ++count_;
-        return true;
+        std::uint64_t &word = words()[index / 64];
+        const bool added = ((word >> (index % 64)) & 1u) == 0;
+        word |= 1ull << (index % 64);
+        count_ += added; // no branch: membership is data-dependent
+        return added;
     }
 
     /** Remove @p index; returns true if it was a member. */
@@ -94,20 +98,19 @@ class IndexSet
     erase(std::size_t index)
     {
         sbn_assert(index < capacity_, "IndexSet erase out of range");
-        std::uint64_t &word = words_[index / 64];
-        const std::uint64_t bit = 1ull << (index % 64);
-        if (!(word & bit))
-            return false;
-        word &= ~bit;
-        --count_;
-        return true;
+        std::uint64_t &word = words()[index / 64];
+        const bool removed = ((word >> (index % 64)) & 1u) != 0;
+        word &= ~(1ull << (index % 64));
+        count_ -= removed;
+        return removed;
     }
 
     void
     clear()
     {
-        for (auto &word : words_)
-            word = 0;
+        std::uint64_t *const words = this->words();
+        for (std::size_t w = 0; w < numWords_; ++w)
+            words[w] = 0;
         count_ = 0;
     }
 
@@ -115,13 +118,14 @@ class IndexSet
     void
     insertAll(const IndexSet &other)
     {
-        sbn_assert(other.words_.size() == words_.size(),
+        sbn_assert(other.numWords_ == numWords_,
                    "IndexSet capacity mismatch");
-        for (std::size_t w = 0; w < words_.size(); ++w) {
-            const std::uint64_t added = other.words_[w] & ~words_[w];
-            words_[w] |= added;
-            count_ += static_cast<std::size_t>(
-                __builtin_popcountll(added));
+        std::uint64_t *const words = this->words();
+        const std::uint64_t *const others = other.words();
+        for (std::size_t w = 0; w < numWords_; ++w) {
+            const std::uint64_t added = others[w] & ~words[w];
+            words[w] |= added;
+            count_ += static_cast<std::size_t>(__builtin_popcountll(added));
         }
     }
 
@@ -129,13 +133,14 @@ class IndexSet
     void
     eraseAll(const IndexSet &other)
     {
-        sbn_assert(other.words_.size() == words_.size(),
+        sbn_assert(other.numWords_ == numWords_,
                    "IndexSet capacity mismatch");
-        for (std::size_t w = 0; w < words_.size(); ++w) {
-            const std::uint64_t removed = other.words_[w] & words_[w];
-            words_[w] &= ~removed;
-            count_ -= static_cast<std::size_t>(
-                __builtin_popcountll(removed));
+        std::uint64_t *const words = this->words();
+        const std::uint64_t *const others = other.words();
+        for (std::size_t w = 0; w < numWords_; ++w) {
+            const std::uint64_t removed = others[w] & words[w];
+            words[w] &= ~removed;
+            count_ -= static_cast<std::size_t>(__builtin_popcountll(removed));
         }
     }
 
@@ -144,17 +149,29 @@ class IndexSet
     nth(std::size_t k) const
     {
         sbn_assert(k < count_, "IndexSet::nth out of range");
-        if (words_.size() == 1)
-            return selectBit(words_[0], k);
+        // Sets of at most 16 indices (n or m <= 16) select with table
+        // loads: the k-th bit of the low byte, or the (k - c)-th of the
+        // high byte when the low byte holds only c < k + 1 members.
+        // These branches are fixed per set, so they predict.
+        const detail::ByteSelect &table = detail::kByteSelect;
+        const std::uint64_t *const words = this->words();
+        if (capacity_ <= 8)
+            return table.pos[words[0]][k];
+        if (capacity_ <= 16) {
+            const std::uint64_t word = words[0];
+            const std::size_t low = table.count[word & 0xff];
+            return k < low ? table.pos[word & 0xff][k]
+                           : 8u + table.pos[word >> 8][k - low];
+        }
+        if (numWords_ == 1)
+            return selectBit(words[0], k);
         for (std::size_t w = 0;; ++w) {
-            std::uint64_t word = words_[w];
-            const auto populated = static_cast<std::size_t>(
-                __builtin_popcountll(word));
-            if (k >= populated) {
-                k -= populated;
-                continue;
-            }
-            return w * 64 + selectBit(word, k);
+            const std::uint64_t word = words[w];
+            const auto populated =
+                static_cast<std::size_t>(__builtin_popcountll(word));
+            if (k < populated)
+                return w * 64 + selectBit(word, k);
+            k -= populated;
         }
     }
 
@@ -163,8 +180,9 @@ class IndexSet
     void
     forEach(Fn &&fn) const
     {
-        for (std::size_t w = 0; w < words_.size(); ++w) {
-            std::uint64_t word = words_[w];
+        const std::uint64_t *const words = this->words();
+        for (std::size_t w = 0; w < numWords_; ++w) {
+            std::uint64_t word = words[w];
             while (word != 0) {
                 const auto bit = static_cast<std::size_t>(
                     __builtin_ctzll(word));
@@ -175,41 +193,59 @@ class IndexSet
     }
 
   private:
+    /** Sets of up to 64 * kInlineWords indices keep their words in the
+     *  object itself (every arbitration set of a system with at most
+     *  128 processors); larger ones on the heap. */
+    static constexpr std::size_t kInlineWords = 2;
+
     /**
-     * Position of the k-th (0-based) set bit of @p word. The
-     * arbitration hot path calls this with a random k every grant, so
-     * the common small-system case (word fits in one byte, n <= 8)
-     * must be a single table load; wider words fall back to a branch-
-     * free binary search over half-word popcounts (a bit-stripping
-     * loop would mispredict once per call, the multiply-masked steps
-     * never branch). @pre k < popcount(word)
+     * Position of the k-th (0-based) set bit of @p word, without a
+     * branch (the arbitration hot path calls this with a random k
+     * every grant, so a data-dependent branch would mispredict): a
+     * SWAR popcount per byte, their prefix sums in one multiply, a
+     * bytewise compare against k that counts the bytes wholly below
+     * the k-th bit, then one byte-table lookup. Prefix sums are at
+     * most 64, so the compare never borrows across bytes.
+     * @pre k < popcount(word)
      */
     static std::size_t
     selectBit(std::uint64_t word, std::size_t k)
     {
-        if (word < 256)
-            return detail::kByteSelect.pos[word][k];
-        // Start the search at the word's actual width: medium systems
-        // (n <= 16, say) resolve in four steps, not six.
-        unsigned shift = 8;
-        while ((word >> shift) >> shift != 0)
-            shift <<= 1;
-        std::size_t pos = 0;
-        for (; shift >= 8; shift >>= 1) {
-            const auto low = static_cast<std::size_t>(
-                __builtin_popcountll(word &
-                                     ((1ull << shift) - 1)));
-            const std::size_t go = k >= low ? 1 : 0; // cmov, not jmp
-            k -= go * low;
-            pos += go * shift;
-            word >>= go * shift;
-        }
-        // High bits may survive when the last step kept the low half
-        // (go = 0); the answer lives in the low byte either way.
-        return pos + detail::kByteSelect.pos[word & 0xff][k];
+        constexpr std::uint64_t kOnes = 0x0101010101010101ull;
+        constexpr std::uint64_t kHigh = 0x8080808080808080ull;
+        std::uint64_t bytes = word - ((word >> 1) & 0x5555555555555555ull);
+        bytes = (bytes & 0x3333333333333333ull) +
+                ((bytes >> 2) & 0x3333333333333333ull);
+        bytes = (bytes + (bytes >> 4)) & 0x0f0f0f0f0f0f0f0full;
+        // Byte i of prefix: set bits in bytes 0..i.
+        const std::uint64_t prefix = bytes * kOnes;
+        // High bit of byte i set <=> prefix byte i <= k.
+        const std::uint64_t below = ((k * kOnes) | kHigh) - prefix;
+        const auto byte = static_cast<unsigned>(
+            __builtin_ctzll(~below & kHigh) >> 3);
+        // Set bits before the target byte (prefix byte byte - 1).
+        const auto before = static_cast<std::size_t>(
+            ((prefix << 8) >> (8 * byte)) & 0xff);
+        return 8 * byte +
+               detail::kByteSelect.pos[(word >> (8 * byte)) & 0xff]
+                                      [k - before];
     }
 
-    std::vector<std::uint64_t> words_;
+    /** The words: inline_ unless numWords_ > kInlineWords. A branch
+     *  fixed per set, so it predicts, and the words of a small set
+     *  are one load from the set, with no pointer to follow. */
+    std::uint64_t *words()
+    {
+        return numWords_ <= kInlineWords ? inline_ : heap_.data();
+    }
+    const std::uint64_t *words() const
+    {
+        return numWords_ <= kInlineWords ? inline_ : heap_.data();
+    }
+
+    std::uint64_t inline_[kInlineWords] = {};
+    std::vector<std::uint64_t> heap_; //!< all words, when not inline
+    std::size_t numWords_ = 0;
     std::size_t capacity_ = 0;
     std::size_t count_ = 0;
 };

@@ -18,6 +18,7 @@
 #ifndef SBN_UTIL_RANDOM_HH
 #define SBN_UTIL_RANDOM_HH
 
+#include <cmath>
 #include <cstdint>
 #include <vector>
 
@@ -107,6 +108,39 @@ class RandomGenerator
         return uniformReal() < p;
     }
 
+    /**
+     * The integer form of bernoulli(@p p) for bernoulliBelow():
+     * ceil(p * 2^53) for p in (0, 1), which lies in [1, 2^53 - 1];
+     * 0 for p <= 0 and 2^53 for p >= 1, the two that draw nothing.
+     * Since uniformReal() is (next() >> 11) * 2^-53 exactly, and an
+     * integer u is below a real x iff it is below ceil(x), the draw
+     * uniformReal() < p is (next() >> 11) < ceil(p * 2^53).
+     * @pre p is not NaN
+     */
+    static std::uint64_t
+    bernoulliThreshold(double p)
+    {
+        sbn_assert(p == p, "bernoulliThreshold of NaN");
+        if (p <= 0.0)
+            return 0;
+        if (p >= 1.0)
+            return kThresholdOne;
+        return static_cast<std::uint64_t>(std::ceil(p * 0x1.0p53));
+    }
+
+    /**
+     * bernoulli(p), bit for bit and draw for draw, given @p threshold
+     * = bernoulliThreshold(p): one integer compare per draw, and the
+     * two degenerate thresholds consume nothing.
+     */
+    bool
+    bernoulliBelow(std::uint64_t threshold)
+    {
+        if (threshold - 1 >= kThresholdOne - 1)
+            return threshold != 0;
+        return (next() >> 11) < threshold;
+    }
+
     /** Exponential draw with the given mean. @pre mean > 0 */
     double exponential(double mean);
 
@@ -137,6 +171,9 @@ class RandomGenerator
     std::uint64_t deriveSeed();
 
   private:
+    /** bernoulliThreshold(p) for p >= 1: every 53-bit draw is below. */
+    static constexpr std::uint64_t kThresholdOne = 1ull << 53;
+
     static std::uint64_t
     rotl(std::uint64_t x, int k)
     {

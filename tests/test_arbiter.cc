@@ -1,18 +1,22 @@
 /**
  * @file
- * Unit tests of the bus arbiter and the completion ring both kernels
- * share (core/arbiter.hh). The golden pins check the grant rule end to
- * end through each kernel; these pin each part of it on its own.
+ * Unit tests of the bus arbiter, the completion ring and the processor
+ * queues both kernels share (core/arbiter.hh). The golden pins check
+ * the grant rule end to end through each kernel; these pin each part
+ * of it on its own.
  */
 
 #include <gtest/gtest.h>
 
 #include <cstddef>
+#include <deque>
 #include <map>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/arbiter.hh"
+#include "util/random.hh"
 
 namespace sbn {
 namespace {
@@ -303,6 +307,43 @@ TEST(CompletionRingDeathTest, DiesOnOverflowAndOutOfOrderPush)
             ring.push(5, 0);
         },
         "in the past");
+}
+
+TEST(ProcessorQueues, KeepFifoOrderAcrossInterleavedQueues)
+{
+    // Five queues share one link array over 40 processors. Random
+    // pushes and pops, each processor in at most one queue at a time,
+    // must match a std::deque per queue in order, size and ready tick.
+    constexpr std::size_t kQueues = 5;
+    constexpr int kProcs = 40;
+    ProcessorQueues queues(kQueues, kProcs);
+    std::vector<std::deque<std::pair<int, Tick>>> model(kQueues);
+    std::vector<int> idle;
+    for (int p = 0; p < kProcs; ++p)
+        idle.push_back(p);
+    RandomGenerator rng(404);
+    for (Tick step = 0; step < 200000; ++step) {
+        const auto q = static_cast<std::size_t>(rng.uniformInt(kQueues));
+        if (!idle.empty() && (model[q].empty() || rng.uniformInt(2) == 0)) {
+            const auto pick = static_cast<std::size_t>(
+                rng.uniformInt(idle.size()));
+            const int proc = idle[pick];
+            idle[pick] = idle.back();
+            idle.pop_back();
+            queues.push(q, proc, step);
+            model[q].emplace_back(proc, step);
+        } else if (!model[q].empty()) {
+            ASSERT_EQ(queues.frontReady(q), model[q].front().second);
+            const int proc = queues.pop(q);
+            ASSERT_EQ(proc, model[q].front().first) << "step " << step;
+            model[q].pop_front();
+            idle.push_back(proc);
+        }
+        for (std::size_t k = 0; k < kQueues; ++k) {
+            ASSERT_EQ(queues.size(k), model[k].size());
+            ASSERT_EQ(queues.empty(k), model[k].empty());
+        }
+    }
 }
 
 } // namespace

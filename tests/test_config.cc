@@ -60,6 +60,10 @@ TEST(ConfigValidationDeath, RejectsProbabilityOutOfRange)
     SystemConfig high = valid();
     high.requestProbability = 1.5;
     EXPECT_DEATH(high.validate(), "requestProbability");
+
+    SystemConfig nan = valid();
+    nan.requestProbability = std::numeric_limits<double>::quiet_NaN();
+    EXPECT_DEATH(nan.validate(), "requestProbability");
 }
 
 TEST(ConfigValidationDeath, RejectsNegativeCapacities)

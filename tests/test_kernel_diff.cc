@@ -21,12 +21,66 @@
 
 #include <gtest/gtest.h>
 
+#include <dlfcn.h>
+#include <pthread.h>
+
+#include <atomic>
+#include <cstdint>
+#include <cstdlib>
+#include <new>
 #include <string>
 #include <vector>
 
 #include "core/experiment.hh"
+#include "core/faststat.hh"
 #include "core/system.hh"
 #include "golden_util.hh"
+
+namespace {
+
+/**
+ * Counts the test binary's operator new calls on one thread while on
+ * (KernelGridExtras.SteadyStateArbitrationDoesNotReallocate). The
+ * replacement forwards every call to the next definition in the
+ * process (the C++ runtime's, or a sanitizer's), so the sanitizer
+ * builds keep their new/delete checks.
+ */
+struct AllocCounter
+{
+    std::atomic<bool> on{false};
+    std::atomic<std::uint64_t> calls{0};
+    pthread_t thread{};
+};
+
+AllocCounter gAllocCounter;
+
+using OperatorNew = void *(*)(std::size_t);
+
+OperatorNew
+nextOperatorNew()
+{
+    static std::atomic<OperatorNew> next{nullptr};
+    OperatorNew fn = next.load(std::memory_order_acquire);
+    if (fn == nullptr) {
+        // _Znwm is operator new(std::size_t) in the Itanium C++ ABI.
+        fn = reinterpret_cast<OperatorNew>(dlsym(RTLD_NEXT, "_Znwm"));
+        if (fn == nullptr)
+            std::abort();
+        next.store(fn, std::memory_order_release);
+    }
+    return fn;
+}
+
+} // namespace
+
+void *
+operator new(std::size_t size)
+{
+    if (gAllocCounter.on.load(std::memory_order_acquire) &&
+        pthread_equal(gAllocCounter.thread, pthread_self()))
+        gAllocCounter.calls.fetch_add(1, std::memory_order_relaxed);
+    return nextOperatorNew()(size);
+}
 
 namespace sbn {
 namespace {
@@ -285,29 +339,66 @@ TEST(KernelGridExtras, LowPHeapEventsStaySparse)
     EXPECT_LT(events_per_cycle, 0.5);
 }
 
+/** operator new calls made by @p fn on this thread. */
+template <typename Fn>
+std::uint64_t
+allocationsIn(Fn &&fn)
+{
+    gAllocCounter.thread = pthread_self();
+    gAllocCounter.calls.store(0, std::memory_order_relaxed);
+    gAllocCounter.on.store(true, std::memory_order_release);
+    fn();
+    gAllocCounter.on.store(false, std::memory_order_release);
+    return gAllocCounter.calls.load(std::memory_order_relaxed);
+}
+
+/** operator new calls inside one run() of @p cfg's kernel. */
+std::uint64_t
+runAllocations(const SystemConfig &cfg)
+{
+    if (cfg.kernel == KernelKind::FastStat) {
+        FastStatSystem system(cfg);
+        return allocationsIn([&] { (void)system.run(); });
+    }
+    SingleBusSystem system(cfg);
+    return allocationsIn([&] { (void)system.run(); });
+}
+
 TEST(KernelGridExtras, SteadyStateArbitrationDoesNotReallocate)
 {
-    // collectPerModule covers both states: the per-module scratch
-    // (pre-sized at construction, part of scratchCapacities()) and
-    // telemetry flushes (disabled by default: no-op branches) must
-    // stay allocation-free through the inner loop either way.
-    for (bool per_module : {false, true}) {
-        for (bool buffered : {false, true}) {
-            SystemConfig cfg = diffBase();
-            cfg.buffered = buffered;
-            cfg.requestProbability = 0.6;
-            cfg.numProcessors = 24;
-            cfg.numModules = 6;
-            cfg.measureCycles = 20000;
-            cfg.collectPerModule = per_module;
+    // Both kernels, every organization (unbuffered, unbounded buffers,
+    // finite buffers), per-module and latency collection off and on:
+    // the operator new calls inside run() are the fixed cost of its
+    // Metrics, so a ten times longer window makes no more of them. A
+    // container that grows, or a queue that allocates per request,
+    // adds calls in proportion to the window.
+    for (KernelKind kernel : {KernelKind::CycleSkip, KernelKind::FastStat}) {
+        for (int organization = 0; organization < 3; ++organization) {
+            for (bool collect : {false, true}) {
+                SystemConfig cfg = diffBase();
+                cfg.kernel = kernel;
+                cfg.buffered = organization != 0;
+                if (organization == 2) {
+                    cfg.inputCapacity = 2;
+                    cfg.outputCapacity = 1;
+                }
+                cfg.requestProbability = 0.6;
+                cfg.numProcessors = 24;
+                cfg.numModules = 6;
+                cfg.collectPerModule = collect;
+                cfg.collectLatency = collect;
 
-            SingleBusSystem system(cfg);
-            const auto before = system.scratchCapacities();
-            (void)system.run();
-            EXPECT_EQ(before, system.scratchCapacities())
-                << "scratch container reallocated during run "
-                << "(buffered=" << buffered
-                << " perModule=" << per_module << ")";
+                cfg.measureCycles = 20000;
+                const std::uint64_t short_run = runAllocations(cfg);
+                cfg.measureCycles = 200000;
+                const std::uint64_t long_run = runAllocations(cfg);
+                EXPECT_EQ(short_run, long_run)
+                    << "allocations grew with the window (kernel="
+                    << (kernel == KernelKind::FastStat ? "faststat"
+                                                       : "cycleskip")
+                    << " organization=" << organization
+                    << " collect=" << collect << ")";
+            }
         }
     }
 }

@@ -1,13 +1,15 @@
 /**
  * @file
  * Unit tests for the RNG: determinism, range correctness and first
- * moments of every distribution the simulators draw from, and the
- * counter stream's geometric inversion.
+ * moments of every distribution the simulators draw from, the
+ * integer-threshold Bernoulli draw, and the counter stream's geometric
+ * inversion.
  */
 
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
 #include <set>
 #include <vector>
 
@@ -202,6 +204,52 @@ TEST(Random, DegenerateBernoulliConsumesNothing)
     EXPECT_TRUE(a.bernoulli(1.0));
     EXPECT_TRUE(a.bernoulli(2.0));
     EXPECT_EQ(a.next(), b.next());
+}
+
+TEST(Random, ThresholdDrawMatchesBernoulliDrawForDraw)
+{
+    // CycleSkip draws bernoulli(p) as bernoulliBelow(threshold). On
+    // twin streams the two must agree on every outcome and leave the
+    // streams at the same position: no draw for p <= 0 or p >= 1, one
+    // raw value otherwise.
+    const double ps[] = {-1.0, 0.0, 0x1.0p-53, 3 * 0x1.0p-53, 1e-300,
+                         0.1, 0.7, std::nextafter(1.0, 0.0), 1.0, 2.0};
+    for (double p : ps) {
+        const std::uint64_t threshold =
+            RandomGenerator::bernoulliThreshold(p);
+        RandomGenerator by_threshold(2718), by_double(2718);
+        for (int i = 0; i < 100000; ++i)
+            ASSERT_EQ(by_threshold.bernoulliBelow(threshold),
+                      by_double.bernoulli(p))
+                << "p=" << p << " draw " << i;
+        EXPECT_EQ(by_threshold.next(), by_double.next()) << "p=" << p;
+
+        // uniformReal() < p is (raw >> 11) < threshold for every raw
+        // value: 10^5 random ones and the four around the threshold,
+        // where a rounding error would show.
+        if (p <= 0.0 || p >= 1.0)
+            continue;
+        RandomGenerator raw(31415);
+        std::vector<std::uint64_t> values;
+        for (int i = 0; i < 100000; ++i)
+            values.push_back(raw.next());
+        for (std::uint64_t u : {threshold - 1, threshold}) {
+            values.push_back(u << 11);
+            values.push_back((u << 11) | 0x7ff);
+        }
+        for (std::uint64_t x : values) {
+            const double real = static_cast<double>(x >> 11) * 0x1.0p-53;
+            ASSERT_EQ((x >> 11) < threshold, real < p)
+                << "p=" << p << " raw " << x;
+        }
+    }
+}
+
+TEST(RandomDeathTest, ThresholdOfNaNDies)
+{
+    EXPECT_DEATH((void)RandomGenerator::bernoulliThreshold(
+                     std::numeric_limits<double>::quiet_NaN()),
+                 "NaN");
 }
 
 TEST(CounterRng, CachedDenominatorDrawsMatchTheInversion)

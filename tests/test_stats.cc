@@ -7,7 +7,9 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "stats/accumulator.hh"
@@ -56,6 +58,44 @@ TEST(Accumulator, MergeMatchesSequential)
     EXPECT_NEAR(left.variance(), whole.variance(), 1e-9);
     EXPECT_DOUBLE_EQ(left.min(), whole.min());
     EXPECT_DOUBLE_EQ(left.max(), whole.max());
+}
+
+TEST(Accumulator, AddPairMatchesTwoAddsBitForBit)
+{
+    // CycleSkip's packed update of its service and wait moments must
+    // leave both accumulators exactly as two add() calls would: every
+    // moment compared as bits, over integer samples (the kernel's
+    // tick counts) and arbitrary reals.
+    const auto bits = [](double d) {
+        std::uint64_t u;
+        std::memcpy(&u, &d, sizeof u);
+        return u;
+    };
+    RandomGenerator rng(2024);
+    for (int stream = 0; stream < 2; ++stream) {
+        Accumulator packed_a, packed_b, plain_a, plain_b;
+        for (int i = 0; i < 100000; ++i) {
+            const double a =
+                stream == 0
+                    ? static_cast<double>(6 + rng.uniformInt(500))
+                    : rng.uniformReal() * 1e6 - 3e5;
+            const double b = stream == 0 ? a - 6.0 : rng.uniformReal();
+            Accumulator::addPair(packed_a, a, packed_b, b);
+            plain_a.add(a);
+            plain_b.add(b);
+            if (i % 997 != 0 && i != 99999)
+                continue;
+            for (const auto &[packed, plain] :
+                 {std::pair{&packed_a, &plain_a},
+                  std::pair{&packed_b, &plain_b}}) {
+                ASSERT_EQ(packed->count(), plain->count());
+                ASSERT_EQ(bits(packed->mean()), bits(plain->mean()));
+                ASSERT_EQ(bits(packed->variance()), bits(plain->variance()));
+                ASSERT_EQ(bits(packed->min()), bits(plain->min()));
+                ASSERT_EQ(bits(packed->max()), bits(plain->max()));
+            }
+        }
+    }
 }
 
 TEST(Accumulator, MergeWithEmpty)

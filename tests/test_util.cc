@@ -1,6 +1,7 @@
 /**
  * @file
- * Tests for the text-table formatter and the CLI option parser.
+ * Tests for the text-table formatter, the CLI option parser and the
+ * IndexSet.
  */
 
 #include <gtest/gtest.h>
@@ -11,6 +12,7 @@
 
 #include "util/cli.hh"
 #include "util/index_set.hh"
+#include "util/random.hh"
 #include "util/table.hh"
 
 namespace sbn {
@@ -241,6 +243,33 @@ TEST(IndexSet, NthAndForEachAscend)
     std::vector<std::size_t> visited;
     set.forEach([&](std::size_t i) { visited.push_back(i); });
     EXPECT_EQ(visited, members);
+}
+
+TEST(IndexSet, NthMatchesANaiveScanOnRandomSets)
+{
+    // Every k of random sets of one, two and three words, at every
+    // capacity path of nth (byte table, two-byte table, one word,
+    // several words) and densities from sparse to full.
+    RandomGenerator rng(77);
+    for (std::size_t capacity : {1u, 5u, 8u, 13u, 16u, 17u, 40u, 64u, 65u,
+                                 100u, 128u, 129u, 150u, 192u}) {
+        for (double density : {0.05, 0.3, 0.5, 0.8, 1.0}) {
+            for (int trial = 0; trial < 20; ++trial) {
+                IndexSet set(capacity);
+                std::vector<std::size_t> naive;
+                for (std::size_t i = 0; i < capacity; ++i) {
+                    if (rng.uniformReal() < density) {
+                        set.insert(i);
+                        naive.push_back(i);
+                    }
+                }
+                ASSERT_EQ(set.count(), naive.size());
+                for (std::size_t k = 0; k < naive.size(); ++k)
+                    ASSERT_EQ(set.nth(k), naive[k])
+                        << "capacity " << capacity << " k " << k;
+            }
+        }
+    }
 }
 
 TEST(IndexSet, BulkUnionAndDifferenceTrackCounts)
