@@ -76,18 +76,6 @@ ebw(int n, int m, int r, ArbitrationPolicy policy, bool buffered,
 }
 
 /**
- * Shared parallel runner for the reproduction benches, sized to the
- * hardware: the grid points behind every figure/table are independent
- * seeded runs, so they fan out across all cores without changing any
- * printed number. This is the pool the sweep helpers below run on.
- */
-inline ParallelRunner &
-runner()
-{
-    return sharedParallelRunner(0);
-}
-
-/**
  * Sharded bench execution (see docs/sharding.md). Every fig/table
  * binary accepts, in addition to the google-benchmark flags:
  *
@@ -265,7 +253,7 @@ sweepEbw(const SweepSpec &spec, std::size_t row_width = 1,
  * Adaptive-precision EBW sweep: every grid point is replicated (seeds
  * derived from its config.seed) until the CI half-width meets
  * @p target or the schedule cap, with each round's extra replications
- * fanned out on the shared pool. Results are bit-identical at any
+ * fanned out on all hardware threads. Results are bit-identical at any
  * thread count. In shard mode, off-shard cells report NaN with zero
  * samples; the summary and table printers treat them as "not
  * computed here".

@@ -99,7 +99,7 @@ printReproduction()
         DiffTracker diff;
 
         // Chain solves are independent too; fan them out by index.
-        const std::vector<double> model = runner().map<double>(
+        const std::vector<double> model = ParallelRunner().map<double>(
             7 * 6, [](std::size_t cell) {
                 ProcPrioChain chain(8, kMs[cell / 6], kRs[cell % 6]);
                 return chain.ebw();

@@ -39,12 +39,11 @@ runPointSample(const SystemConfig &config)
 
 namespace {
 
-/** The shared runner for a helper's @p threads argument. */
-ParallelRunner &
+/** The runner for a helper's @p threads argument. */
+ParallelRunner
 helperRunner(unsigned threads)
 {
-    return sharedParallelRunner(threads != 0 ? threads
-                                             : defaultExecThreads());
+    return ParallelRunner(threads != 0 ? threads : defaultExecThreads());
 }
 
 /** runOnce(point) with a replication seed, reduced to @p metric. */

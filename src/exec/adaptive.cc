@@ -43,7 +43,7 @@ RoundSchedule::targetAfterRound(unsigned round) const
     return std::min(target, cap);
 }
 
-AdaptiveReplicator::AdaptiveReplicator(ParallelRunner &runner,
+AdaptiveReplicator::AdaptiveReplicator(ParallelRunner runner,
                                        PrecisionTarget target,
                                        RoundSchedule schedule)
     : runner_(runner), target_(target), schedule_(schedule)

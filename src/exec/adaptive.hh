@@ -6,8 +6,8 @@
  * experiment in deterministic rounds until the Student-t confidence
  * half-width meets a relative/absolute precision target or a
  * replication cap is reached. The multi-point form (runPoints) runs
- * one adaptive estimate per point, schedules every round's extra
- * replications on the shared pool, and surfaces finished points
+ * one adaptive estimate per point, fans every round's extra
+ * replications out on its runner, and surfaces finished points
  * through an ordered streaming callback in list order.
  *
  * Determinism contract (same as the rest of src/exec/, see
@@ -83,8 +83,7 @@ struct AdaptiveEstimate
 class AdaptiveReplicator
 {
   public:
-    /** The runner must outlive the replicator. */
-    explicit AdaptiveReplicator(ParallelRunner &runner,
+    explicit AdaptiveReplicator(ParallelRunner runner,
                                 PrecisionTarget target = {},
                                 RoundSchedule schedule = {});
 
@@ -106,8 +105,8 @@ class AdaptiveReplicator
      * replication seeds derive from that point's config.seed;
      * @p experiment receives the point configuration and the derived
      * per-replication seed. Every round fans the still-unconverged
-     * points' new replications across the pool as one flat work list,
-     * so late-converging points keep all workers busy. Result i
+     * points' new replications across the runner as one flat work
+     * list, so late-converging points keep every thread busy. Result i
      * corresponds to points[i]. A one-point list is the single-
      * configuration form (replicateToPrecision()).
      *
@@ -127,7 +126,7 @@ class AdaptiveReplicator
               const PointCallback &onPoint = {}) const;
 
   private:
-    ParallelRunner &runner_;
+    ParallelRunner runner_;
     PrecisionTarget target_;
     RoundSchedule schedule_;
 };

@@ -428,7 +428,7 @@ runSweepPoints(const SweepRunOptions &opt,
         sbn_assert(k == 0 || subset[k - 1] < subset[k],
                    "sweep subset indices must be strictly increasing");
     }
-    ParallelRunner &runner = sharedParallelRunner(sweepThreads(opt));
+    const ParallelRunner runner(sweepThreads(opt));
 
     if (!opt.adaptive) {
         // Each point is claimed just before it starts; a refused one
@@ -530,10 +530,8 @@ makeSweepWorkerBody(const SweepRunOptions &opt,
                     const std::vector<SystemConfig> &points,
                     const std::string &dir, bool resume_first_launch)
 {
-    // Workers are forked before the calling process creates any
-    // thread pool, so each child owns a clean single-threaded image
-    // and builds its own. Each worker defaults to one thread; the
-    // daemon's runner names its core share in opt.threads instead.
+    // Each worker defaults to one thread; the daemon's runner names
+    // its core share in opt.threads instead.
     SweepRunOptions worker = opt;
     if (worker.threads == 0)
         worker.threads = 1;

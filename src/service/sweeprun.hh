@@ -181,8 +181,9 @@ using PointRecordCallback = std::function<void(const PointRecord &)>;
  * plain sweep runs one seeded evaluateSweepPointSample() per point
  * (ParallelRunner::stream); an adaptive sweep (opt.adaptive)
  * replicates the selected points to opt.target under opt.schedule
- * (AdaptiveReplicator::runPoints). Work runs on
- * sharedParallelRunner(sweepThreads(opt)).
+ * (AdaptiveReplicator::runPoints). Work runs on a runner of
+ * sweepThreads(opt) threads built for the call, whose threads are
+ * gone when it returns.
  *
  * A record depends only on its own point, never on which other
  * points share the subset, so index i yields the same bytes alone,
@@ -258,7 +259,8 @@ struct SupervisedSweepOutcome
  * Run a @p shard_count-worker supervised fleet of @p opt's sweep
  * into @p dir (created/probed first), collect the records, then fold
  * the thieves' records back (foldBackThieves()).
- * Forks; call before creating any thread pool in this process.
+ * Forks, from any thread outside a fan-out: no runner thread
+ * outlives its fan-out, so each worker starts single-threaded.
  */
 SupervisedSweepOutcome runSupervisedSweep(const SweepRunOptions &opt,
                                           std::size_t shard_count,

@@ -323,9 +323,10 @@ ShardSupervisor::spawn(Task &task)
         // inheriting them would swallow the Ctrl-C meant to stop the
         // fleet, and would write its own children's exits into the
         // supervisor's wake pipe - whose ends go too. Then declare
-        // identity for fault targeting, run the body, and leave via
-        // _exit so no parent-owned stdio buffer or static destructor
-        // runs twice.
+        // identity for fault targeting, zero the telemetry inherited
+        // from the supervisor so the worker's sidecar counts only its
+        // own work, run the body, and leave via _exit so no
+        // parent-owned stdio buffer or static destructor runs twice.
         ::signal(SIGINT, SIG_DFL);
         ::signal(SIGTERM, SIG_DFL);
         ::signal(SIGCHLD, SIG_DFL);
@@ -345,6 +346,7 @@ ShardSupervisor::spawn(Task &task)
         setFaultProcessScope(task.work.steal ? kFaultNoShard
                                              : task.work.shard.index,
                              task.work.attempt);
+        telemetryReset();
         if (task.attemptSpanId != 0)
             exportTraceContext({trace_.traceId, task.attemptSpanId});
         try {

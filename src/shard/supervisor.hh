@@ -124,7 +124,8 @@ struct WorkerTask
  * Executes a WorkerTask in the forked child. Must write one record
  * per computed point to task.outPath and return normally on success;
  * any exception (or process death) is a worker failure. Runs after
- * fork: single-threaded, must build its own execution resources.
+ * fork, single-threaded, with every telemetry counter and timer at
+ * zero.
  */
 using WorkerBody = std::function<void(const WorkerTask &)>;
 
@@ -214,8 +215,8 @@ struct SupervisorReport
 /**
  * Supervises one fleet of shard workers to completion or budget
  * exhaustion. Construct, then call run() exactly once. The
- * supervisor forks; call it before creating any thread pool in the
- * parent (sbn_sweep's --spawn discipline).
+ * supervisor forks; run it outside a fan-out, so that each worker
+ * starts single-threaded (no runner thread outlives its fan-out).
  */
 class ShardSupervisor
 {

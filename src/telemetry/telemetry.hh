@@ -85,8 +85,9 @@ telemetryEnabled()
 /** Turn collection on or off, process-wide. */
 void setTelemetryEnabled(bool enabled);
 
-/** Zero every counter and timer. For tests/tools; call only while
- *  instrumented work is quiescent. */
+/** Zero every counter and timer (tests, tools, and each forked
+ *  supervisor worker); call only while instrumented work is
+ *  quiescent. */
 void telemetryReset();
 
 /** Add @p delta to @p counter; a cheap no-op when disabled. */

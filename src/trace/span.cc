@@ -78,7 +78,7 @@ class TraceWriter
     {
         std::lock_guard<std::mutex> lock(mutex_);
         const pid_t pid = ::getpid();
-        if (fd_ < 0 || pid != ownerPid_) {
+        if (fd_ < 0 || pid != openedBy_) {
             if (fd_ >= 0)
                 ::close(fd_);
             const std::string path = traceShardDir() + "/trace-" +
@@ -96,10 +96,10 @@ class TraceWriter
                              "process");
                     warned_ = true;
                 }
-                ownerPid_ = pid;
+                openedBy_ = pid;
                 return;
             }
-            ownerPid_ = pid;
+            openedBy_ = pid;
         }
         std::size_t done = 0;
         while (done < line.size()) {
@@ -117,7 +117,7 @@ class TraceWriter
   private:
     std::mutex mutex_;
     int fd_ = -1;
-    pid_t ownerPid_ = -1;
+    pid_t openedBy_ = -1;
     bool warned_ = false;
 };
 

@@ -9,12 +9,15 @@
 #include <gtest/gtest.h>
 
 #include <sched.h>
+#include <sys/resource.h>
 #include <sys/wait.h>
 #include <unistd.h>
 
 #include <atomic>
 #include <cmath>
+#include <cstdio>
 #include <stdexcept>
+#include <system_error>
 #include <thread>
 #include <vector>
 
@@ -96,10 +99,10 @@ TEST(ParallelRunner, ForEachIndexVisitsEachIndexOnce)
 TEST(ParallelRunner, BackToBackFanOutsVisitEachIndexOnce)
 {
     // Counts 0..18 cover fan-outs below, at and above every T, so the
-    // helper slots offered, claimed and withdrawn vary from one
-    // fan-out to the next on the same workers. Items of uneven length
-    // record their visit last, so a fan-out that returned while a
-    // helper was still mid-item would show a missing visit.
+    // number of helpers started varies from one fan-out to the next.
+    // Items of uneven length record their visit last, so a fan-out
+    // that returned while a helper was still mid-item would show a
+    // missing visit.
     std::vector<std::atomic<int>> visits(18);
     const auto visit = [&](std::size_t i) {
         for (volatile std::size_t spin = 0; spin < (i % 4) * 500; ++spin) {
@@ -121,9 +124,11 @@ TEST(ParallelRunner, BackToBackFanOutsVisitEachIndexOnce)
     }
 }
 
-TEST(ParallelRunner, ThreadsTakeTurnsAtASharedRunner)
+TEST(ParallelRunner, ConcurrentCallersFanOutOnOneRunner)
 {
-    ParallelRunner &shared = sharedParallelRunner(4);
+    // Three threads fan out on one runner at the same time, each with
+    // helpers of its own; every result lands in its own caller's slot.
+    const ParallelRunner shared(4);
     std::atomic<int> wrong{0};
     const auto caller = [&](int salt) {
         for (int round = 0; round < 500; ++round) {
@@ -145,19 +150,19 @@ TEST(ParallelRunner, ThreadsTakeTurnsAtASharedRunner)
     EXPECT_EQ(wrong.load(), 0);
 }
 
-TEST(ParallelRunnerDeathTest, ReEntryFromAWorkItemDies)
+TEST(ParallelRunner, NestedFanOutOnTheSameRunnerVisitsEachIndexOnce)
 {
-    // Without the check the inner fan-out waits for the turn its own
-    // caller holds; the alarm turns that hang into a failed test.
-    EXPECT_DEATH(
-        {
-            alarm(5);
-            ParallelRunner runner(2);
-            runner.forEachIndex(2, [&](std::size_t) {
-                runner.forEachIndex(2, [](std::size_t) {});
-            });
-        },
-        "re-entered from one of its own work items");
+    // A work item's fan-out starts helpers of its own, so it needs
+    // nothing the outer fan-out holds.
+    const ParallelRunner runner(4);
+    std::vector<std::atomic<int>> visits(16 * 16);
+    runner.forEachIndex(16, [&](std::size_t outer) {
+        runner.forEachIndex(16, [&](std::size_t inner) {
+            ++visits[outer * 16 + inner];
+        });
+    });
+    for (const auto &v : visits)
+        EXPECT_EQ(v.load(), 1);
 }
 
 TEST(ParallelRunner, ZeroItemsIsANoOp)
@@ -779,8 +784,8 @@ TEST(ParallelRunner, StaysUsableAfterWorkerException)
                                 }),
             std::runtime_error);
 
-        // The same runner (and its pool) must keep working after the
-        // propagated failure.
+        // The same runner must keep working after the propagated
+        // failure.
         const auto squares = runner.map<int>(50, [](std::size_t i) {
             return static_cast<int>(i * i);
         });
@@ -798,28 +803,24 @@ TEST(ParallelRunner, StaysUsableAfterWorkerException)
 }
 
 /**
- * A forked child must get working shared runners, not the parent's:
- * the pool threads behind an inherited runner do not exist in the
- * child, so posting to them would wait forever. The alarm turns that
- * hang into a failed child.
+ * No runner thread outlives its fan-out, so a process that has fanned
+ * out forks single-threaded, and its child can fan out on the same
+ * runner. ThreadSanitizer kills a child that starts a thread after a
+ * multi-threaded fork; the alarm turns a hang into a failed child.
  */
-TEST(ParallelRunner, SharedRunnerWorksInAForkedChild)
+TEST(ParallelRunner, ChildForkedAfterAFanOutFansOut)
 {
-#if defined(__SANITIZE_THREAD__)
-    // ThreadSanitizer kills a child of a multi-threaded process that
-    // starts threads (die_after_fork), which is the case under test.
-    GTEST_SKIP() << "ThreadSanitizer cannot run threads after fork()";
-#endif
+    const ParallelRunner runner(4);
     const auto square = [](std::size_t i) {
         return static_cast<int>(i * i);
     };
-    ASSERT_EQ(sharedParallelRunner(4).map<int>(64, square)[63], 63 * 63);
+    ASSERT_EQ(runner.map<int>(64, square)[63], 63 * 63);
 
     const pid_t child = fork();
     ASSERT_GE(child, 0);
     if (child == 0) {
         alarm(5);
-        const auto values = sharedParallelRunner(4).map<int>(64, square);
+        const auto values = runner.map<int>(64, square);
         _exit(values[63] == 63 * 63 ? 0 : 1);
     }
     int status = 0;
@@ -827,6 +828,55 @@ TEST(ParallelRunner, SharedRunnerWorksInAForkedChild)
     ASSERT_TRUE(WIFEXITED(status))
         << "child killed by signal " << WTERMSIG(status);
     EXPECT_EQ(WEXITSTATUS(status), 0);
+}
+
+/**
+ * Helpers that cannot start leave their share to the threads that
+ * did. The child caps its address space a little above its current
+ * size, so no thread stack can be mapped and std::thread throws; the
+ * fan-out must still visit every index, on the caller alone. The
+ * child is a fresh process (the binary's death tests re-execute it),
+ * so glibc holds no cached stack of an earlier thread to reuse.
+ * Exit status 2 means the cap let a thread start, 3 that it could not
+ * be set.
+ */
+TEST(ParallelRunnerDeathTest,
+     HelpersThatCannotStartLeaveTheirShareToTheCaller)
+{
+#if defined(__SANITIZE_ADDRESS__) || defined(__SANITIZE_THREAD__)
+    // Both reserve their shadow memory at start-up, far above any cap
+    // a child could set.
+    GTEST_SKIP() << "sanitizers reserve their address space at start-up";
+#endif
+    const auto capThenFanOut = [] {
+        alarm(5);
+        std::vector<std::atomic<int>> visits(64);
+        long pages = 0;
+        std::FILE *statm = std::fopen("/proc/self/statm", "r");
+        if (statm == nullptr || std::fscanf(statm, "%ld", &pages) != 1)
+            _exit(3);
+        std::fclose(statm);
+        const rlim_t cap =
+            static_cast<rlim_t>(pages * sysconf(_SC_PAGESIZE)) +
+            (rlim_t{1} << 20);
+        const rlimit limit{cap, cap};
+        if (setrlimit(RLIMIT_AS, &limit) != 0)
+            _exit(3);
+        try {
+            std::thread probe([] {});
+            probe.join();
+            _exit(2);
+        } catch (const std::system_error &) {
+        }
+        const ParallelRunner runner(4);
+        runner.forEachIndex(visits.size(),
+                            [&](std::size_t i) { ++visits[i]; });
+        for (const auto &v : visits)
+            if (v.load() != 1)
+                _exit(1);
+        _exit(0);
+    };
+    EXPECT_EXIT(capThenFanOut(), testing::ExitedWithCode(0), "");
 }
 
 TEST(Exec, ParseThreadsSpecAcceptsSaneValues)

@@ -6,10 +6,9 @@
  * seed, any injected single-fault schedule converges to merged
  * output byte-identical to the serial run.
  *
- * The supervisor forks real worker processes from the test binary;
- * worker bodies run single-threaded (sharedParallelRunner(1) is the
- * inline path), so a forked child never touches a thread pool whose
- * threads died at fork.
+ * The supervisor forks real worker processes from the test binary.
+ * No runner thread outlives its fan-out, so each worker starts
+ * single-threaded; the worker bodies here run one thread, inline.
  */
 
 #include <gtest/gtest.h>
@@ -29,6 +28,7 @@
 #include <vector>
 
 #include "core/experiment.hh"
+#include "service/protocol.hh"
 #include "service/sweeprun.hh"
 #include "shard/fault.hh"
 #include "shard/merge.hh"
@@ -36,6 +36,7 @@
 #include "shard/result_io.hh"
 #include "shard/runner.hh"
 #include "shard/supervisor.hh"
+#include "telemetry/telemetry.hh"
 #include "util/logging.hh"
 
 namespace sbn {
@@ -460,6 +461,70 @@ TEST(Supervisor, InjectedWriteFailureIsRetried)
     ASSERT_TRUE(report.complete);
     EXPECT_EQ(report.shards[0].launches, 2u);
     EXPECT_EQ(mergedBytes(report, check), serialBytes(points));
+}
+
+TEST(Supervisor, WorkerSidecarsCountOnlyTheirOwnWork)
+{
+    // A worker starts from zeroed telemetry, so no sidecar repeats
+    // the supervisor's respawns, steals or hang kills; the
+    // supervisor's own snapshot keeps the fleet's counts.
+    struct TelemetryOn
+    {
+        TelemetryOn()
+        {
+            telemetryReset();
+            setTelemetryEnabled(true);
+        }
+        ~TelemetryOn()
+        {
+            setTelemetryEnabled(false);
+            telemetryReset();
+        }
+    };
+    SweepRunOptions opt;
+    opt.spec = testSpec();
+    opt.threads = 1;
+    opt.backoffInitial = 0.02;
+    opt.steal = false; // keep the respawn count exact
+    const std::string dir = tempDir("sidecars");
+    const EnvGuard guard(kFaultEnvVar, "shard=1,kill_after_records=1");
+    const TelemetryOn on;
+    const SupervisedSweepOutcome outcome =
+        runSupervisedSweep(opt, 4, dir, /*resume_first_launch=*/false);
+    const TelemetrySnapshot fleet = telemetrySnapshot();
+
+    ASSERT_TRUE(outcome.report.complete);
+    ASSERT_EQ(outcome.report.respawns, 1u);
+    EXPECT_EQ(fleet.counters[static_cast<unsigned>(
+                  TelemetryCounter::SupervisorRespawns)],
+              1u);
+    const TelemetryCounter supervisorCounters[] = {
+        TelemetryCounter::SupervisorRespawns,
+        TelemetryCounter::SupervisorSteals,
+        TelemetryCounter::SupervisorHangKills,
+    };
+    for (const std::string &records : shardFilePaths(dir, 4)) {
+        const std::string sidecar =
+            dir + "/telemetry-" + records.substr(dir.size() + 1);
+        std::ifstream in(sidecar);
+        ASSERT_TRUE(in.good()) << sidecar;
+        std::string line;
+        int lines = 0;
+        while (std::getline(in, line)) {
+            ++lines;
+            JsonObject fields;
+            std::string error;
+            ASSERT_TRUE(parseFlatJsonObject(line, fields, error))
+                << sidecar << ": " << error;
+            for (const TelemetryCounter counter : supervisorCounters)
+                EXPECT_EQ(fields.at(telemetryCounterName(counter)).number,
+                          0.0)
+                    << sidecar << ": " << telemetryCounterName(counter);
+        }
+        // The killed attempt wrote none; every shard's last launch
+        // wrote one.
+        EXPECT_EQ(lines, 1) << sidecar;
+    }
 }
 
 TEST(Supervisor, WorkerExitWakesTheLoopAtOnce)

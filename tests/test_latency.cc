@@ -162,8 +162,7 @@ TEST(Latency, FlatJsonByteIdenticalAcrossThreads)
     const auto configs = replicationConfigs(saturatedConfig(), 8);
 
     auto mergedRender = [&](unsigned threads) {
-        ParallelRunner &runner = sharedParallelRunner(
-            threads != 0 ? threads : defaultExecThreads());
+        const ParallelRunner runner(threads);
         const std::vector<Metrics> runs = runner.map<Metrics>(
             configs.size(),
             [&](std::size_t i) { return runOnce(configs[i]); });

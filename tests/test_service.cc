@@ -712,13 +712,8 @@ TEST(DaemonRoundTrip, ResultsRepliesNeverWaitForADelayedAck)
     DaemonClient client(stateDir);
     Request submit;
     submit.kind = RequestKind::Submit;
-    // One worker thread: run in one process with the other suites,
-    // this test forks the daemon from a process that already holds
-    // pool threads, and ThreadSanitizer kills any descendant of such
-    // a fork that starts a thread. tool_sweepd_core_share covers the
-    // daemon's multi-threaded workers.
     submit.spec = "--kernel=faststat --n=4 --m=8 --p=0.2,0.4,0.6,0.8 "
-                  "--warmup=500 --measure=5000 --threads=1";
+                  "--warmup=500 --measure=5000";
     const ClientResponse ack = client.call(submit);
     ASSERT_TRUE(ack.ok()) << ack.errorCode();
     const auto job = static_cast<std::uint64_t>(ack.number("job"));

@@ -12,12 +12,14 @@ namespace sbn {
 namespace {
 
 /**
- * Death tests must use the fork+exec ("threadsafe") style binary-wide:
- * several suites keep process-lifetime worker pools alive
- * (sharedParallelRunner), and a plain fork() from a multi-threaded
- * process deadlocks the child on whatever glibc lock a pool thread
- * held at fork time. ctest runs each test in its own process, but a
- * combined ./sbn_tests invocation must not hang either.
+ * Death tests use the fork+exec ("threadsafe") style binary-wide.
+ * No runner thread outlives its fan-out, so between tests this
+ * process is single-threaded, but a plain fork() taken while any
+ * other thread runs would deadlock the child on whatever glibc lock
+ * that thread held. Re-executing the binary keeps every death test
+ * safe without relying on that; ctest runs each test in its own
+ * process, and a combined ./sbn_tests invocation must not hang
+ * either.
  *
  * The flag is set from a test Environment (SetUp runs after gtest's
  * own dynamic initialization and flag parsing, before the first
