@@ -145,7 +145,9 @@ initShardArgs(int *argc, char **argv)
         } else if (arg.rfind("--shard-dir=", 0) == 0) {
             mode.dir = arg.substr(12);
         } else if (arg.rfind("--shard-layout=", 0) == 0) {
-            mode.layout = parseShardLayout(arg.substr(15));
+            std::string error;
+            if (!parseShardLayout(arg.substr(15), mode.layout, error))
+                sbn_fatal(error);
         } else if (arg == "--shard-resume") {
             mode.resume = true;
         } else {

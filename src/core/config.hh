@@ -7,6 +7,7 @@
 #define SBN_CORE_CONFIG_HH
 
 #include <cstdint>
+#include <string>
 #include <vector>
 
 #include "core/tick.hh"
@@ -150,7 +151,11 @@ struct SystemConfig
     /** The theoretical EBW ceiling (r+2)/2. */
     double maxEbw() const { return (memoryRatio + 2) / 2.0; }
 
-    /** Abort with a message if any parameter is out of range. */
+    /** False, with a message in @p error, if any parameter is out
+     *  of range. */
+    bool validate(std::string &error) const;
+
+    /** validate(error), fatal on a rejection: the kernels' check. */
     void validate() const;
 };
 

@@ -31,17 +31,19 @@ hardwareThreads()
     return hw >= 1 ? hw : 1;
 }
 
-unsigned
-parseThreadsSpec(const char *spec, const char *source)
+bool
+parseThreadsSpec(const char *spec, const char *source, unsigned &out,
+                 std::string &error)
 {
     if (spec == nullptr)
-        sbn_fatal(source, ": null thread-count spec");
+        return failWith(error, source, ": null thread-count spec");
 
     const char *cursor = spec;
     while (*cursor == ' ' || *cursor == '\t')
         ++cursor;
     if (*cursor == '\0')
-        sbn_fatal(source, ": empty value (expected a thread count)");
+        return failWith(error, source,
+                        ": empty value (expected a thread count)");
 
     char *end = nullptr;
     errno = 0;
@@ -49,16 +51,18 @@ parseThreadsSpec(const char *spec, const char *source)
     while (end != nullptr && (*end == ' ' || *end == '\t'))
         ++end;
     if (end == cursor || end == nullptr || *end != '\0')
-        sbn_fatal(source, ": '", spec,
-                  "' is not a number (expected a decimal thread count)");
+        return failWith(error, source, ": '", spec,
+                        "' is not a number (expected a decimal thread "
+                        "count)");
     if (errno == ERANGE || parsed > 4096)
-        sbn_fatal(source, ": '", spec,
-                  "' is out of range (max 4096 worker threads)");
+        return failWith(error, source, ": '", spec,
+                        "' is out of range (max 4096 worker threads)");
     if (parsed < 0)
-        sbn_fatal(source, ": '", spec,
-                  "' is negative (expected >= 0; 0 = all hardware "
-                  "threads)");
-    return static_cast<unsigned>(parsed);
+        return failWith(error, source, ": '", spec,
+                        "' is negative (expected >= 0; 0 = all "
+                        "hardware threads)");
+    out = static_cast<unsigned>(parsed);
+    return true;
 }
 
 unsigned
@@ -66,9 +70,11 @@ defaultExecThreads()
 {
     static const unsigned cached = [] {
         const char *env = std::getenv("SBN_THREADS");
-        if (env == nullptr)
-            return 1u;
-        const unsigned parsed = parseThreadsSpec(env, "SBN_THREADS");
+        unsigned parsed = 1;
+        std::string error;
+        if (env != nullptr &&
+            !parseThreadsSpec(env, "SBN_THREADS", parsed, error))
+            sbn_fatal(error);
         return parsed != 0 ? parsed : hardwareThreads();
     }();
     return cached;

@@ -16,6 +16,7 @@
 
 #include <functional>
 #include <mutex>
+#include <string>
 #include <vector>
 
 namespace sbn {
@@ -33,21 +34,22 @@ unsigned hardwareThreads();
  * environment variable, read once, else 1 (serial). The serial
  * default keeps single-threaded semantics - including callback
  * invocation order - for existing callers; opt into parallelism per
- * call site or via the environment.
+ * call site or via the environment. A malformed SBN_THREADS is fatal.
  */
 unsigned defaultExecThreads();
 
 /**
  * Parse a worker-count spec read from @p source (the flag or
- * environment variable, e.g. "--threads" or "SBN_THREADS"). Accepts a
- * positive decimal integer (surrounding whitespace allowed), capped at
- * 4096; "0" means "every usable CPU" (hardwareThreads()) and resolves
- * to 0. Anything else (empty, non-numeric, negative, trailing junk) is
- * a configuration error and calls sbn_fatal with a message naming the
- * source and the bad value -- a typo must not silently degrade a sweep
- * to serial execution.
+ * environment variable, e.g. "--threads" or "SBN_THREADS") into
+ * @p out. Accepts a positive decimal integer (surrounding whitespace
+ * allowed), capped at 4096; "0" means "every usable CPU"
+ * (hardwareThreads()) and resolves to 0. Anything else (empty,
+ * non-numeric, negative, trailing junk) returns false with a message
+ * naming the source and the bad value in @p error -- a typo must not
+ * silently degrade a sweep to serial execution.
  */
-unsigned parseThreadsSpec(const char *spec, const char *source);
+bool parseThreadsSpec(const char *spec, const char *source, unsigned &out,
+                      std::string &error);
 
 /**
  * Runs independent work items across threads, deterministically.

@@ -21,66 +21,74 @@ axisSize(const std::vector<T> &axis)
 
 namespace {
 
-/** Fatal if @p axis repeats a value (the same grid point twice). */
+/** False, with a message in @p error, if @p axis repeats a value
+ *  (the same grid point twice). */
 template <typename T>
-void
-rejectDuplicates(const std::vector<T> &axis, const char *name)
+bool
+rejectDuplicates(const std::vector<T> &axis, const char *name,
+                 std::string &error)
 {
     for (std::size_t i = 0; i < axis.size(); ++i)
         for (std::size_t j = i + 1; j < axis.size(); ++j)
             if (axis[i] == axis[j])
-                sbn_fatal("SweepSpec: axis '", name,
-                          "' lists the same value twice (entries ", i,
-                          " and ", j,
-                          ") - the grid point would run twice and its "
-                          "flat index would be ambiguous");
+                return failWith(error, "SweepSpec: axis '", name,
+                                "' lists the same value twice (entries ",
+                                i, " and ", j,
+                                ") - the grid point would run twice and "
+                                "its flat index would be ambiguous");
+    return true;
 }
 
 } // namespace
 
-void
-SweepSpec::validate() const
+bool
+SweepSpec::validate(std::string &error) const
 {
-    rejectDuplicates(processors, "processors");
-    rejectDuplicates(modules, "modules");
-    rejectDuplicates(memoryRatios, "memoryRatios");
-    rejectDuplicates(requestProbabilities, "requestProbabilities");
-    rejectDuplicates(policies, "policies");
-    rejectDuplicates(buffering, "buffering");
-    rejectDuplicates(hotFractions, "hotFractions");
-    rejectDuplicates(favoriteFractions, "favoriteFractions");
+    if (!rejectDuplicates(processors, "processors", error) ||
+        !rejectDuplicates(modules, "modules", error) ||
+        !rejectDuplicates(memoryRatios, "memoryRatios", error) ||
+        !rejectDuplicates(requestProbabilities, "requestProbabilities",
+                          error) ||
+        !rejectDuplicates(policies, "policies", error) ||
+        !rejectDuplicates(buffering, "buffering", error) ||
+        !rejectDuplicates(hotFractions, "hotFractions", error) ||
+        !rejectDuplicates(favoriteFractions, "favoriteFractions", error))
+        return false;
 
     if (!hotFractions.empty() && !favoriteFractions.empty())
-        sbn_fatal("SweepSpec: hotFractions and favoriteFractions "
-                  "cannot both be swept (they select conflicting "
-                  "reference patterns)");
+        return failWith(error,
+                        "SweepSpec: hotFractions and favoriteFractions "
+                        "cannot both be swept (they select conflicting "
+                        "reference patterns)");
     for (double h : hotFractions)
         if (!(h >= 0.0 && h <= 1.0))
-            sbn_fatal("SweepSpec: hotFractions axis value ", h,
-                      " (must be in [0,1])");
+            return failWith(error, "SweepSpec: hotFractions axis value ",
+                            h, " (must be in [0,1])");
     for (double f : favoriteFractions)
         if (!(f >= 0.0 && f <= 1.0))
-            sbn_fatal("SweepSpec: favoriteFractions axis value ", f,
-                      " (must be in [0,1])");
+            return failWith(error,
+                            "SweepSpec: favoriteFractions axis value ", f,
+                            " (must be in [0,1])");
 
     for (int n : processors)
         if (n < 1)
-            sbn_fatal("SweepSpec: processors axis value ", n,
-                      " (must be >= 1)");
+            return failWith(error, "SweepSpec: processors axis value ",
+                            n, " (must be >= 1)");
     for (int m : modules)
         if (m < 1)
-            sbn_fatal("SweepSpec: modules axis value ", m,
-                      " (must be >= 1)");
+            return failWith(error, "SweepSpec: modules axis value ", m,
+                            " (must be >= 1)");
     for (int r : memoryRatios)
         if (r < 1)
-            sbn_fatal("SweepSpec: memoryRatios axis value ", r,
-                      " (must be >= 1)");
+            return failWith(error, "SweepSpec: memoryRatios axis value ",
+                            r, " (must be >= 1)");
     for (double p : requestProbabilities)
         if (!(p >= 0.0 && p <= 1.0))
-            sbn_fatal("SweepSpec: requestProbabilities axis value ", p,
-                      " (must be in [0,1])");
+            return failWith(error,
+                            "SweepSpec: requestProbabilities axis value ",
+                            p, " (must be in [0,1])");
 
-    base.validate();
+    return base.validate(error);
 }
 
 std::size_t
@@ -95,7 +103,9 @@ SweepSpec::size() const
 std::vector<SystemConfig>
 SweepSpec::materialize() const
 {
-    validate();
+    std::string error;
+    if (!validate(error))
+        sbn_fatal(error);
 
     std::vector<SystemConfig> points;
     points.reserve(size());

@@ -12,6 +12,7 @@
 #define SBN_EXEC_SWEEP_HH
 
 #include <cstddef>
+#include <string>
 #include <vector>
 
 #include "core/config.hh"
@@ -56,7 +57,8 @@ struct SweepSpec
     std::size_t size() const;
 
     /**
-     * Fatal-diagnose malformed grids before any point runs:
+     * Diagnose malformed grids before any point runs, returning false
+     * with the first problem in @p error:
      *  - a repeated value inside one axis (the same grid point would
      *    run twice, and the duplicate flat indices would collide in
      *    sharded record files);
@@ -67,12 +69,13 @@ struct SweepSpec
      * base value" convention. materialize() validates implicitly, so
      * every sweep/shard entry point rejects bad specs up front.
      */
-    void validate() const;
+    bool validate(std::string &error) const;
 
     /**
      * Expand the grid into concrete configurations, in the documented
-     * nested-loop order (validate()s first). Every point inherits
-     * everything else (seed, cycle counts, weights, ...) from @p base.
+     * nested-loop order (validate()s first; a rejection is fatal).
+     * Every point inherits everything else (seed, cycle counts,
+     * weights, ...) from @p base.
      */
     std::vector<SystemConfig> materialize() const;
 };

@@ -552,12 +552,10 @@ Daemon::handleSubmit(Client &client, const Request &request)
                                   std::to_string(config_.queueLimit)));
         return;
     }
-    if (!specParsesCleanly(request.spec)) {
-        respond(client,
-                errorResponse("bad_spec",
-                              "spec does not parse as sbn_sweep "
-                              "flags (daemon stderr has the exact "
-                              "complaint)"));
+    SweepRunOptions parsed;
+    std::string error;
+    if (!parseSweepSpecString(request.spec, parsed, error)) {
+        respond(client, errorResponse("bad_spec", error));
         return;
     }
 

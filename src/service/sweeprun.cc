@@ -1,10 +1,6 @@
 #include "service/sweeprun.hh"
 
-#include <sys/wait.h>
-#include <unistd.h>
-
 #include <algorithm>
-#include <cerrno>
 #include <cstdio>
 #include <cstdlib>
 #include <limits>
@@ -59,17 +55,17 @@ appendTelemetrySidecar(const std::string &record_path)
 }
 
 std::vector<ArbitrationPolicy>
-parsePolicyList(const std::vector<std::string> &names)
+parsePolicyList(const CommandLine &cli)
 {
     std::vector<ArbitrationPolicy> policies;
-    for (const std::string &name : names) {
+    for (const std::string &name : cli.getStringList("policy", {})) {
         if (name == "proc")
             policies.push_back(ArbitrationPolicy::ProcessorPriority);
         else if (name == "mem")
             policies.push_back(ArbitrationPolicy::MemoryPriority);
         else
-            sbn_fatal("--policy: unknown policy '", name,
-                      "' (expected 'proc' or 'mem')");
+            cli.fail("--policy: unknown policy '", name,
+                     "' (expected 'proc' or 'mem')");
     }
     return policies;
 }
@@ -158,10 +154,10 @@ parseSweepRunOptions(const CommandLine &cli)
     // axis value past int would truncate to a different system.
     const std::int64_t warmup = cli.getInt("warmup", 20000);
     if (warmup < 0)
-        sbn_fatal("--warmup must be >= 0 (got ", warmup, ")");
+        cli.fail("--warmup must be >= 0 (got ", warmup, ")");
     const std::int64_t measure = cli.getInt("measure", 200000);
     if (measure < 1)
-        sbn_fatal("--measure must be >= 1 (got ", measure, ")");
+        cli.fail("--measure must be >= 1 (got ", measure, ")");
     spec.base.warmupCycles = static_cast<Tick>(warmup);
     spec.base.measureCycles = static_cast<Tick>(measure);
 
@@ -169,8 +165,8 @@ parseSweepRunOptions(const CommandLine &cli)
         for (std::int64_t v : cli.getIntList(flag, {})) {
             if (v < std::numeric_limits<int>::min() ||
                 v > std::numeric_limits<int>::max())
-                sbn_fatal("--", flag, " value ", v,
-                          " is out of the int range");
+                cli.fail("--", flag, " value ", v,
+                         " is out of the int range");
             axis.push_back(static_cast<int>(v));
         }
     };
@@ -178,12 +174,10 @@ parseSweepRunOptions(const CommandLine &cli)
     intAxis("m", spec.modules);
     intAxis("r", spec.memoryRatios);
     spec.requestProbabilities = cli.getDoubleList("p", {});
-    if (cli.has("policy"))
-        spec.policies =
-            parsePolicyList(cli.getStringList("policy", {}));
+    spec.policies = parsePolicyList(cli);
     for (std::int64_t b : cli.getIntList("buffered", {})) {
         if (b != 0 && b != 1)
-            sbn_fatal("--buffered values must be 0 or 1 (got ", b, ")");
+            cli.fail("--buffered values must be 0 or 1 (got ", b, ")");
         spec.buffering.push_back(b == 1);
     }
     spec.hotFractions = cli.getDoubleList("hot", {});
@@ -198,35 +192,56 @@ parseSweepRunOptions(const CommandLine &cli)
     else if (kernel == "faststat")
         spec.base.kernel = KernelKind::FastStat;
     else
-        sbn_fatal("--kernel: unknown kernel '", kernel,
-                  "' (expected 'cycleskip' or 'faststat')");
+        cli.fail("--kernel: unknown kernel '", kernel,
+                 "' (expected 'cycleskip' or 'faststat')");
 
+    // The precision target and schedule: each value must mean what
+    // it says. A level the t table lacks would silently run as a
+    // tabulated one, a NaN or negative target would act as 0, and a
+    // count past unsigned would wrap to another schedule.
     opt.adaptive = cli.getBool("adaptive", false);
     opt.target.relative = cli.getDouble("rel", 0.05);
+    if (!(opt.target.relative >= 0.0))
+        cli.fail("--rel must be >= 0 (got ", opt.target.relative, ")");
     opt.target.absolute = cli.getDouble("abs", 0.0);
+    if (!(opt.target.absolute >= 0.0))
+        cli.fail("--abs must be >= 0 (got ", opt.target.absolute, ")");
     opt.target.level = cli.getDouble("level", 0.95);
+    if (opt.target.level != 0.90 && opt.target.level != 0.95 &&
+        opt.target.level != 0.99)
+        cli.fail("--level must be 0.90, 0.95 or 0.99, the tabulated "
+                 "confidence levels (got ", opt.target.level, ")");
 
     // Range-check the schedule here, naming the flags: a negative
     // value narrowed to unsigned would otherwise surface as an
     // unrelated internal assertion (or a ~4e9-replication round).
-    const std::int64_t initial = cli.getInt("initial", 4);
+    const auto unsignedFlag = [&cli](const char *flag, std::int64_t def) {
+        const std::int64_t v = cli.getInt(flag, def);
+        if (v > std::numeric_limits<unsigned>::max())
+            cli.fail("--", flag, " value ", v,
+                     " is out of the unsigned range");
+        return v;
+    };
+    const std::int64_t initial = unsignedFlag("initial", 4);
     if (initial < 2)
-        sbn_fatal("--initial must be >= 2 (got ", initial,
-                  "); the first round needs a confidence interval");
-    const std::int64_t cap = cli.getInt("cap", 64);
+        cli.fail("--initial must be >= 2 (got ", initial,
+                 "); the first round needs a confidence interval");
+    const std::int64_t cap = unsignedFlag("cap", 64);
     if (cap < initial)
-        sbn_fatal("--cap must be >= --initial (got cap=", cap,
-                  ", initial=", initial, ")");
+        cli.fail("--cap must be >= --initial (got cap=", cap,
+                 ", initial=", initial, ")");
     opt.schedule.initial = static_cast<unsigned>(initial);
     opt.schedule.growth = cli.getDouble("growth", 2.0);
     if (!(opt.schedule.growth > 1.0))
-        sbn_fatal("--growth must be > 1 (got ", opt.schedule.growth,
-                  "); rounds must add replications");
+        cli.fail("--growth must be > 1 (got ", opt.schedule.growth,
+                 "); rounds must add replications");
     opt.schedule.cap = static_cast<unsigned>(cap);
 
+    std::string why;
     if (cli.has("threads")) {
-        opt.threads = parseThreadsSpec(
-            cli.getString("threads", "1").c_str(), "--threads");
+        if (!parseThreadsSpec(cli.getString("threads", "1").c_str(),
+                              "--threads", opt.threads, why))
+            cli.fail(why);
         // parseThreadsSpec keeps "0 = every usable CPU" symbolic;
         // resolve it here so 0 never reaches runSweepPoints, where 0
         // means "defaultExecThreads()" (serial unless SBN_THREADS is
@@ -234,26 +249,30 @@ parseSweepRunOptions(const CommandLine &cli)
         if (opt.threads == 0)
             opt.threads = hardwareThreads();
     }
-    opt.layout =
-        parseShardLayout(cli.getString("layout", "contiguous"));
+    if (!parseShardLayout(cli.getString("layout", "contiguous"),
+                          opt.layout, why))
+        cli.fail(why);
 
     const std::int64_t retries = cli.getInt("retries", 2);
     if (retries < 0)
-        sbn_fatal("--retries must be >= 0 (got ", retries, ")");
+        cli.fail("--retries must be >= 0 (got ", retries, ")");
+    if (retries >= kRetryLimit)
+        cli.fail("--retries must be < ", kRetryLimit, " (got ", retries,
+                 "); a respawn budget that large is a typo");
     opt.retries = static_cast<unsigned>(retries);
     opt.hangTimeout = cli.getDouble("hang-timeout", 0.0);
     if (opt.hangTimeout < 0.0)
-        sbn_fatal("--hang-timeout must be >= 0 seconds (got ",
-                  opt.hangTimeout, ")");
+        cli.fail("--hang-timeout must be >= 0 seconds (got ",
+                 opt.hangTimeout, ")");
     opt.backoffInitial = cli.getDouble("backoff", 0.25);
     if (opt.backoffInitial < 0.0)
-        sbn_fatal("--backoff must be >= 0 seconds (got ",
-                  opt.backoffInitial, ")");
+        cli.fail("--backoff must be >= 0 seconds (got ",
+                 opt.backoffInitial, ")");
     opt.steal = cli.getBool("steal", true);
 
     const std::int64_t spawn = cli.getInt("spawn", 0);
     if (cli.has("spawn") && spawn < 1)
-        sbn_fatal("--spawn=K needs K >= 1 worker processes");
+        cli.fail("--spawn=K needs K >= 1 worker processes");
     opt.spawnShards = static_cast<std::size_t>(spawn);
 
     if (cli.has("telemetry")) {
@@ -269,12 +288,6 @@ parseSweepRunOptions(const CommandLine &cli)
                 opt.telemetryDump = value;
         }
     }
-    // Enabling here - not in the front ends - is what makes a daemon
-    // job spec carrying --telemetry behave exactly like the local
-    // command: every path that parses sweep options gets collection
-    // armed before any work runs.
-    if (opt.telemetry)
-        setTelemetryEnabled(true);
 
     // Folding into the base config makes every materialized point
     // collect. collectLatency stays out of the config fingerprint
@@ -297,7 +310,8 @@ parseSweepRunOptions(const CommandLine &cli)
         }
     }
 
-    spec.validate();
+    if (!spec.validate(why))
+        cli.fail(why);
     return opt;
 }
 
@@ -321,15 +335,17 @@ armSweepTracing(const SweepRunOptions &opt,
         exportTraceContext({newTraceId(), 0});
 }
 
-std::vector<std::string>
-tokenizeSpecString(const std::string &spec)
+bool
+tokenizeSpecString(const std::string &spec,
+                   std::vector<std::string> &out, std::string &error)
 {
     std::vector<std::string> tokens;
     std::string current;
     for (const char c : spec) {
         if (c == '"' || c == '\'' || c == '\\')
-            sbn_fatal("spec strings carry no quoting (found '", c,
-                      "'); sweep flags never need embedded spaces");
+            return failWith(error,
+                            "spec strings carry no quoting (found '", c,
+                            "'); sweep flags never need embedded spaces");
         if (c == ' ' || c == '\t' || c == '\n' || c == '\r') {
             if (!current.empty()) {
                 tokens.push_back(current);
@@ -341,43 +357,42 @@ tokenizeSpecString(const std::string &spec)
     }
     if (!current.empty())
         tokens.push_back(current);
-    return tokens;
+    out = tokens;
+    return true;
+}
+
+bool
+parseSweepSpecString(const std::string &spec, SweepRunOptions &out,
+                     std::string &error)
+{
+    std::vector<std::string> tokens;
+    if (!tokenizeSpecString(spec, tokens, error))
+        return false;
+    std::vector<const char *> argv{"sbn_sweepd-spec"};
+    for (const std::string &token : tokens)
+        argv.push_back(token.c_str());
+    error.clear();
+    const CommandLine cli(static_cast<int>(argv.size()), argv.data(),
+                          sweepFlagHelp(), &error);
+    const SweepRunOptions opt = parseSweepRunOptions(cli);
+    if (!error.empty())
+        return false;
+    out = opt;
+    return true;
 }
 
 SweepRunOptions
 parseSweepSpecString(const std::string &spec)
 {
-    const std::vector<std::string> tokens = tokenizeSpecString(spec);
-    std::vector<const char *> argv;
-    argv.reserve(tokens.size() + 1);
-    argv.push_back("sbn_sweepd-spec");
-    for (const std::string &token : tokens)
-        argv.push_back(token.c_str());
-    const CommandLine cli(static_cast<int>(argv.size()), argv.data(),
-                          sweepFlagHelp());
-    return parseSweepRunOptions(cli);
-}
-
-bool
-specParsesCleanly(const std::string &spec)
-{
-    // The CLI parser is fatal-on-error by design; a daemon that must
-    // answer `bad_spec` instead of dying runs it in a throwaway
-    // child. The child's stderr is the daemon's stderr, so the
-    // precise parse complaint still lands in the daemon log.
-    const pid_t pid = ::fork();
-    if (pid < 0)
-        sbn_fatal("cannot fork spec validator");
-    if (pid == 0) {
-        parseSweepSpecString(spec);
-        ::_exit(0);
-    }
-    int status = 0;
-    while (::waitpid(pid, &status, 0) < 0) {
-        if (errno != EINTR)
-            sbn_fatal("cannot wait for spec validator");
-    }
-    return WIFEXITED(status) && WEXITSTATUS(status) == 0;
+    SweepRunOptions opt;
+    std::string error;
+    if (!parseSweepSpecString(spec, opt, error))
+        sbn_fatal(error);
+    // A job spec carrying --telemetry behaves exactly like the local
+    // command, which arms collection before any work runs.
+    if (opt.telemetry)
+        setTelemetryEnabled(true);
+    return opt;
 }
 
 double

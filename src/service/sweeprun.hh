@@ -104,35 +104,41 @@ class CommandLine;
  */
 const std::map<std::string, std::string> &sweepFlagHelp();
 
-/** Parse the sweep portion of a command line. Fatal (sbn_fatal) on
- *  malformed values, like every CLI entry point. */
+/**
+ * Parse the sweep portion of a command line. Every malformed value is
+ * reported through @p cli: fatal on a tool's command line, the first
+ * error of the sink on a job spec's (CommandLine's constructor).
+ * Changes no process-wide state: a front end whose options ask for
+ * --telemetry arms collection itself.
+ */
 SweepRunOptions parseSweepRunOptions(const CommandLine &cli);
 
 /**
  * Split a spec string into argv-style tokens on runs of whitespace.
  * No quoting: sweep flags never need embedded spaces, and rejecting
- * quote characters keeps the daemon's input surface boring. Fatal on
- * quote or backslash characters.
+ * quote characters keeps the daemon's input surface boring. Returns
+ * false with a message in @p error on a quote or backslash.
  */
-std::vector<std::string> tokenizeSpecString(const std::string &spec);
+bool tokenizeSpecString(const std::string &spec,
+                        std::vector<std::string> &out, std::string &error);
 
 /**
- * Parse a full spec string ("--n=8 --m=16 --spawn=2 ...") as the
- * daemon's job runner does: tokenize, then parse with exactly the
- * sweepFlagHelp() vocabulary. Fatal on unknown flags or bad values -
- * callers that must survive a bad spec (the daemon validating a
- * submit) run this in a throwaway forked child and inspect its exit
- * status (specParsesCleanly()).
+ * Parse a full spec string ("--n=8 --m=16 --spawn=2 ...") into
+ * @p out: tokenize, then parse with exactly the sweepFlagHelp()
+ * vocabulary, so "--help" is as unknown as "--dir". Returns false
+ * with the first error in @p error - the message sbn_sweep would
+ * print after "fatal: " for the same flags. Changes no process-wide
+ * state, so the daemon validates a submit with it in process.
+ */
+bool parseSweepSpecString(const std::string &spec, SweepRunOptions &out,
+                          std::string &error);
+
+/**
+ * The daemon job runner's parse: parseSweepSpecString(spec, out,
+ * error), fatal on a rejection, then arming telemetry when the spec
+ * carries --telemetry, as the equivalent local command would.
  */
 SweepRunOptions parseSweepSpecString(const std::string &spec);
-
-/**
- * True when @p spec parses cleanly, decided in a forked child so the
- * fatal-on-error parser can never take the calling process down.
- * This is how the daemon rejects a malformed submit with a
- * `bad_spec` error instead of dying on it.
- */
-bool specParsesCleanly(const std::string &spec);
 
 /**
  * Arm span tracing for this process when @p opt asked for it: sets

@@ -8,16 +8,19 @@
 
 namespace sbn {
 
-ShardLayout
-parseShardLayout(const std::string &text)
+bool
+parseShardLayout(const std::string &text, ShardLayout &out,
+                 std::string &error)
 {
     if (text == "contiguous")
-        return ShardLayout::Contiguous;
-    if (text == "strided")
-        return ShardLayout::Strided;
-    sbn_fatal("shard layout '", text,
-              "' is not recognized (expected 'contiguous' or "
-              "'strided')");
+        out = ShardLayout::Contiguous;
+    else if (text == "strided")
+        out = ShardLayout::Strided;
+    else
+        return failWith(error, "shard layout '", text,
+                        "' is not recognized (expected 'contiguous' "
+                        "or 'strided')");
+    return true;
 }
 
 const char *

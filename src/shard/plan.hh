@@ -40,8 +40,10 @@ enum class ShardLayout
     Strided,
 };
 
-/** Parse "contiguous" / "strided"; fatal on anything else. */
-ShardLayout parseShardLayout(const std::string &text);
+/** Parse "contiguous" / "strided" into @p out; false with a message
+ *  in @p error on anything else. */
+bool parseShardLayout(const std::string &text, ShardLayout &out,
+                      std::string &error);
 
 /** Canonical name of a layout ("contiguous" / "strided"). */
 const char *shardLayoutName(ShardLayout layout);

@@ -277,7 +277,7 @@ ShardSupervisor::ShardSupervisor(SupervisorConfig config,
                "supervisor needs at least one shard");
     sbn_assert(!config_.expectedRunFp.empty(),
                "supervisor needs the expected run fingerprints");
-    sbn_assert(config_.maxRetries < 1000,
+    sbn_assert(config_.maxRetries < kRetryLimit,
                "retry budget is implausibly large");
     sbn_assert(config_.expectedRunFp.size() < (std::uint64_t{1} << 32),
                "claim words address fewer than 2^32 points");

@@ -129,6 +129,10 @@ struct WorkerTask
  */
 using WorkerBody = std::function<void(const WorkerTask &)>;
 
+/** Exclusive bound on SupervisorConfig::maxRetries: a larger respawn
+ *  budget is a typo, not a policy. */
+constexpr unsigned kRetryLimit = 1000;
+
 /** Supervision policy knobs. */
 struct SupervisorConfig
 {
@@ -143,7 +147,7 @@ struct SupervisorConfig
      */
     std::vector<std::uint64_t> expectedRunFp;
 
-    unsigned maxRetries = 2;    //!< respawns allowed per shard
+    unsigned maxRetries = 2;    //!< respawns allowed per shard, < kRetryLimit
     double backoffInitialSeconds = 0.25; //!< delay before the 1st retry
 
     /** Seconds without record-file growth before a running worker is

@@ -4,8 +4,6 @@
 #include <cstdio>
 #include <cstdlib>
 
-#include "util/logging.hh"
-
 namespace sbn {
 
 namespace {
@@ -17,50 +15,96 @@ namespace {
  * "--processors 99999999999999999999" silently clamps to INT64_MAX
  * and sails through validation.
  */
-std::int64_t
-parseIntOrDie(const std::string &name, const std::string &text)
+bool
+parseInt(const CommandLine &cli, const std::string &name,
+         const std::string &text, std::int64_t &out)
 {
     char *end = nullptr;
     errno = 0;
-    const std::int64_t v = std::strtoll(text.c_str(), &end, 10);
+    out = std::strtoll(text.c_str(), &end, 10);
     if (end == text.c_str() || *end != '\0')
-        sbn_fatal("option --", name, " expects an integer, got '",
-                  text, "'");
+        return cli.fail("option --", name, " expects an integer, got '",
+                        text, "'");
     if (errno == ERANGE)
-        sbn_fatal("option --", name, ": integer out of range, got '",
-                  text, "'");
-    return v;
+        return cli.fail("option --", name,
+                        ": integer out of range, got '", text, "'");
+    return true;
 }
 
 /** strtod counterpart: overflow (+-HUGE_VAL) and underflow both set
- *  ERANGE and both fail fatally - a value the double type cannot
+ *  ERANGE and both are errors - a value the double type cannot
  *  represent is a configuration error, not a rounding request. */
-double
-parseDoubleOrDie(const std::string &name, const std::string &text)
+bool
+parseDouble(const CommandLine &cli, const std::string &name,
+            const std::string &text, double &out)
 {
     char *end = nullptr;
     errno = 0;
-    const double v = std::strtod(text.c_str(), &end);
+    out = std::strtod(text.c_str(), &end);
     if (end == text.c_str() || *end != '\0')
-        sbn_fatal("option --", name, " expects a number, got '",
-                  text, "'");
+        return cli.fail("option --", name, " expects a number, got '",
+                        text, "'");
     if (errno == ERANGE)
-        sbn_fatal("option --", name, ": number out of range, got '",
-                  text, "'");
-    return v;
+        return cli.fail("option --", name,
+                        ": number out of range, got '", text, "'");
+    return true;
+}
+
+/** Split a comma list into non-empty elements; empty lists and empty
+ *  elements (",,", trailing ",") are configuration errors. */
+bool
+splitList(const CommandLine &cli, const std::string &name,
+          const std::string &text, std::vector<std::string> &out)
+{
+    std::string cur;
+    for (std::size_t i = 0; i <= text.size(); ++i) {
+        if (i < text.size() && text[i] != ',') {
+            cur.push_back(text[i]);
+            continue;
+        }
+        if (cur.empty())
+            return cli.fail("option --", name,
+                            ": empty list element (a value list like "
+                            "'2,4,8' must name at least one value and "
+                            "no blanks)");
+        out.push_back(cur);
+        cur.clear();
+    }
+    return true;
+}
+
+/** A list option's elements, each parsed by @p parse; @p def when
+ *  the option is absent or any element fails. */
+template <typename T, typename Parse>
+std::vector<T>
+getList(const CommandLine &cli, const std::string &name,
+        const std::vector<T> &def, Parse parse)
+{
+    // Empty means absent or malformed: a named list is never empty.
+    const std::vector<std::string> elements = cli.getStringList(name, {});
+    if (elements.empty())
+        return def;
+    std::vector<T> out(elements.size());
+    for (std::size_t i = 0; i < elements.size(); ++i)
+        if (!parse(cli, name, elements[i], out[i]))
+            return def;
+    return out;
 }
 
 } // namespace
 
 CommandLine::CommandLine(int argc, const char *const *argv,
-                         const std::map<std::string, std::string> &known)
-    : program_(argc > 0 ? argv[0] : "sbn")
+                         const std::map<std::string, std::string> &known,
+                         std::string *error)
+    : program_(argc > 0 ? argv[0] : "sbn"), error_(error)
 {
     for (int i = 1; i < argc; ++i) {
         std::string arg = argv[i];
-        if (arg.rfind("--", 0) != 0)
-            sbn_fatal("unexpected positional argument '", arg,
-                      "' (options start with --)");
+        if (arg.rfind("--", 0) != 0) {
+            fail("unexpected positional argument '", arg,
+                 "' (options start with --)");
+            continue;
+        }
         arg = arg.substr(2);
 
         std::string name = arg;
@@ -76,18 +120,29 @@ CommandLine::CommandLine(int argc, const char *const *argv,
             have_value = true;
         }
 
-        if (name == "help")
+        if (name == "help" && error_ == nullptr)
             printHelpAndExit(known);
         if (!known.count(name))
-            sbn_fatal("unknown option --", name,
-                      " (try --help for the option list)");
-        if (values_.count(name))
-            sbn_fatal("option --", name,
-                      " given twice - a repeated option (e.g. a sweep "
-                      "axis named again) silently discarding the "
-                      "first value is never what you want");
-        values_[name] = have_value ? value : "true";
+            fail("unknown option --", name,
+                 " (try --help for the option list)");
+        else if (values_.count(name))
+            fail("option --", name,
+                 " given twice - a repeated option (e.g. a sweep axis "
+                 "named again) silently discarding the first value is "
+                 "never what you want");
+        else
+            values_[name] = have_value ? value : "true";
     }
+}
+
+bool
+CommandLine::report(const std::string &message) const
+{
+    if (error_ == nullptr)
+        fatalImpl(message, __FILE__, __LINE__);
+    if (error_->empty())
+        *error_ = message;
+    return false;
 }
 
 void
@@ -119,18 +174,20 @@ std::int64_t
 CommandLine::getInt(const std::string &name, std::int64_t def) const
 {
     const auto it = values_.find(name);
-    if (it == values_.end())
-        return def;
-    return parseIntOrDie(name, it->second);
+    std::int64_t v = def;
+    return it != values_.end() && parseInt(*this, name, it->second, v)
+               ? v
+               : def;
 }
 
 double
 CommandLine::getDouble(const std::string &name, double def) const
 {
     const auto it = values_.find(name);
-    if (it == values_.end())
-        return def;
-    return parseDoubleOrDie(name, it->second);
+    double v = def;
+    return it != values_.end() && parseDouble(*this, name, it->second, v)
+               ? v
+               : def;
 }
 
 bool
@@ -144,73 +201,32 @@ CommandLine::getBool(const std::string &name, bool def) const
         return true;
     if (v == "false" || v == "0" || v == "no")
         return false;
-    sbn_fatal("option --", name, " expects a boolean, got '", v, "'");
+    fail("option --", name, " expects a boolean, got '", v, "'");
+    return def;
 }
-
-namespace {
-
-/** Split a comma list into non-empty elements; empty lists and empty
- *  elements (",,", trailing ",") are configuration errors. */
-std::vector<std::string>
-splitList(const std::string &name, const std::string &text)
-{
-    std::vector<std::string> elements;
-    std::string cur;
-    auto flush = [&] {
-        if (cur.empty())
-            sbn_fatal("option --", name,
-                      ": empty list element (a value list like "
-                      "'2,4,8' must name at least one value and no "
-                      "blanks)");
-        elements.push_back(cur);
-        cur.clear();
-    };
-    for (char c : text) {
-        if (c == ',')
-            flush();
-        else
-            cur.push_back(c);
-    }
-    flush();
-    return elements;
-}
-
-} // namespace
 
 std::vector<std::int64_t>
 CommandLine::getIntList(const std::string &name,
                         const std::vector<std::int64_t> &def) const
 {
-    const auto it = values_.find(name);
-    if (it == values_.end())
-        return def;
-    std::vector<std::int64_t> out;
-    for (const std::string &element : splitList(name, it->second))
-        out.push_back(parseIntOrDie(name, element));
-    return out;
+    return getList(*this, name, def, parseInt);
 }
 
 std::vector<std::string>
 CommandLine::getStringList(const std::string &name,
                            const std::vector<std::string> &def) const
 {
-    const auto it = values_.find(name);
-    if (it == values_.end())
-        return def;
-    return splitList(name, it->second);
+    std::vector<std::string> elements;
+    return has(name) && splitList(*this, name, getString(name, ""), elements)
+               ? elements
+               : def;
 }
 
 std::vector<double>
 CommandLine::getDoubleList(const std::string &name,
                            const std::vector<double> &def) const
 {
-    const auto it = values_.find(name);
-    if (it == values_.end())
-        return def;
-    std::vector<double> out;
-    for (const std::string &element : splitList(name, it->second))
-        out.push_back(parseDoubleOrDie(name, element));
-    return out;
+    return getList(*this, name, def, parseDouble);
 }
 
 } // namespace sbn

@@ -70,6 +70,20 @@ assertFailed(const char *cond, const char *file, int line, Args... args)
 } // namespace detail
 
 /**
+ * The failure path of an error-returning parser or validator
+ * (`bool parseX(..., std::string &error)`): compose @p args into
+ * @p error and return false, so a rejection is one
+ * `return failWith(error, ...);`.
+ */
+template <typename... Args>
+bool
+failWith(std::string &error, Args &&...args)
+{
+    error = detail::composeMessage(std::forward<Args>(args)...);
+    return false;
+}
+
+/**
  * Render a waitpid() status word for diagnostics: "exit 0",
  * "exit 1", "signal 9 (killed)", "signal 6 (aborted) with core", or
  * "status 0x7f" for anything exotic. Used by the shard supervisor

@@ -80,34 +80,39 @@ WorkloadConfig::thinkProbability(int proc, double base_p) const
     return base_p;
 }
 
-void
-WorkloadConfig::validate(int n, int m) const
+bool
+WorkloadConfig::validate(int n, int m, std::string &error) const
 {
-    const auto probability = [](double p, const char *what) {
-        if (!(p >= 0.0 && p <= 1.0))
-            sbn_fatal("workload: ", what, " must be in [0,1], got ", p);
+    const auto probability = [&error](double p, const char *what) {
+        return (p >= 0.0 && p <= 1.0) ||
+               failWith(error, "workload: ", what,
+                        " must be in [0,1], got ", p);
     };
 
     switch (pattern) {
     case ReferencePattern::Uniform:
         break;
     case ReferencePattern::HotSpot:
-        probability(hotFraction, "hotFraction");
+        if (!probability(hotFraction, "hotFraction"))
+            return false;
         if (hotModule < 0 || hotModule >= m)
-            sbn_fatal("workload: hotModule ", hotModule,
-                      " out of range for ", m, " modules");
+            return failWith(error, "workload: hotModule ", hotModule,
+                            " out of range for ", m, " modules");
         break;
     case ReferencePattern::Favorite:
-        probability(favoriteFraction, "favoriteFraction");
+        if (!probability(favoriteFraction, "favoriteFraction"))
+            return false;
         break;
     case ReferencePattern::Weighted:
         if (static_cast<int>(moduleWeights.size()) != m)
-            sbn_fatal("workload: moduleWeights size ",
-                      moduleWeights.size(), " != numModules ", m);
+            return failWith(error, "workload: moduleWeights size ",
+                            moduleWeights.size(), " != numModules ", m);
         for (double w : moduleWeights)
             if (!(w > 0.0) || !std::isfinite(w))
-                sbn_fatal("workload: moduleWeights entries must be "
-                          "finite and > 0, got ", w);
+                return failWith(error,
+                                "workload: moduleWeights entries must "
+                                "be finite and > 0, got ",
+                                w);
         break;
     }
 
@@ -116,20 +121,23 @@ WorkloadConfig::validate(int n, int m) const
         break;
     case ThinkModel::TwoClass:
         if (fastCount < 0 || fastCount > n)
-            sbn_fatal("workload: fastCount ", fastCount,
-                      " out of range for ", n, " processors");
-        probability(fastProbability, "fastProbability");
-        probability(slowProbability, "slowProbability");
+            return failWith(error, "workload: fastCount ", fastCount,
+                            " out of range for ", n, " processors");
+        if (!probability(fastProbability, "fastProbability") ||
+            !probability(slowProbability, "slowProbability"))
+            return false;
         break;
     case ThinkModel::PerProcessor:
         if (static_cast<int>(thinkProbabilities.size()) != n)
-            sbn_fatal("workload: thinkProbabilities size ",
-                      thinkProbabilities.size(), " != numProcessors ",
-                      n);
+            return failWith(error, "workload: thinkProbabilities size ",
+                            thinkProbabilities.size(),
+                            " != numProcessors ", n);
         for (double p : thinkProbabilities)
-            probability(p, "thinkProbabilities entries");
+            if (!probability(p, "thinkProbabilities entries"))
+                return false;
         break;
     }
+    return true;
 }
 
 std::string

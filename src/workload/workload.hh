@@ -63,7 +63,7 @@ const char *referencePatternName(ReferencePattern pattern);
 
 /**
  * Workload description carried by SystemConfig. Plain data; validated
- * against the system shape by validate(n, m).
+ * against the system shape by validate(n, m, error).
  *
  * HotSpot semantics: with probability hotFraction the request targets
  * hotModule, otherwise a uniformly random module (so the hot module's
@@ -129,8 +129,9 @@ struct WorkloadConfig
      */
     double thinkProbability(int proc, double base_p) const;
 
-    /** Abort with a message if inconsistent with an n x m system. */
-    void validate(int n, int m) const;
+    /** False, with a message in @p error, if inconsistent with an
+     *  n x m system. */
+    bool validate(int n, int m, std::string &error) const;
 };
 
 /**

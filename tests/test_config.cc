@@ -1,8 +1,9 @@
 /**
  * @file
  * Configuration-validation tests: every invalid parameter must be
- * rejected loudly (fatal) before a simulation starts, and the
- * documented defaults must describe a valid paper-baseline system.
+ * rejected with a message naming it before a simulation starts (a
+ * kernel constructor dies on it), and the documented defaults must
+ * describe a valid paper-baseline system.
  */
 
 #include <gtest/gtest.h>
@@ -11,6 +12,7 @@
 
 #include "core/config.hh"
 #include "core/experiment.hh"
+#include "error_match.hh"
 
 namespace sbn {
 namespace {
@@ -22,10 +24,19 @@ valid()
     return cfg;
 }
 
+/** The message validate() rejects @p cfg with, or "" when it
+ *  accepts. */
+std::string
+rejection(const SystemConfig &cfg)
+{
+    std::string error;
+    return cfg.validate(error) ? "" : error;
+}
+
 TEST(ConfigValidation, DefaultsAreValid)
 {
     SystemConfig cfg = valid();
-    cfg.validate(); // must not exit
+    EXPECT_EQ(rejection(cfg), "");
     EXPECT_EQ(cfg.processorCycle(), cfg.memoryRatio + 2);
     EXPECT_DOUBLE_EQ(cfg.maxEbw(), (cfg.memoryRatio + 2) / 2.0);
 }
@@ -34,36 +45,36 @@ TEST(ConfigValidationDeath, RejectsNonPositiveProcessors)
 {
     SystemConfig cfg = valid();
     cfg.numProcessors = 0;
-    EXPECT_DEATH(cfg.validate(), "numProcessors");
+    EXPECT_TRUE(errorMatches(rejection(cfg), "numProcessors"));
 }
 
 TEST(ConfigValidationDeath, RejectsNonPositiveModules)
 {
     SystemConfig cfg = valid();
     cfg.numModules = -1;
-    EXPECT_DEATH(cfg.validate(), "numModules");
+    EXPECT_TRUE(errorMatches(rejection(cfg), "numModules"));
 }
 
 TEST(ConfigValidationDeath, RejectsZeroMemoryRatio)
 {
     SystemConfig cfg = valid();
     cfg.memoryRatio = 0;
-    EXPECT_DEATH(cfg.validate(), "memoryRatio");
+    EXPECT_TRUE(errorMatches(rejection(cfg), "memoryRatio"));
 }
 
 TEST(ConfigValidationDeath, RejectsProbabilityOutOfRange)
 {
     SystemConfig low = valid();
     low.requestProbability = -0.1;
-    EXPECT_DEATH(low.validate(), "requestProbability");
+    EXPECT_TRUE(errorMatches(rejection(low), "requestProbability"));
 
     SystemConfig high = valid();
     high.requestProbability = 1.5;
-    EXPECT_DEATH(high.validate(), "requestProbability");
+    EXPECT_TRUE(errorMatches(rejection(high), "requestProbability"));
 
     SystemConfig nan = valid();
     nan.requestProbability = std::numeric_limits<double>::quiet_NaN();
-    EXPECT_DEATH(nan.validate(), "requestProbability");
+    EXPECT_TRUE(errorMatches(rejection(nan), "requestProbability"));
 }
 
 TEST(ConfigValidationDeath, RejectsNegativeCapacities)
@@ -71,7 +82,7 @@ TEST(ConfigValidationDeath, RejectsNegativeCapacities)
     SystemConfig cfg = valid();
     cfg.buffered = true;
     cfg.inputCapacity = -2;
-    EXPECT_DEATH(cfg.validate(), "capacities");
+    EXPECT_TRUE(errorMatches(rejection(cfg), "capacities"));
 }
 
 TEST(ConfigValidationDeath, RejectsCapacitiesWithoutBuffering)
@@ -79,7 +90,7 @@ TEST(ConfigValidationDeath, RejectsCapacitiesWithoutBuffering)
     SystemConfig cfg = valid();
     cfg.buffered = false;
     cfg.inputCapacity = 2;
-    EXPECT_DEATH(cfg.validate(), "buffered");
+    EXPECT_TRUE(errorMatches(rejection(cfg), "buffered"));
 }
 
 TEST(ConfigValidationDeath, RejectsWeightVectorSizeMismatch)
@@ -87,7 +98,7 @@ TEST(ConfigValidationDeath, RejectsWeightVectorSizeMismatch)
     SystemConfig cfg = valid();
     cfg.workload.pattern = ReferencePattern::Weighted;
     cfg.workload.moduleWeights = {1.0, 2.0}; // != numModules
-    EXPECT_DEATH(cfg.validate(), "moduleWeights");
+    EXPECT_TRUE(errorMatches(rejection(cfg), "moduleWeights"));
 }
 
 TEST(ConfigValidationDeath, RejectsNonPositiveWeights)
@@ -96,7 +107,7 @@ TEST(ConfigValidationDeath, RejectsNonPositiveWeights)
     cfg.workload.pattern = ReferencePattern::Weighted;
     cfg.workload.moduleWeights.assign(cfg.numModules, 1.0);
     cfg.workload.moduleWeights[3] = 0.0;
-    EXPECT_DEATH(cfg.validate(), "moduleWeights");
+    EXPECT_TRUE(errorMatches(rejection(cfg), "moduleWeights"));
 }
 
 TEST(ConfigValidationDeath, RejectsHotSpotOutOfRange)
@@ -104,12 +115,12 @@ TEST(ConfigValidationDeath, RejectsHotSpotOutOfRange)
     SystemConfig cfg = valid();
     cfg.workload.pattern = ReferencePattern::HotSpot;
     cfg.workload.hotFraction = 1.5;
-    EXPECT_DEATH(cfg.validate(), "hotFraction");
+    EXPECT_TRUE(errorMatches(rejection(cfg), "hotFraction"));
 
     cfg = valid();
     cfg.workload.pattern = ReferencePattern::HotSpot;
     cfg.workload.hotModule = cfg.numModules;
-    EXPECT_DEATH(cfg.validate(), "hotModule");
+    EXPECT_TRUE(errorMatches(rejection(cfg), "hotModule"));
 }
 
 TEST(ConfigValidationDeath, RejectsThinkVectorMismatch)
@@ -117,19 +128,19 @@ TEST(ConfigValidationDeath, RejectsThinkVectorMismatch)
     SystemConfig cfg = valid();
     cfg.workload.think = ThinkModel::PerProcessor;
     cfg.workload.thinkProbabilities = {0.5}; // != numProcessors
-    EXPECT_DEATH(cfg.validate(), "thinkProbabilities");
+    EXPECT_TRUE(errorMatches(rejection(cfg), "thinkProbabilities"));
 
     cfg = valid();
     cfg.workload.think = ThinkModel::TwoClass;
     cfg.workload.fastCount = cfg.numProcessors + 1;
-    EXPECT_DEATH(cfg.validate(), "fastCount");
+    EXPECT_TRUE(errorMatches(rejection(cfg), "fastCount"));
 }
 
 TEST(ConfigValidationDeath, RejectsEmptyMeasurementWindow)
 {
     SystemConfig cfg = valid();
     cfg.measureCycles = 0;
-    EXPECT_DEATH(cfg.validate(), "measureCycles");
+    EXPECT_TRUE(errorMatches(rejection(cfg), "measureCycles"));
 }
 
 TEST(ConfigValidationDeath, RejectsWindowPastTickRange)
@@ -138,9 +149,9 @@ TEST(ConfigValidationDeath, RejectsWindowPastTickRange)
     // sum wraps and no tick would ever be measured.
     SystemConfig cfg = valid();
     cfg.warmupCycles = std::numeric_limits<Tick>::max() - cfg.measureCycles;
-    cfg.validate(); // ends exactly at the last tick: still valid
+    EXPECT_EQ(rejection(cfg), ""); // ends exactly at the last tick
     cfg.warmupCycles += 1;
-    EXPECT_DEATH(cfg.validate(), "overflows the tick range");
+    EXPECT_TRUE(errorMatches(rejection(cfg), "overflows the tick range"));
 }
 
 TEST(ConfigValidation, ValidWeightsAccepted)
@@ -149,7 +160,7 @@ TEST(ConfigValidation, ValidWeightsAccepted)
     cfg.workload.pattern = ReferencePattern::Weighted;
     cfg.workload.moduleWeights.assign(cfg.numModules, 1.0);
     cfg.workload.moduleWeights[0] = 7.5;
-    cfg.validate();
+    EXPECT_EQ(rejection(cfg), "");
     // And the system actually runs with them.
     cfg.measureCycles = 5000;
     cfg.warmupCycles = 100;
@@ -158,6 +169,7 @@ TEST(ConfigValidation, ValidWeightsAccepted)
 
 TEST(ConfigValidation, ConstructingSystemValidates)
 {
+    // The fatal path every kernel constructor takes on a rejection.
     SystemConfig cfg = valid();
     cfg.memoryRatio = -3;
     EXPECT_DEATH({ SingleBusSystem system(cfg); }, "memoryRatio");

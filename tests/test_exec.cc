@@ -22,6 +22,7 @@
 #include <vector>
 
 #include "core/experiment.hh"
+#include "error_match.hh"
 #include "exec/adaptive.hh"
 #include "exec/parallel_runner.hh"
 #include "exec/sweep.hh"
@@ -380,28 +381,37 @@ TEST(SweepSpec, MaterializesTheCrossProductInDocumentedOrder)
     }
 }
 
+/** The message validate() rejects @p spec with, or "" when it
+ *  accepts. */
+std::string
+rejection(const SweepSpec &spec)
+{
+    std::string error;
+    return spec.validate(error) ? "" : error;
+}
+
 TEST(SweepSpecDeathTest, ValidateRejectsDuplicateAxisValues)
 {
     SweepSpec spec;
     spec.processors = {2, 4, 2};
-    EXPECT_DEATH(spec.validate(), "axis 'processors'.*twice");
+    EXPECT_TRUE(errorMatches(rejection(spec), "axis 'processors'.*twice"));
 
     spec = SweepSpec{};
     spec.requestProbabilities = {0.1, 0.1};
-    EXPECT_DEATH(spec.validate(),
-                 "axis 'requestProbabilities'.*twice");
+    EXPECT_TRUE(errorMatches(rejection(spec),
+                             "axis 'requestProbabilities'.*twice"));
 
     spec = SweepSpec{};
     spec.policies = {ArbitrationPolicy::MemoryPriority,
                      ArbitrationPolicy::MemoryPriority};
-    EXPECT_DEATH(spec.validate(), "axis 'policies'.*twice");
+    EXPECT_TRUE(errorMatches(rejection(spec), "axis 'policies'.*twice"));
 
     spec = SweepSpec{};
     spec.buffering = {true, true};
-    EXPECT_DEATH(spec.validate(), "axis 'buffering'.*twice");
+    EXPECT_TRUE(errorMatches(rejection(spec), "axis 'buffering'.*twice"));
 
-    // materialize() validates implicitly, so no sweep entry point
-    // runs a malformed grid.
+    // materialize() validates implicitly and dies on a rejection, so
+    // no sweep entry point runs a malformed grid.
     spec = SweepSpec{};
     spec.modules = {4, 4};
     EXPECT_DEATH((void)spec.materialize(), "axis 'modules'.*twice");
@@ -411,21 +421,21 @@ TEST(SweepSpecDeathTest, ValidateRejectsOutOfDomainAxisValues)
 {
     SweepSpec spec;
     spec.processors = {0};
-    EXPECT_DEATH(spec.validate(), "processors axis value");
+    EXPECT_TRUE(errorMatches(rejection(spec), "processors axis value"));
 
     spec = SweepSpec{};
     spec.memoryRatios = {4, -2};
-    EXPECT_DEATH(spec.validate(), "memoryRatios axis value");
+    EXPECT_TRUE(errorMatches(rejection(spec), "memoryRatios axis value"));
 
     spec = SweepSpec{};
     spec.requestProbabilities = {0.5, 1.5};
-    EXPECT_DEATH(spec.validate(),
-                 "requestProbabilities axis value");
+    EXPECT_TRUE(errorMatches(rejection(spec),
+                             "requestProbabilities axis value"));
 
     // The base config is validated too.
     spec = SweepSpec{};
     spec.base.numProcessors = -1;
-    EXPECT_DEATH(spec.validate(), "numProcessors");
+    EXPECT_TRUE(errorMatches(rejection(spec), "numProcessors"));
 }
 
 TEST(SweepSpec, ValidateAcceptsWellFormedGrids)
@@ -433,7 +443,8 @@ TEST(SweepSpec, ValidateAcceptsWellFormedGrids)
     SweepSpec spec;
     spec.processors = {2, 4};
     spec.requestProbabilities = {0.1, 1.0};
-    spec.validate(); // empty axes mean "base value" and are fine
+    // Empty axes mean "base value" and are fine.
+    EXPECT_EQ(rejection(spec), "");
     EXPECT_EQ(spec.materialize().size(), 4u);
 }
 
@@ -882,7 +893,11 @@ TEST(ParallelRunnerDeathTest,
 TEST(Exec, ParseThreadsSpecAcceptsSaneValues)
 {
     auto parse = [](const char *spec) {
-        return parseThreadsSpec(spec, "SBN_THREADS");
+        unsigned threads = 9999;
+        std::string error;
+        EXPECT_TRUE(parseThreadsSpec(spec, "SBN_THREADS", threads, error))
+            << error;
+        return threads;
     };
     EXPECT_EQ(parse("1"), 1u);
     EXPECT_EQ(parse("16"), 16u);
@@ -891,25 +906,44 @@ TEST(Exec, ParseThreadsSpecAcceptsSaneValues)
     EXPECT_EQ(parse("0"), 0u); // 0 = all hardware threads
 }
 
+/** parseThreadsSpec's message for @p spec, or "" when it accepts. */
+std::string
+threadsError(const char *spec, const char *source = "SBN_THREADS")
+{
+    unsigned threads = 0;
+    std::string error;
+    return parseThreadsSpec(spec, source, threads, error) ? "" : error;
+}
+
 TEST(Exec, ParseThreadsSpecRejectsGarbageLoudly)
 {
     // A typo in SBN_THREADS must fail fast with a clear message, not
     // silently fall back to serial execution.
-    auto parse = [](const char *spec) {
-        return parseThreadsSpec(spec, "SBN_THREADS");
-    };
-    EXPECT_DEATH((void)parse(""), "empty value");
-    EXPECT_DEATH((void)parse("   "), "empty value");
-    EXPECT_DEATH((void)parse("four"), "not a number");
-    EXPECT_DEATH((void)parse("8x"), "not a number");
-    EXPECT_DEATH((void)parse("2.5"), "not a number");
-    EXPECT_DEATH((void)parse("-4"), "negative");
-    EXPECT_DEATH((void)parse("5000"), "out of range");
-    EXPECT_DEATH((void)parse("99999999999999999999"), "out of range");
+    EXPECT_TRUE(errorMatches(threadsError(""), "empty value"));
+    EXPECT_TRUE(errorMatches(threadsError("   "), "empty value"));
+    EXPECT_TRUE(errorMatches(threadsError("four"), "not a number"));
+    EXPECT_TRUE(errorMatches(threadsError("8x"), "not a number"));
+    EXPECT_TRUE(errorMatches(threadsError("2.5"), "not a number"));
+    EXPECT_TRUE(errorMatches(threadsError("-4"), "negative"));
+    EXPECT_TRUE(errorMatches(threadsError("5000"), "out of range"));
+    EXPECT_TRUE(errorMatches(threadsError("99999999999999999999"),
+                             "out of range"));
     // Every message names where the value came from.
-    EXPECT_DEATH((void)parse("four"), "SBN_THREADS: 'four' is not");
-    EXPECT_DEATH((void)parseThreadsSpec("", "--threads"),
-                 "--threads: empty value");
+    EXPECT_TRUE(
+        errorMatches(threadsError("four"), "SBN_THREADS: 'four' is not"));
+    EXPECT_TRUE(errorMatches(threadsError("", "--threads"),
+                             "--threads: empty value"));
+
+    // The environment variable is read once, when a default thread
+    // count is first needed, and a malformed one is fatal there. The
+    // statement runs only in the death test's re-executed child,
+    // whose cached default is still unread.
+    EXPECT_DEATH(
+        {
+            ::setenv("SBN_THREADS", "four", 1);
+            (void)defaultExecThreads();
+        },
+        "SBN_THREADS: 'four' is not a number");
 }
 
 } // namespace

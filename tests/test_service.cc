@@ -33,6 +33,7 @@
 #include <thread>
 #include <vector>
 
+#include "error_match.hh"
 #include "exec/parallel_runner.hh"
 #include "service/client.hh"
 #include "service/daemon.hh"
@@ -41,6 +42,7 @@
 #include "service/protocol.hh"
 #include "service/sweeprun.hh"
 #include "shard/fault.hh"
+#include "telemetry/telemetry.hh"
 #include "util/exit_codes.hh"
 #include "util/logging.hh"
 
@@ -385,13 +387,19 @@ TEST(JobJournal, StateNamesMatchTheFaultPlaneList)
 
 TEST(SpecTokenize, SplitsOnWhitespaceRuns)
 {
-    const std::vector<std::string> tokens =
-        tokenizeSpecString("  --n=8\t--m=16   --p=0.2,0.6 ");
+    std::vector<std::string> tokens;
+    std::string error;
+    ASSERT_TRUE(tokenizeSpecString("  --n=8\t--m=16   --p=0.2,0.6 ",
+                                   tokens, error))
+        << error;
     ASSERT_EQ(tokens.size(), 3u);
     EXPECT_EQ(tokens[0], "--n=8");
     EXPECT_EQ(tokens[1], "--m=16");
     EXPECT_EQ(tokens[2], "--p=0.2,0.6");
-    EXPECT_TRUE(tokenizeSpecString("").empty());
+    ASSERT_TRUE(tokenizeSpecString("", tokens, error));
+    EXPECT_TRUE(tokens.empty());
+    EXPECT_FALSE(tokenizeSpecString("--n='8'", tokens, error));
+    EXPECT_TRUE(errorMatches(error, "carry no quoting"));
 }
 
 TEST(SpecParse, ParsesAFullSpecIncludingSpawn)
@@ -409,39 +417,115 @@ TEST(SpecParse, ParsesAFullSpecIncludingSpawn)
     EXPECT_EQ(opt.layout, ShardLayout::Strided);
 }
 
+/** The message the daemon rejects a submitted @p spec with, or ""
+ *  when it parses. */
+std::string
+specRejection(const std::string &spec)
+{
+    SweepRunOptions opt;
+    std::string error;
+    return parseSweepSpecString(spec, opt, error) ? "" : error;
+}
+
 TEST(SpecParseDeathTest, ThreadsErrorsNameTheFlag)
 {
     // The daemon validates submitted specs with this parser too, so a
     // bad --threads must not be reported as the SBN_THREADS variable.
+    EXPECT_EQ(specRejection("--threads=abc"),
+              "--threads: 'abc' is not a number (expected a decimal "
+              "thread count)");
+    // The job runner's parse dies on what the daemon would reject.
     EXPECT_DEATH((void)parseSweepSpecString("--threads=abc"),
                  "--threads: 'abc' is not a number");
 }
 
-TEST(SpecParse, ValidationForksSoBadSpecsCannotKillTheCaller)
+TEST(SpecParse, BadSpecsReturnTheParsersMessage)
 {
-    EXPECT_TRUE(specParsesCleanly("--n=8 --m=16 --p=0.5"));
-    // Unknown flag, bad value, forbidden quoting, empty grid: all
-    // must come back as a clean "false", not a fatal in this
-    // process.
-    EXPECT_FALSE(specParsesCleanly("--frobnicate=1"));
-    EXPECT_FALSE(specParsesCleanly("--n=8 --m=16 --p=banana"));
-    EXPECT_FALSE(specParsesCleanly("--n='8'"));
-    EXPECT_FALSE(specParsesCleanly("--dir=elsewhere")); // front-end flag
+    EXPECT_EQ(specRejection("--n=8 --m=16 --p=0.5"), "");
+    // Unknown flag, bad value, forbidden quoting, a front end's flag:
+    // each comes back as the message sbn_sweep prints after "fatal: ".
+    EXPECT_EQ(specRejection("--frobnicate=1"),
+              "unknown option --frobnicate (try --help for the option "
+              "list)");
+    EXPECT_EQ(specRejection("--n=8 --m=16 --p=banana"),
+              "option --p expects a number, got 'banana'");
+    EXPECT_TRUE(errorMatches(specRejection("--n='8'"), "no quoting"));
+    EXPECT_TRUE(errorMatches(specRejection("--dir=elsewhere"),
+                             "unknown option --dir"));
+    // --help prints a tool's usage; in a spec it is just unknown.
+    EXPECT_TRUE(
+        errorMatches(specRejection("--help"), "unknown option --help"));
 
     // Integers the spec cannot represent: a negative window would wrap
     // the unsigned tick, an axis value past int would truncate to
     // another system, and --buffered is a 0/1 switch.
     const std::string base = "--n=4 --m=4 --r=4 --p=1 --measure=20000";
-    EXPECT_TRUE(specParsesCleanly(base + " --warmup=0 --buffered=0,1"));
-    EXPECT_FALSE(specParsesCleanly(base + " --warmup=-5"));
-    EXPECT_FALSE(specParsesCleanly("--n=4 --m=4 --r=4 --p=1 --measure=-1"));
-    EXPECT_FALSE(specParsesCleanly(
-        "--n=4294967297 --m=4 --r=4 --p=1 --measure=20000"));
-    EXPECT_FALSE(specParsesCleanly(
-        "--n=4 --m=4294967297 --r=4 --p=1 --measure=20000"));
-    EXPECT_FALSE(specParsesCleanly(
-        "--n=4 --m=4 --r=4294967297 --p=1 --measure=20000"));
-    EXPECT_FALSE(specParsesCleanly(base + " --buffered=2"));
+    EXPECT_EQ(specRejection(base + " --warmup=0 --buffered=0,1"), "");
+    EXPECT_TRUE(errorMatches(specRejection(base + " --warmup=-5"),
+                             "--warmup must be >= 0"));
+    EXPECT_TRUE(errorMatches(
+        specRejection("--n=4 --m=4 --r=4 --p=1 --measure=-1"),
+        "--measure must be >= 1"));
+    EXPECT_TRUE(errorMatches(
+        specRejection("--n=4294967297 --m=4 --r=4 --p=1 --measure=20000"),
+        "--n value 4294967297 is out of the int range"));
+    EXPECT_TRUE(errorMatches(
+        specRejection("--n=4 --m=4294967297 --r=4 --p=1 --measure=20000"),
+        "--m value 4294967297 is out of the int range"));
+    EXPECT_TRUE(errorMatches(
+        specRejection("--n=4 --m=4 --r=4294967297 --p=1 --measure=20000"),
+        "--r value 4294967297 is out of the int range"));
+    EXPECT_TRUE(errorMatches(specRejection(base + " --buffered=2"),
+                             "--buffered values must be 0 or 1"));
+}
+
+TEST(SpecParse, RejectsValuesThatWouldRunAsOtherValues)
+{
+    const std::string adaptive = "--n=4 --m=4 --p=1 --adaptive";
+    // A count past unsigned would wrap to another schedule: 2^32 + 2
+    // would run as --initial=2.
+    EXPECT_EQ(specRejection(adaptive +
+                            " --initial=4294967298 --cap=4294967299"),
+              "--initial value 4294967298 is out of the unsigned range");
+    EXPECT_TRUE(errorMatches(specRejection(adaptive + " --cap=4294967299"),
+                             "--cap value 4294967299 is out of the "
+                             "unsigned range"));
+    // The supervisor asserts a respawn budget below kRetryLimit.
+    EXPECT_TRUE(errorMatches(specRejection("--spawn=1 --retries=5000"),
+                             "--retries must be < 1000"));
+    EXPECT_EQ(specRejection("--spawn=1 --retries=999"), "");
+    // Only the tabulated levels: any other would run as one of them.
+    for (const char *level : {"0", "0.5", "0.91", "1.5"})
+        EXPECT_TRUE(errorMatches(
+            specRejection(adaptive + " --level=" + level),
+            "--level must be 0.90, 0.95 or 0.99"))
+            << level;
+    for (const char *level : {"0.9", "0.95", "0.99"})
+        EXPECT_EQ(specRejection(adaptive + " --level=" + level), "")
+            << level;
+    // A NaN or negative target would act as 0.
+    for (const char *target : {"rel", "abs"})
+        for (const char *value : {"nan", "-0.1"})
+            EXPECT_TRUE(errorMatches(
+                specRejection(adaptive + " --" + target + "=" + value),
+                std::string("--") + target + " must be >= 0"))
+                << target << "=" << value;
+}
+
+TEST(SpecParse, InProcessParseLeavesTelemetryToTheRunner)
+{
+    // The daemon parses every submit in process; a spec's --telemetry
+    // must not switch collection on there, only in the job's runner.
+    setTelemetryEnabled(false);
+    SweepRunOptions opt;
+    std::string error;
+    ASSERT_TRUE(parseSweepSpecString("--n=4 --telemetry", opt, error))
+        << error;
+    EXPECT_TRUE(opt.telemetry);
+    EXPECT_FALSE(telemetryEnabled());
+    EXPECT_TRUE(parseSweepSpecString("--n=4 --telemetry").telemetry);
+    EXPECT_TRUE(telemetryEnabled());
+    setTelemetryEnabled(false);
 }
 
 // ------------------------------------------------------ exit codes
@@ -678,6 +762,22 @@ class ForkedDaemon
     pid_t pid_ = -1;
 };
 
+/** Whether the daemon of @p state_dir published its port before
+ *  @p deadline. */
+bool
+daemonCameUp(const std::string &state_dir,
+             std::chrono::steady_clock::time_point deadline)
+{
+    struct stat st{};
+    while (::stat(daemonPortFilePath(state_dir).c_str(), &st) != 0 ||
+           st.st_size == 0) {
+        if (std::chrono::steady_clock::now() >= deadline)
+            return false;
+        std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+    return true;
+}
+
 Request
 jobRequest(RequestKind kind, std::uint64_t job)
 {
@@ -702,12 +802,7 @@ TEST(DaemonRoundTrip, ResultsRepliesNeverWaitForADelayedAck)
 
     using Clock = std::chrono::steady_clock;
     const auto deadline = Clock::now() + std::chrono::seconds(60);
-    struct stat st{};
-    while (::stat(daemonPortFilePath(stateDir).c_str(), &st) != 0 ||
-           st.st_size == 0) {
-        ASSERT_LT(Clock::now(), deadline) << "daemon never came up";
-        std::this_thread::sleep_for(std::chrono::milliseconds(1));
-    }
+    ASSERT_TRUE(daemonCameUp(stateDir, deadline));
 
     DaemonClient client(stateDir);
     Request submit;
@@ -757,6 +852,44 @@ TEST(DaemonRoundTrip, ResultsRepliesNeverWaitForADelayedAck)
     EXPECT_LT((seconds[3] + seconds[4]) / 2, 0.010)
         << "median results round trip; slowest " << seconds.back()
         << " s";
+}
+
+TEST(DaemonRoundTrip, BadSpecsComeBackWithTheParsersMessage)
+{
+    // Each bad spec is answered bad_spec with the parser's own
+    // message and journals nothing. A --help spec that ran as a job
+    // would end "done" with no result.
+    const std::string stateDir = tempPath("daemon_bad_spec");
+    ASSERT_EQ(std::system(("rm -rf '" + stateDir + "'").c_str()), 0);
+    ForkedDaemon daemon(stateDir);
+    ASSERT_TRUE(daemon.started());
+    ASSERT_TRUE(daemonCameUp(stateDir, std::chrono::steady_clock::now() +
+                                           std::chrono::seconds(60)));
+
+    DaemonClient client(stateDir);
+    for (const char *spec :
+         {"--help", "--n=4 --p=banana", "--spawn=1 --retries=5000"}) {
+        Request submit;
+        submit.kind = RequestKind::Submit;
+        submit.spec = spec;
+        const ClientResponse reply = client.call(submit);
+        EXPECT_FALSE(reply.ok()) << spec;
+        EXPECT_EQ(reply.errorCode(), "bad_spec") << spec;
+        EXPECT_EQ(reply.text("message"), specRejection(spec)) << spec;
+    }
+    Request status;
+    status.kind = RequestKind::Status;
+    const ClientResponse summary = client.call(status);
+    EXPECT_EQ(summary.number("queued", -1), 0) << summary.header;
+    EXPECT_EQ(summary.number("running", -1), 0) << summary.header;
+    EXPECT_EQ(summary.number("done", -1), 0) << summary.header;
+
+    Request drain;
+    drain.kind = RequestKind::Drain;
+    ASSERT_TRUE(client.call(drain).ok());
+    const int exit = daemon.reap();
+    EXPECT_TRUE(WIFEXITED(exit) && WEXITSTATUS(exit) == kExitOk)
+        << describeWaitStatus(exit);
 }
 
 TEST(DaemonClientDeathTest, ResultsHeaderPromisingTooMuchIsFatal)

@@ -10,6 +10,7 @@
 #include <sstream>
 #include <vector>
 
+#include "error_match.hh"
 #include "util/cli.hh"
 #include "util/index_set.hh"
 #include "util/random.hh"
@@ -126,15 +127,33 @@ TEST(CommandLine, ExplicitBooleanValues)
     EXPECT_FALSE(cli.getBool("buffered", true));
 }
 
+/** A job spec's CommandLine over @p argv: errors go to @p error. */
+CommandLine
+parseSpec(std::vector<const char *> argv, std::string &error)
+{
+    argv.insert(argv.begin(), "prog");
+    return CommandLine(static_cast<int>(argv.size()), argv.data(),
+                       kKnown, &error);
+}
+
+// The CommandLineDeath suite pins the messages a tool prints after
+// "fatal: ". It reads them from the error sink, so only the tool
+// grammar's own fatal path below forks.
+
 TEST(CommandLineDeath, UnknownOptionIsFatal)
 {
     EXPECT_DEATH((void)parse({"--bogus=1"}), "unknown option");
+    std::string error;
+    (void)parseSpec({"--bogus=1"}, error);
+    EXPECT_TRUE(errorMatches(error, "unknown option"));
 }
 
 TEST(CommandLineDeath, BadIntegerIsFatal)
 {
-    const auto cli = parse({"--n=abc"});
-    EXPECT_DEATH((void)cli.getInt("n", 0), "expects an integer");
+    std::string error;
+    const auto cli = parseSpec({"--n=abc"}, error);
+    EXPECT_EQ(cli.getInt("n", 7), 7); // a failing getter's default
+    EXPECT_TRUE(errorMatches(error, "expects an integer"));
 }
 
 TEST(CommandLineDeath, IntegerOverflowIsFatal)
@@ -143,34 +162,37 @@ TEST(CommandLineDeath, IntegerOverflowIsFatal)
     // reports it only via errno=ERANGE; without the check a
     // "--n 99999999999999999999" silently becomes INT64_MAX and
     // passes validation.
-    const auto cli = parse({"--n=99999999999999999999"});
-    EXPECT_DEATH((void)cli.getInt("n", 0), "integer out of range");
-    const auto negative = parse({"--n=-99999999999999999999"});
-    EXPECT_DEATH((void)negative.getInt("n", 0),
-                 "integer out of range");
+    std::string error;
+    (void)parseSpec({"--n=99999999999999999999"}, error).getInt("n", 0);
+    EXPECT_TRUE(errorMatches(error, "integer out of range"));
+    std::string negative;
+    (void)parseSpec({"--n=-99999999999999999999"}, negative)
+        .getInt("n", 0);
+    EXPECT_TRUE(errorMatches(negative, "integer out of range"));
 }
 
 TEST(CommandLineDeath, IntegerListOverflowIsFatal)
 {
-    const auto cli = parse({"--rs=2,99999999999999999999,8"});
-    EXPECT_DEATH((void)cli.getIntList("rs", {}),
-                 "integer out of range");
+    std::string error;
+    const auto cli = parseSpec({"--rs=2,99999999999999999999,8"}, error);
+    EXPECT_EQ(cli.getIntList("rs", {1}), std::vector<std::int64_t>{1});
+    EXPECT_TRUE(errorMatches(error, "integer out of range"));
 }
 
 TEST(CommandLineDeath, DoubleOverflowIsFatal)
 {
     // strtod's overflow result is +-HUGE_VAL with errno=ERANGE, which
     // previously sailed through as a perfectly legal double.
-    const auto cli = parse({"--p=1e999"});
-    EXPECT_DEATH((void)cli.getDouble("p", 0.0),
-                 "number out of range");
+    std::string error;
+    (void)parseSpec({"--p=1e999"}, error).getDouble("p", 0.0);
+    EXPECT_TRUE(errorMatches(error, "number out of range"));
 }
 
 TEST(CommandLineDeath, DoubleListOverflowIsFatal)
 {
-    const auto cli = parse({"--p=0.5,-1e999"});
-    EXPECT_DEATH((void)cli.getDoubleList("p", {}),
-                 "number out of range");
+    std::string error;
+    (void)parseSpec({"--p=0.5,-1e999"}, error).getDoubleList("p", {});
+    EXPECT_TRUE(errorMatches(error, "number out of range"));
 }
 
 TEST(CommandLine, ExtremeButRepresentableValuesSurvive)
@@ -199,19 +221,35 @@ TEST(CommandLineDeath, RepeatedOptionIsFatal)
 {
     // A repeated option (e.g. a sweep axis named twice) must not
     // silently drop the first value.
-    EXPECT_DEATH((void)parse({"--n=4", "--n=8"}), "given twice");
+    std::string error;
+    (void)parseSpec({"--n=4", "--n=8"}, error);
+    EXPECT_TRUE(errorMatches(error, "given twice"));
 }
 
 TEST(CommandLineDeath, EmptyAndBlankListsAreFatal)
 {
-    EXPECT_DEATH((void)parse({"--rs="}).getIntList("rs", {}),
-                 "empty list element");
-    EXPECT_DEATH((void)parse({"--rs=2,,8"}).getIntList("rs", {}),
-                 "empty list element");
-    EXPECT_DEATH((void)parse({"--rs=2,4,"}).getIntList("rs", {}),
-                 "empty list element");
-    EXPECT_DEATH((void)parse({"--p=,"}).getDoubleList("p", {}),
-                 "empty list element");
+    for (const char *rs : {"--rs=", "--rs=2,,8", "--rs=2,4,"}) {
+        std::string error;
+        (void)parseSpec({rs}, error).getIntList("rs", {});
+        EXPECT_TRUE(errorMatches(error, "empty list element")) << rs;
+    }
+    std::string error;
+    (void)parseSpec({"--p=,"}, error).getDoubleList("p", {});
+    EXPECT_TRUE(errorMatches(error, "empty list element"));
+}
+
+TEST(CommandLine, ASpecGrammarKeepsTheFirstErrorAndKnowsNoHelp)
+{
+    // --help is a tool's, not a spec's: here it is an unknown option,
+    // and the later bad integer does not overwrite that first error.
+    std::string error;
+    (void)parseSpec({"--help", "--n=abc"}, error).getInt("n", 0);
+    EXPECT_EQ(error,
+              "unknown option --help (try --help for the option list)");
+
+    std::string positional;
+    (void)parseSpec({"8"}, positional);
+    EXPECT_TRUE(errorMatches(positional, "unexpected positional"));
 }
 
 TEST(IndexSet, InsertEraseContainsCount)

@@ -23,6 +23,7 @@
 #include "analytic/occupancy_chain.hh"
 #include "core/experiment.hh"
 #include "core/fingerprint.hh"
+#include "error_match.hh"
 #include "exec/parallel_runner.hh"
 #include "golden_util.hh"
 #include "shard/merge.hh"
@@ -414,14 +415,17 @@ TEST(WorkloadSweep, HotFractionAxisMaterializesInnermost)
 
 TEST(WorkloadSweepDeathTest, RejectsConflictingWorkloadAxes)
 {
+    std::string error;
     SweepSpec spec;
     spec.hotFractions = {0.2};
     spec.favoriteFractions = {0.3};
-    EXPECT_DEATH(spec.validate(), "conflicting");
+    EXPECT_FALSE(spec.validate(error));
+    EXPECT_TRUE(errorMatches(error, "conflicting"));
 
     SweepSpec bad;
     bad.hotFractions = {1.5};
-    EXPECT_DEATH(bad.validate(), "hotFractions");
+    EXPECT_FALSE(bad.validate(error));
+    EXPECT_TRUE(errorMatches(error, "hotFractions"));
 }
 
 // ---------------------------------------------- determinism contract

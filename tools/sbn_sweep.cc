@@ -498,6 +498,7 @@ main(int argc, char **argv)
     const Options opt = parseOptions(cli);
 
     if (opt.run.telemetry) {
+        setTelemetryEnabled(true);
         g_telemetryDumpPath = opt.run.telemetryDump;
         std::atexit(dumpTelemetryAtExit);
     }
